@@ -34,21 +34,27 @@ from dataclasses import dataclass
 from .curve import (
     PlaneCurve,
     ProjPoint,
+    curve_point_near,
     genericity_report,
     isotropic_tangency_points,
+    point_order_key,
     points_at_infinity,
     proj_distance,
     proj_point,
     tangent_at,
+    tangent_frame,
 )
-from .numerics import ComplexPoly, find_roots
+from .numerics import find_roots  # noqa: F401 -- unused; bench/bench_trace.py wraps it
 from .phase import (
     Branch,
     BranchSet,
     DirectionPoint,
+    PhaseError,
     PhasePoint,
     direction_from_slope,
     direction_point,
+    line_intersections,
+    line_point,
     phase_distance,
     reflect,
     rotate_direction,
@@ -234,16 +240,7 @@ def enumerate_scratch_points(curve: PlaneCurve) -> list[ScratchPoint]:
     for sign, kind in ((1, "isotropic_plus"), (-1, "isotropic_minus")):
         q = direction_point(1, sign * 1j, 0)
         for p, mult in isotropic_tangency_points(curve, sign):
-            td = tangent_at(curve, p)
-            t0, t1 = td.tangent
-            norm = math.sqrt(abs(t0) ** 2 + abs(t1) ** 2)
-            tau = (t0 / norm, t1 / norm)
-            # Newton transversal: the conjugate gradient never pairs to zero
-            # with the gradient at a smooth point
-            x0, x1 = p.affine()
-            g = curve.gradient(x0, x1, 1.0)
-            gnorm = math.sqrt(abs(g[0]) ** 2 + abs(g[1]) ** 2)
-            nu = (g[0].conjugate() / gnorm, g[1].conjugate() / gnorm)
+            tau, nu = tangent_frame(curve, p)
             out.append(
                 ScratchPoint(
                     kind=kind,
@@ -256,10 +253,7 @@ def enumerate_scratch_points(curve: PlaneCurve) -> list[ScratchPoint]:
     out.sort(
         key=lambda s: (
             kind_rank[s.kind],
-            s.phase.c.coords[0].real,
-            s.phase.c.coords[0].imag,
-            s.phase.c.coords[1].real,
-            s.phase.c.coords[1].imag,
+            *point_order_key(s.phase.c.coords),
             s.phase.q.q[2].real,
             s.phase.q.q[2].imag,
         )
@@ -308,25 +302,20 @@ def secant_at_infinity_limit(curve: PlaneCurve, e: ExceptionalParam) -> BranchSe
     chart: InfinityChart = s.chart
     b0, b1 = chart.line_base_point(e.value)
     t0, t1 = chart.tangent
-    poly = curve.restrict_to_line((b0, b1, 1.0), (t0, t1, 0.0))
-    scale = max(abs(c) for c in poly.coeffs)
-    coeffs = list(poly.coeffs) + [0j] * (curve.degree + 1 - len(poly.coeffs))
     # the pencil direction meets the curve at the scratch's infinity point,
     # so the restriction drops to degree d - 1
-    eff = len(coeffs)
-    while eff > 0 and abs(coeffs[eff - 1]) <= 1e-9 * scale:
-        eff -= 1
-    if eff - 1 != curve.degree - 1:
+    base, direction = (b0, b1, 1.0), (t0, t1, 0.0)
+    roots, at_direction = line_intersections(curve, base, direction)
+    if at_direction != 1:
         raise BlowupError(
-            f"line at offset {e.value} has unexpected intersection degree {eff - 1}"
+            f"line at offset {e.value} has unexpected intersection degree "
+            f"{curve.degree - at_direction}"
         )
-    branches = []
-    for rc in find_roots(ComplexPoly(coeffs[:eff])):
-        t = rc.value
-        pt = proj_point(b0 + t * t0, b1 + t * t1, 1.0)
-        branches.append(Branch(PhasePoint(c=pt, q=s.phase.q), rc.multiplicity))
-    branches.sort(key=lambda b: (b.point.c.coords[0].real, b.point.c.coords[0].imag,
-                                 b.point.c.coords[1].real, b.point.c.coords[1].imag))
+    branches = [
+        Branch(PhasePoint(c=line_point(base, direction, r.value), q=s.phase.q), r.multiplicity)
+        for r in roots
+    ]
+    branches.sort(key=lambda b: point_order_key(b.point.c.coords))
     return BranchSet(source=s.phase, op_tag="secant", images=tuple(branches))
 
 
@@ -354,21 +343,16 @@ def secant_at_isotropic_limit(
     chart: IsotropicChart = s.chart
     c = s.phase.c
     x0, x1 = c.affine()
-    poly = curve.restrict_to_line((x0, x1, 1.0), (chart.tau[0], chart.tau[1], 0.0))
-    scale = max(abs(cf) for cf in poly.coeffs)
-    coeffs = list(poly.coeffs)
     # base tangency contributes the double root at t = 0: strip two copies
-    if len(coeffs) >= 2 and abs(coeffs[0]) <= 1e-6 * scale and abs(coeffs[1]) <= 1e-5 * scale:
-        rest = coeffs[2:]
-    else:
-        raise BlowupError("tangency at the scratch point is not simple")
-    branches = []
-    body = ComplexPoly(rest) if rest else None
-    if body is not None and body.degree >= 1 and max(abs(cf) for cf in rest) > 1e-9 * scale:
-        for rc in find_roots(body):
-            t = rc.value
-            pt = proj_point(x0 + t * chart.tau[0], x1 + t * chart.tau[1], 1.0)
-            branches.append(Branch(PhasePoint(c=pt, q=s.phase.q), rc.multiplicity))
+    base, direction = (x0, x1, 1.0), (chart.tau[0], chart.tau[1], 0.0)
+    try:
+        roots, _ = line_intersections(curve, base, direction, remove=2)
+    except PhaseError as exc:
+        raise BlowupError("tangency at the scratch point is not simple") from exc
+    branches = [
+        Branch(PhasePoint(c=line_point(base, direction, r.value), q=s.phase.q), r.multiplicity)
+        for r in roots
+    ]
     static = BranchSet(source=s.phase, op_tag="secant", images=tuple(branches))
     return ExceptionalParam(scratch=s, value=-e.value), static
 
@@ -378,27 +362,6 @@ def _conic_chart_point(sign: int, w: complex) -> DirectionPoint:
     Q = (1, sign * i * sqrt(1 - w^2), w)."""
     q1 = sign * 1j * cmath.sqrt(1 - w * w)
     return direction_point(1.0, q1, w)
-
-
-def _curve_point_near(curve: PlaneCurve, base: tuple[complex, complex],
-                      tau, nu, a: complex) -> ProjPoint:
-    """Newton-correct base + a*tau back onto the curve along nu."""
-    x0 = base[0] + a * tau[0]
-    x1 = base[1] + a * tau[1]
-    mu = 0j
-    scale = max(1.0, curve.scale())
-    for _ in range(50):
-        px = x0 + mu * nu[0]
-        py = x1 + mu * nu[1]
-        f = curve.form_value(px, py, 1.0)
-        if abs(f) < 1e-14 * scale:
-            break
-        g = curve.gradient(px, py, 1.0)
-        deriv = g[0] * nu[0] + g[1] * nu[1]
-        if abs(deriv) < 1e-14 * scale:
-            raise BlowupError("Newton correction onto the curve is degenerate")
-        mu -= f / deriv
-    return proj_point(x0 + mu * nu[0], x1 + mu * nu[1], 1.0)
 
 
 def _richardson(values: list[complex]) -> tuple[complex, list[float]]:
@@ -487,7 +450,7 @@ def reflect_at_isotropic_limit(
     eps = default_eps_schedule() if eps_list is None else list(eps_list)
     samples = []
     for w in eps:
-        c_eps = _curve_point_near(curve, base, chart.tau, chart.nu, e.value * w)
+        c_eps = curve_point_near(curve, base, chart.tau, chart.nu, e.value * w)
         q_eps = _conic_chart_point(chart.sign, w)
         out = reflect(curve, PhasePoint(c=c_eps, q=q_eps))
         q_img = out.images[0].point.q

@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -232,6 +233,12 @@ def cmd_confine(args) -> int:
 
 
 def cmd_form_check(args) -> int:
+    if not (args.h > 0 and math.isfinite(args.h)):
+        _log("--h must be a positive finite step")
+        return EXIT_INPUT
+    if args.samples < 1:
+        _log("--samples must be at least 1")
+        return EXIT_INPUT
     curve = _load_curve(args.curve)
     report = genericity_report(curve)
     if not report.all_ok():
@@ -341,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                        required=curve_required)
         p.add_argument("--seed", type=int, default=0, help="sampling seed")
         p.add_argument("--out", help="output file (defaults to stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("spectral", help="exact spectral data for a degree")
     p.add_argument("--d", type=int, help="curve degree (alternative to --curve)")
@@ -372,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_form_check)
 
     p = sub.add_parser("scratch", help="scratch-point census")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
     p.set_defaults(func=cmd_scratch)
 

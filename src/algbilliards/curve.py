@@ -36,13 +36,17 @@ __all__ = [
     "ContainsInfinityLineError",
     "SingularPointError",
     "DegenerateSystemError",
+    "DegenerateNewtonError",
     "proj_point",
+    "point_order_key",
     "proj_distance",
     "direction_distance",
     "evaluate",
     "on_curve_residual",
     "points_at_infinity",
     "tangent_at",
+    "tangent_frame",
+    "curve_point_near",
     "isotropic_tangency_points",
     "genericity_report",
     "curve_from_json",
@@ -69,6 +73,10 @@ class SingularPointError(CurveError):
 
 class DegenerateSystemError(CurveError):
     """A resultant vanished identically; the curve contains a special line."""
+
+
+class DegenerateNewtonError(CurveError):
+    """The Newton transversal pairs to zero with the gradient."""
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +111,12 @@ def proj_point(x0, x1, x2) -> ProjPoint:
     idx = mags.index(big)
     pivot = v[idx]
     return ProjPoint(tuple(z / pivot for z in v))
+
+
+def point_order_key(coords) -> tuple[float, float, float, float]:
+    """Lexicographic order on the real and imaginary parts of the first two
+    coordinates: the deterministic order of every point multiset."""
+    return (coords[0].real, coords[0].imag, coords[1].real, coords[1].imag)
 
 
 def proj_distance(p: ProjPoint, q: ProjPoint) -> float:
@@ -194,16 +208,15 @@ class _Form:
 class PlaneCurve:
     """Homogeneous plane curve of degree >= 2 with exact rational+i*rational coefficients.
 
-    The exact coefficients are retained verbatim; numeric forms (and the
-    cached first and second partial derivatives) are built eagerly at
-    construction, so instances are immutable and cheap to share.
+    The exact coefficients are retained verbatim; the numeric form and its
+    cached first partial derivatives are built eagerly at construction, so
+    instances are immutable and cheap to share.
     """
 
     degree: int
     coeffs: dict[tuple[int, int, int], tuple[Fraction, Fraction]]
     _form: _Form = field(repr=False, compare=False)
     _partials: tuple[_Form, _Form, _Form] = field(repr=False, compare=False)
-    _second: tuple[tuple[_Form, ...], ...] = field(repr=False, compare=False)
 
     @staticmethod
     def from_coeffs(degree: int, coeffs) -> "PlaneCurve":
@@ -229,8 +242,7 @@ class PlaneCurve:
             raise CurveError("curve form must have a nonzero coefficient")
         form = _Form(numeric, degree)
         partials = (form.partial(0), form.partial(1), form.partial(2))
-        second = tuple(tuple(p.partial(v) for v in range(3)) for p in partials)
-        return PlaneCurve(degree, exact, form, partials, second)
+        return PlaneCurve(degree, exact, form, partials)
 
     # numeric access -------------------------------------------------------
 
@@ -308,8 +320,7 @@ def points_at_infinity(curve: PlaneCurve) -> list[tuple[ProjPoint, int]]:
     if poly.degree >= 1:
         for rc in find_roots(poly):
             out.append((proj_point(1, rc.value, 0), rc.multiplicity))
-    out.sort(key=lambda pm: (pm[0].coords[0].real, pm[0].coords[0].imag,
-                             pm[0].coords[1].real, pm[0].coords[1].imag))
+    out.sort(key=lambda pm: point_order_key(pm[0].coords))
     return out
 
 
@@ -341,6 +352,40 @@ def tangent_at(curve: PlaneCurve, p: ProjPoint) -> TangentData:
     t = normalize_pair(g[1], -g[0])
     n = (-t[1], t[0])
     return TangentData(point=p, tangent=t, normal=n)
+
+
+def tangent_frame(curve: PlaneCurve, p: ProjPoint):
+    """Unit tangent tau and Newton transversal nu at an affine curve point.
+
+    nu is the conjugate gradient, so the pairing grad F . nu = |grad F|
+    never vanishes at a smooth point.
+    """
+    t0, t1 = tangent_at(curve, p).tangent
+    norm = math.sqrt(abs(t0) ** 2 + abs(t1) ** 2)
+    x0, x1 = p.affine()
+    g = curve.gradient(x0, x1, 1.0)
+    gnorm = math.sqrt(abs(g[0]) ** 2 + abs(g[1]) ** 2)
+    return (t0 / norm, t1 / norm), (g[0].conjugate() / gnorm, g[1].conjugate() / gnorm)
+
+
+def curve_point_near(curve: PlaneCurve, base, tau, nu, a: complex) -> ProjPoint:
+    """Newton-correct the affine point base + a*tau back onto the curve along nu."""
+    x0 = base[0] + a * tau[0]
+    x1 = base[1] + a * tau[1]
+    mu = 0j
+    scale = max(1.0, curve.scale())
+    for _ in range(60):
+        px = x0 + mu * nu[0]
+        py = x1 + mu * nu[1]
+        f = curve.form_value(px, py, 1.0)
+        if abs(f) < 1e-15 * scale:
+            break
+        g = curve.gradient(px, py, 1.0)
+        deriv = g[0] * nu[0] + g[1] * nu[1]
+        if abs(deriv) < 1e-14 * scale:
+            raise DegenerateNewtonError("Newton correction onto the curve is degenerate")
+        mu -= f / deriv
+    return proj_point(x0 + mu * nu[0], x1 + mu * nu[1], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +529,7 @@ def _common_affine_roots(a: np.ndarray, b: np.ndarray) -> list[tuple[complex, co
             m, rem = divmod(rc.multiplicity, len(uniq))
             for idx, (x1, y1) in enumerate(uniq):
                 out.append((x1, y1, m + (1 if idx < rem else 0)))
-    out.sort(key=lambda t: (t[0].real, t[0].imag, t[1].real, t[1].imag))
+    out.sort(key=point_order_key)
     return out
 
 

@@ -647,10 +647,6 @@ def exact_rank(m: BigIntMatrix) -> int:
     return rank
 
 
-def nullity(m: BigIntMatrix) -> int:
-    return m.cols - exact_rank(m)
-
-
 # -- characteristic polynomial ----------------------------------------------
 
 _SMALL_CHARPOLY_SIDE = 24
@@ -689,7 +685,8 @@ def _char_poly_faddeev(m: BigIntMatrix) -> IntPoly:
     for k in range(1, n + 1):
         am = a @ mk
         tr = sum(am[i, i] for i in range(n))
-        assert tr % k == 0
+        if tr % k:
+            raise ArithmeticError(f"Faddeev trace {tr} is not divisible by {k}")
         ck = -tr // k
         coeffs[n - k] = ck
         if k < n:

@@ -17,19 +17,21 @@ order.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .curve import (
     ON_CURVE_TOL,
+    CurveError,
     PlaneCurve,
     ProjPoint,
     direction_distance,
     on_curve_residual,
+    point_order_key,
     proj_distance,
     proj_point,
     tangent_at,
 )
-from .numerics import ComplexPoly, deflate_root, find_roots
+from .numerics import ComplexPoly, RootCluster, deflate_root, find_roots
 
 __all__ = [
     "DirectionPoint",
@@ -50,6 +52,8 @@ __all__ = [
     "conic_residual",
     "phase_point",
     "phase_distance",
+    "line_point",
+    "line_intersections",
     "secant",
     "reflect",
     "billiard_step",
@@ -152,24 +156,6 @@ def rotate_direction(q: DirectionPoint, theta: complex) -> DirectionPoint:
     return direction_point(c * q0 - s * q1, s * q0 + c * q1, q2)
 
 
-def project_onto_conic(q0: complex, q1: complex, q2: complex) -> tuple[complex, complex, complex]:
-    """Exact projection of a nearby triple onto Q0^2 + Q1^2 = Q2^2.
-
-    In the null coordinates Z = Q0 + i Q1, W = Q0 - i Q1 the conic reads
-    Z W = Q2^2; the smaller of Z, W is recomputed from the constraint, which
-    moves the point by the order of its conic residual.
-    """
-    z = q0 + 1j * q1
-    w = q0 - 1j * q1
-    if abs(z) >= abs(w):
-        if z == 0:
-            raise PhaseError("cannot project the zero triple onto the conic")
-        w = q2 * q2 / z
-    else:
-        z = q2 * q2 / w
-    return ((z + w) / 2, (z - w) / 2j, q2)
-
-
 def conic_log(base: DirectionPoint, other: DirectionPoint) -> complex:
     """Rotation angle taking ``base`` to ``other`` (principal branch).
 
@@ -244,13 +230,8 @@ class BranchSet:
         return [b.point for b in self.images]
 
 
-def _branch_sort_key(b: Branch):
-    c = b.point.c.coords
-    return (c[0].real, c[0].imag, c[1].real, c[1].imag)
-
-
 def _sorted_branches(branches) -> tuple[Branch, ...]:
-    return tuple(sorted(branches, key=_branch_sort_key))
+    return tuple(sorted(branches, key=lambda b: point_order_key(b.point.c.coords)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,28 +242,77 @@ def _sorted_branches(branches) -> tuple[Branch, ...]:
 def secant_scratch_proximity(curve: PlaneCurve, x: PhasePoint) -> float:
     """Distance in chart coordinates to the secant indeterminacy condition
     (base point at infinity with the line direction equal to its tangent)."""
-    c = x.c
-    inf_dist = abs(c.coords[2])
-    if inf_dist > SCRATCH_SOFT_TOL:
-        return inf_dist
-    try:
-        td = tangent_at(curve, c)
-    except Exception:
-        return inf_dist
-    return max(inf_dist, direction_distance(x.q.slope_pair, td.tangent))
+    return _scratch_proximity(curve, x, abs(x.c.coords[2]))
 
 
 def reflect_scratch_proximity(curve: PlaneCurve, x: PhasePoint) -> float:
     """Distance to the reflection indeterminacy condition (isotropic q equal
     to the tangent direction at an isotropic tangency point)."""
-    iso_dist = abs(x.q.q[2])
-    if iso_dist > SCRATCH_SOFT_TOL:
-        return iso_dist
+    return _scratch_proximity(curve, x, abs(x.q.q[2]))
+
+
+def _scratch_proximity(curve: PlaneCurve, x: PhasePoint, dist: float) -> float:
+    if dist > SCRATCH_SOFT_TOL:
+        return dist
     try:
         td = tangent_at(curve, x.c)
-    except Exception:
-        return iso_dist
-    return max(iso_dist, direction_distance(x.q.slope_pair, td.tangent))
+    except CurveError:
+        return dist
+    return max(dist, direction_distance(x.q.slope_pair, td.tangent))
+
+
+# ---------------------------------------------------------------------------
+# line intersections
+# ---------------------------------------------------------------------------
+
+
+def line_point(base, direction, t) -> ProjPoint:
+    """The point base + t * direction of a line whose direction lies at infinity.
+
+    The third coordinate is base[2] itself rather than base[2] + t * 0, which
+    keeps the sign of a zero coordinate.
+    """
+    return proj_point(base[0] + t * direction[0], base[1] + t * direction[1], base[2])
+
+
+def line_intersections(
+    curve: PlaneCurve, base, direction, *, remove: int = 0
+) -> tuple[list[RootCluster], int]:
+    """Intersections of the curve with the line base + t * (D0, D1, 0).
+
+    The restriction of the curve form is a degree-d polynomial in t.  A line
+    inside the curve is refused; ``remove`` (0, 1 or 2) copies of a known
+    root at t = 0 are divided out; top coefficients below 1e-9 of the line
+    scale count as intersections at the direction point [D0 : D1 : 0].
+    Returns the remaining parameter clusters in ``find_roots`` order (map
+    them to points with ``line_point``) and the multiplicity at the
+    direction point.
+    """
+    body, at_direction = _line_polynomial(curve, base, direction, remove, 1e-9)
+    return _line_roots(body), at_direction
+
+
+def _line_polynomial(curve, base, direction, remove, trim):
+    d = curve.degree
+    poly = curve.restrict_to_line(base, direction)
+    line_scale = max(abs(c) for c in poly.coeffs)
+    if line_scale <= 1e-12 * max(1.0, curve.scale()):
+        raise LineInCurveError("the line lies in the curve")
+    coeffs = list(poly.coeffs) + [0j] * (d + 1 - len(poly.coeffs))
+    # a known root at t = 0 is removed by dropping the low coefficients,
+    # which must sit at the residual level of the base point
+    gates = (1e-6, 1e-5)[:remove]
+    if any(abs(c) > g * line_scale for c, g in zip(coeffs, gates)):
+        raise PhaseError(f"the line does not meet the curve {remove} times at the base point")
+    body = coeffs[remove:]
+    eff = len(body)
+    while eff > 0 and abs(body[eff - 1]) <= trim * line_scale:
+        eff -= 1
+    return body[:eff], (d - remove) - max(eff - 1, 0)
+
+
+def _line_roots(coeffs) -> list[RootCluster]:
+    return find_roots(ComplexPoly(coeffs)) if len(coeffs) >= 2 else []
 
 
 # ---------------------------------------------------------------------------
@@ -329,55 +359,32 @@ def secant(curve: PlaneCurve, x: PhasePoint) -> BranchSet:
     d = curve.degree
     q0, q1, _ = x.q.q
     c2 = x.c.coords[2]
+    direction = (q0, q1, 0)
     if ISOTROPIC_Q2_TOL < abs(c2) < _near_infinity_band(d):
-        branches = _secant_images_reanchored(curve, x)
+        base, roots, at_direction = _secant_roots_reanchored(curve, x)
     else:
-        branches = _secant_images_direct(curve, x)
+        base = x.c.coords
+        roots, at_direction = line_intersections(curve, base, direction, remove=1)
 
+    branches = [
+        Branch(PhasePoint(c=line_point(base, direction, r.value), q=x.q), r.multiplicity)
+        for r in roots
+    ]
+    if at_direction > 0:
+        branches.insert(0, Branch(PhasePoint(c=proj_point(q0, q1, 0), q=x.q), at_direction))
     out = BranchSet(
         source=x, op_tag="secant", images=_sorted_branches(branches), ill_conditioned=ill
     )
-    assert out.total_multiplicity() == d - 1
+    if out.total_multiplicity() != d - 1:
+        raise PhaseError(
+            f"secant images carry multiplicity {out.total_multiplicity()}, not d - 1 = {d - 1}"
+        )
     return out
 
 
-def _secant_images_direct(curve: PlaneCurve, x: PhasePoint) -> list[Branch]:
-    d = curve.degree
-    q0, q1, _ = x.q.q
-    poly = curve.restrict_to_line(x.c.coords, (q0, q1, 0))
-    line_scale = max(abs(c) for c in poly.coeffs)
-    ref_scale = max(1.0, curve.scale())
-    if line_scale <= 1e-12 * ref_scale:
-        raise LineInCurveError("the secant line lies in the curve")
-
-    coeffs = list(poly.coeffs) + [0j] * (d + 1 - len(poly.coeffs))
-    # base point at t = 0: remove exactly one copy by shifting coefficients
-    if abs(coeffs[0]) > 1e-6 * line_scale:
-        raise PhaseError("base point residual too large on the secant line")
-    quotient = coeffs[1:]
-
-    # top coefficients vanishing relative to the line polynomial signal
-    # intersections at the direction point [Q0 : Q1 : 0]
-    eff = len(quotient)
-    while eff > 0 and abs(quotient[eff - 1]) <= 1e-9 * line_scale:
-        eff -= 1
-    at_direction = (d - 1) - max(eff - 1, 0)
-    clusters = find_roots(ComplexPoly(quotient[:eff])) if eff >= 2 else []
-
-    branches: list[Branch] = []
-    if at_direction > 0:
-        pt = proj_point(q0, q1, 0)
-        branches.append(Branch(PhasePoint(c=pt, q=x.q), at_direction))
-    base = x.c.coords
-    for rc in clusters:
-        t = rc.value
-        pt = proj_point(base[0] + t * q0, base[1] + t * q1, base[2])
-        branches.append(Branch(PhasePoint(c=pt, q=x.q), rc.multiplicity))
-    return branches
-
-
-def _secant_images_reanchored(curve: PlaneCurve, x: PhasePoint) -> list[Branch]:
-    d = curve.degree
+def _secant_roots_reanchored(
+    curve: PlaneCurve, x: PhasePoint
+) -> tuple[tuple, list[RootCluster], int]:
     q0, q1, _ = x.q.q
     c0, c1, c2 = x.c.coords
     # affine equation of the line: perp . x = offset, with perp = (-q1, q0);
@@ -389,17 +396,11 @@ def _secant_images_reanchored(curve: PlaneCurve, x: PhasePoint) -> list[Branch]:
     anchor = (
         offset * (-q1).conjugate() / norm2,
         offset * q0.conjugate() / norm2,
+        1.0,
     )
-    poly = curve.restrict_to_line((anchor[0], anchor[1], 1.0), (q0, q1, 0))
-    line_scale = max(abs(c) for c in poly.coeffs)
-    ref_scale = max(1.0, curve.scale())
-    if line_scale <= 1e-12 * ref_scale:
-        raise LineInCurveError("the secant line lies in the curve")
-    coeffs = list(poly.coeffs)
-    eff = len(coeffs)
-    while eff > 0 and abs(coeffs[eff - 1]) <= 1e-11 * line_scale:
-        eff -= 1
-    at_direction = d - max(eff - 1, 0)
+    direction = (q0, q1, 0)
+    # the far anchor inflates the line scale, so the trim is two orders finer
+    body, at_direction = _line_polynomial(curve, anchor, direction, 0, 1e-11)
 
     # parameter of the base point on the re-anchored line
     ya = (c0 / c2, c1 / c2)
@@ -408,43 +409,22 @@ def _secant_images_reanchored(curve: PlaneCurve, x: PhasePoint) -> list[Branch]:
     else:
         t_base = (ya[1] - anchor[1]) / q1
 
-    branches: list[Branch] = []
-    if at_direction > 0:
-        branches.append(Branch(PhasePoint(c=proj_point(q0, q1, 0), q=x.q), at_direction))
-
-    body = coeffs[:eff]
     if abs(t_base) > 1e3:
         # the base parameter dwarfs the other roots; a single relative
         # cluster radius would merge them, so remove the base root first by
         # deflating the reversed polynomial at 1/t_base (stable for large
         # roots; the scalar factor the reversal introduces does not move
         # the remaining roots)
-        reversed_poly = ComplexPoly(body[::-1])
-        quotient = deflate_root(reversed_poly, 1.0 / t_base, 1)
-        rest = list(quotient.coeffs)[::-1]
-        clusters = find_roots(ComplexPoly(rest)) if len(rest) >= 2 else []
-        for rc in clusters:
-            t = rc.value
-            pt = proj_point(anchor[0] + t * q0, anchor[1] + t * q1, 1.0)
-            branches.append(Branch(PhasePoint(c=pt, q=x.q), rc.multiplicity))
-        return branches
+        quotient = deflate_root(ComplexPoly(body[::-1]), 1.0 / t_base, 1)
+        return anchor, _line_roots(list(quotient.coeffs)[::-1]), at_direction
 
-    clusters = find_roots(ComplexPoly(body)) if eff >= 2 else []
-    best = None
-    for idx, rc in enumerate(clusters):
-        rel = abs(rc.value - t_base) / (1.0 + abs(t_base))
-        if best is None or rel < best[0]:
-            best = (rel, idx)
-    if best is None or best[0] > 1e-3:
+    roots = _line_roots(body)
+    rels = [abs(r.value - t_base) / (1.0 + abs(t_base)) for r in roots]
+    if not rels or min(rels) > 1e-3:
         raise PhaseError("could not locate the base point on the re-anchored line")
-    for idx, rc in enumerate(clusters):
-        mult = rc.multiplicity - (1 if idx == best[1] else 0)
-        if mult <= 0:
-            continue
-        t = rc.value
-        pt = proj_point(anchor[0] + t * q0, anchor[1] + t * q1, 1.0)
-        branches.append(Branch(PhasePoint(c=pt, q=x.q), mult))
-    return branches
+    i = rels.index(min(rels))
+    roots[i] = replace(roots[i], multiplicity=roots[i].multiplicity - 1)
+    return anchor, [r for r in roots if r.multiplicity > 0], at_direction
 
 
 # ---------------------------------------------------------------------------
@@ -560,25 +540,16 @@ def real_billiard_step(curve: PlaneCurve, x: PhasePoint) -> PhasePoint:
     # and the direction, so projective rescaling cannot flip its sign
     q0, q1 = x.q.affine()
     base = (c[0] / c[2], c[1] / c[2], 1.0)
-    poly = curve.restrict_to_line(base, (q0, q1, 0))
-    scale = max(abs(v) for v in poly.coeffs)
-    if scale <= 1e-12 * max(1.0, curve.scale()):
-        raise LineInCurveError("the ray lies in the curve")
-    coeffs = list(poly.coeffs)
-    if abs(coeffs[0]) > 1e-6 * scale:
-        raise PhaseError("base point is not on the curve")
-    qpoly = ComplexPoly(coeffs[1:])
-    best = None
-    if qpoly.degree >= 1 or abs(qpoly.coeffs[0]) > 1e-12 * scale:
-        if qpoly.degree >= 1:
-            for rc in find_roots(qpoly):
-                t = rc.value
-                if abs(t.imag) <= 1e-8 * (1 + abs(t)) and t.real > 1e-10:
-                    if best is None or t.real < best:
-                        best = t.real
-    if best is None:
+    direction = (q0, q1, 0)
+    roots, _ = line_intersections(curve, base, direction, remove=1)
+    ahead = [
+        r.value.real
+        for r in roots
+        if abs(r.value.imag) <= 1e-8 * (1 + abs(r.value)) and r.value.real > 1e-10
+    ]
+    if not ahead:
         raise NoRealReturnError("no real intersection with positive ray parameter")
-    landing = proj_point(base[0] + best * q0, base[1] + best * q1, 1.0)
+    landing = line_point(base, direction, min(ahead))
     hit = PhasePoint(c=landing, q=x.q)
     return reflect(curve, hit).images[0].point
 

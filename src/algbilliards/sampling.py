@@ -13,11 +13,15 @@ from __future__ import annotations
 import math
 import random
 
-from .curve import PlaneCurve, on_curve_residual, proj_point
-from .numerics import find_roots
+from .curve import CurveError, PlaneCurve, on_curve_residual, tangent_at
+from .numerics import NonConvergenceError
+from .numerics import find_roots  # noqa: F401 -- unused; bench/bench_trace.py wraps it
 from .phase import (
+    PhaseError,
     PhasePoint,
     direction_point,
+    line_intersections,
+    line_point,
     reflect_scratch_proximity,
     rotate_direction,
     secant_scratch_proximity,
@@ -55,17 +59,13 @@ def sample_phase_points(
             rng.uniform(-1, 1) + 1j * rng.uniform(-0.5, 0.5),
             0.0,
         )
-        poly = curve.restrict_to_line(anchor, direction)
         try:
-            roots = find_roots(poly)
-        except Exception:
+            roots, _ = line_intersections(curve, anchor, direction)
+        except (PhaseError, NonConvergenceError):
             continue
-        rc = roots[rng.randrange(len(roots))]
-        c = proj_point(
-            anchor[0] + rc.value * direction[0],
-            anchor[1] + rc.value * direction[1],
-            1.0,
-        )
+        if not roots:
+            continue
+        c = line_point(anchor, direction, roots[rng.randrange(len(roots))].value)
         if abs(c.coords[2]) < 0.05 or max(abs(z) for z in c.coords) > 20:
             continue
         x = PhasePoint(c=c, q=q)
@@ -78,10 +78,8 @@ def sample_phase_points(
         # form density tau x q must be nondegenerate for frame-based checks
         q0, q1 = x.q.affine()
         try:
-            from .curve import tangent_at
-
             td = tangent_at(curve, c)
-        except Exception:
+        except CurveError:
             continue
         t0, t1 = td.tangent
         tn = math.sqrt(abs(t0) ** 2 + abs(t1) ** 2)
@@ -105,20 +103,14 @@ def sample_real_state(curve: PlaneCurve, seed: int, tries: int = 4000) -> PhaseP
         q = rotate_direction(direction_point(1, 0, 1), theta)
         anchor = (rng.uniform(-2, 2), rng.uniform(-2, 2), 1.0)
         direction = (math.cos(theta), math.sin(theta), 0.0)
-        poly = curve.restrict_to_line(anchor, direction)
         try:
-            roots = find_roots(poly)
-        except Exception:
+            roots, _ = line_intersections(curve, anchor, direction)
+        except (PhaseError, NonConvergenceError):
             continue
-        real_roots = [
-            rc.value.real
-            for rc in roots
-            if abs(rc.value.imag) < 1e-9 * (1 + abs(rc.value))
-        ]
+        real_roots = [r.value.real for r in roots if abs(r.value.imag) < 1e-9 * (1 + abs(r.value))]
         if not real_roots:
             continue
-        t = real_roots[0]
-        c = proj_point(anchor[0] + t * direction[0], anchor[1] + t * direction[1], 1.0)
+        c = line_point(anchor, direction, real_roots[0])
         if max(abs(z) for z in c.coords) > 20:
             continue
         x = PhasePoint(c=c, q=q)

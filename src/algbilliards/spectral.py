@@ -35,7 +35,6 @@ from .numerics import (
 
 __all__ = [
     "DivisorBasis",
-    "DivisorVector",
     "PushforwardMatrix",
     "divisor_basis",
     "intersection_form",
@@ -89,16 +88,6 @@ def divisor_basis(d: int) -> DivisorBasis:
 
 
 @dataclass(frozen=True)
-class DivisorVector:
-    basis: DivisorBasis
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != self.basis.rank:
-            raise ValueError("coordinate length does not match basis rank")
-
-
-@dataclass(frozen=True)
 class PushforwardMatrix:
     basis: DivisorBasis
     matrix: BigIntMatrix
@@ -144,7 +133,8 @@ def cheap_matrices(d: int) -> tuple[BigIntMatrix, BigIntMatrix, BigIntMatrix]:
     expected = BigIntMatrix.from_rows(
         [[d - 1, 2], [d * (d - 1) ** 2, (2 * d + 1) * (d - 1)]]
     )
-    assert m_b.entries == expected.entries
+    if m_b.entries != expected.entries:
+        raise MatrixMismatchError("the 2x2 billiard product disagrees with its closed form")
     return m_s, m_r, m_b
 
 
@@ -157,7 +147,8 @@ def cheap_eigenvalues(d: int) -> tuple[float, float]:
     disc = d**4 - 3 * d**2 + 2 * d
     root = math.sqrt(disc)
     lo, hi = (d * d - 1) - root, (d * d - 1) + root
-    assert hi < 2 * d * d
+    if not hi < 2 * d * d:
+        raise ArithmeticError(f"cheap eigenvalue {hi} is not below 2d^2 = {2 * d * d}")
     return lo, hi
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curve import PlaneCurve, ProjPoint, proj_point, tangent_at
+from .curve import DegenerateNewtonError, PlaneCurve, curve_point_near, tangent_frame
 from .phase import (
     PhasePoint,
     billiard_step,
@@ -74,15 +74,7 @@ def local_frame(curve: PlaneCurve, x: PhasePoint) -> LocalFrame:
         raise SymplecticError("frame requires an affine base point")
     if x.q.is_isotropic:
         raise IsotropicFrameError("frame requires a non-isotropic direction")
-    td = tangent_at(curve, x.c)
-    t0, t1 = td.tangent
-    norm = math.sqrt(abs(t0) ** 2 + abs(t1) ** 2)
-    tau = (t0 / norm, t1 / norm)
-    # the conjugate gradient always pairs with the gradient away from zero
-    x0, x1 = x.c.affine()
-    g = curve.gradient(x0, x1, 1.0)
-    gnorm = math.sqrt(abs(g[0]) ** 2 + abs(g[1]) ** 2)
-    nu = (g[0].conjugate() / gnorm, g[1].conjugate() / gnorm)
+    tau, nu = tangent_frame(curve, x.c)
     return LocalFrame(base=x, curve_dir=tau, newton_dir=nu)
 
 
@@ -100,25 +92,14 @@ def form_density(curve: PlaneCurve, frame: LocalFrame) -> FormDensity:
     return FormDensity(value=value)
 
 
-def _move_on_curve(curve: PlaneCurve, frame: LocalFrame, s: complex) -> ProjPoint:
-    x0, x1 = frame.base.c.affine()
-    tau, nu = frame.curve_dir, frame.newton_dir
-    px = x0 + s * tau[0]
-    py = x1 + s * tau[1]
-    mu = 0j
-    scale = max(1.0, curve.scale())
-    for _ in range(60):
-        f = curve.form_value(px + mu * nu[0], py + mu * nu[1], 1.0)
-        if abs(f) < 1e-15 * scale:
-            break
-        g = curve.gradient(px + mu * nu[0], py + mu * nu[1], 1.0)
-        deriv = g[0] * nu[0] + g[1] * nu[1]
-        mu -= f / deriv
-    return proj_point(px + mu * nu[0], py + mu * nu[1], 1.0)
-
-
 def _perturbed_state(curve: PlaneCurve, frame: LocalFrame, s: complex, t: complex) -> PhasePoint:
-    c = _move_on_curve(curve, frame, s) if s != 0 else frame.base.c
+    c = frame.base.c
+    if s != 0:
+        try:
+            c = curve_point_near(curve, c.affine(), frame.curve_dir, frame.newton_dir, s)
+        except DegenerateNewtonError as exc:
+            # a per-sample failure of the check, not an input error
+            raise SymplecticError(str(exc)) from exc
     q = rotate_direction(frame.base.q, t) if t != 0 else frame.base.q
     return PhasePoint(c=c, q=q)
 

@@ -176,3 +176,25 @@ def test_metadata_header_present(tmp_path):
     run(["spectral", "--d", 2, "--out", out])
     data = json.loads(out.read_text())
     assert "meta" in data and "version" in data["meta"] and "config" in data["meta"]
+
+
+def test_format_is_a_scratch_option_only(tmp_path):
+    out = tmp_path / "orbit.csv"
+    assert run(["orbit", "--curve", DATA / "ellipse.json", "--format", "csv",
+                "--out", out]) == 1
+    assert not out.exists()
+
+
+def test_form_check_refuses_bad_step(tmp_path):
+    for h in ("0", "-1e-4", "nan", "inf"):
+        out = tmp_path / "form.csv"
+        assert run(["form-check", "--curve", DATA / "ellipse.json", "--h", h,
+                    "--samples", 2, "--out", out]) == 1
+        assert not out.exists()
+
+
+def test_form_check_refuses_zero_samples(tmp_path):
+    out = tmp_path / "form.csv"
+    assert run(["form-check", "--curve", DATA / "ellipse.json", "--samples", 0,
+                "--out", out]) == 1
+    assert not out.exists()

@@ -9,10 +9,12 @@ import pytest
 from algbilliards.curve import (
     ContainsInfinityLineError,
     CurveError,
+    DegenerateNewtonError,
     PlaneCurve,
     SingularPointError,
     curve_from_affine,
     curve_from_json,
+    curve_point_near,
     curve_to_json,
     direction_distance,
     evaluate,
@@ -23,6 +25,7 @@ from algbilliards.curve import (
     proj_distance,
     proj_point,
     tangent_at,
+    tangent_frame,
 )
 
 
@@ -146,6 +149,22 @@ def test_tangent_normal_quarter_turn_exact():
     assert td.normal == (-t1, t0)
     # n pairs to zero with t under dx0^2 + dx1^2
     assert abs(td.tangent[0] * td.normal[0] + td.tangent[1] * td.normal[1]) < 1e-15
+
+
+def test_curve_point_near_stays_on_curve():
+    c = ellipse()
+    p = proj_point(2 * math.cos(0.7), math.sin(0.7), 1)
+    tau, nu = tangent_frame(c, p)
+    moved = curve_point_near(c, p.affine(), tau, nu, 0.3 - 0.1j)
+    assert on_curve_residual(c, moved) < 1e-14
+    assert proj_distance(moved, p) > 0.1
+
+
+def test_curve_point_near_degenerate_transversal_is_typed():
+    # at (2.1, 0) the gradient (4.2, 0) pairs to zero with nu = (0, 1)
+    with pytest.raises(DegenerateNewtonError) as info:
+        curve_point_near(ellipse(), (2.1, 0.0), (0.0, 1.0), (0.0, 1.0), 0.0)
+    assert isinstance(info.value, CurveError)
 
 
 def test_tangent_rejects_singular_point():

@@ -187,6 +187,40 @@ def test_secant_line_in_curve_rejected():
         secant(pair, x)
 
 
+@pytest.mark.parametrize("name", ["ellipse", "cubic", "quartic"])
+@pytest.mark.parametrize("remove", [0, 1, 2])
+def test_line_intersections_count_and_residual(request, name, remove):
+    from algbilliards.curve import tangent_at
+    from algbilliards.phase import PhaseError, line_intersections, line_point
+
+    curve = request.getfixturevalue(name)
+    d = curve.degree
+    rng = random.Random(f"{name}/{remove}")
+    for _ in range(10):
+        base = (complex(rng.uniform(-2, 2), rng.uniform(-1, 1)),
+                complex(rng.uniform(-2, 2), rng.uniform(-1, 1)), 1.0)
+        direction = (complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)),
+                     complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)), 0.0)
+        if remove:
+            # a known root at t = 0: put the base on the curve, and for a
+            # double root turn the line into the tangent there
+            roots, _ = line_intersections(curve, base, direction)
+            on_curve = line_point(base, direction, roots[0].value)
+            base = on_curve.coords
+            if remove == 2:
+                t0, t1 = tangent_at(curve, on_curve).tangent
+                direction = (t0, t1, 0.0)
+        roots, at_direction = line_intersections(curve, base, direction, remove=remove)
+        assert sum(r.multiplicity for r in roots) + at_direction == d - remove
+        for r in roots:
+            assert on_curve_residual(curve, line_point(base, direction, r.value)) < 1e-8
+        if remove:
+            # a base off the curve has no root at t = 0 to remove
+            off = (base[0] + 0.1 * base[2], base[1], base[2])
+            with pytest.raises(PhaseError):
+                line_intersections(curve, off, direction, remove=remove)
+
+
 def test_secant_collinearity_and_symmetry_properties():
     c = ellipse()
     for x in sample_states(c, 40, seed=3):

@@ -9,6 +9,9 @@ from algbilliards.phase import direction_point, phase_point
 from algbilliards.sampling import sample_phase_points
 from algbilliards.symplectic import (
     IsotropicFrameError,
+    LocalFrame,
+    SymplecticError,
+    _perturbed_state,
     check_invariance,
     form_density,
     local_frame,
@@ -52,6 +55,15 @@ def test_isotropic_frame_rejected(ellipse):
     x = phase_point(ellipse, proj_point(0, 1, 1), direction_point(1, 1j, 0))
     with pytest.raises(IsotropicFrameError):
         local_frame(ellipse, x)
+
+
+def test_degenerate_curve_move_is_a_symplectic_error(ellipse):
+    # from (2, 0) along (1, 0) the gradient stays horizontal and pairs to
+    # zero with the transversal (0, 1): form-check must skip the sample
+    x = phase_point(ellipse, proj_point(2, 0, 1), direction_point(0, 1, 1))
+    frame = LocalFrame(base=x, curve_dir=(1, 0), newton_dir=(0, 1))
+    with pytest.raises(SymplecticError):
+        _perturbed_state(ellipse, frame, 0.1, 0)
 
 
 def test_reflect_invariance_spec_point(ellipse):
