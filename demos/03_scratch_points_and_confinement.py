@@ -9,7 +9,7 @@ remembers where the orbit started.
 from algbilliards import PlaneCurve, proj_point
 from algbilliards.blowup import (
     ExceptionalParam,
-    confinement_experiment_infinity,
+    confinement_experiment_infinity_multi,
     enumerate_scratch_points,
     secant_at_infinity_limit,
 )
@@ -37,7 +37,7 @@ for value in (1.0, -1.0):
 # confinement: fire toward the scratch direction from (0, -1); the doubly
 # iterated step converges and the limit depends on the start
 for start in (proj_point(0, -1, 1), proj_point(0, 1, 1)):
-    rep = confinement_experiment_infinity(ellipse, s, start)
+    rep = confinement_experiment_infinity_multi(ellipse, s, [start])
     lim = rep.limits[0][0]
     cx, cy = lim.c.affine()
     print(

@@ -63,7 +63,7 @@ from .phase import (
 from .blowup import (
     ExceptionalParam,
     ScratchPoint,
-    confinement_experiment_infinity,
+    confinement_experiment_infinity_multi,
     confinement_experiment_isotropic,
     enumerate_scratch_points,
     reflect_at_infinity_limit,

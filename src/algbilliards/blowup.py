@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 
 from .curve import (
+    CurveError,
     PlaneCurve,
     ProjPoint,
     curve_point_near,
@@ -44,6 +46,7 @@ from .curve import (
     tangent_at,
     tangent_frame,
 )
+from .numerics import NonConvergenceError
 from .numerics import find_roots  # noqa: F401 -- unused; bench/bench_trace.py wraps it
 from .phase import (
     Branch,
@@ -56,6 +59,7 @@ from .phase import (
     line_intersections,
     line_point,
     phase_distance,
+    phase_point_json,
     reflect,
     rotate_direction,
     secant,
@@ -74,7 +78,7 @@ __all__ = [
     "reflect_at_infinity_limit",
     "secant_at_isotropic_limit",
     "reflect_at_isotropic_limit",
-    "confinement_experiment_infinity",
+    "confinement_experiment_infinity_multi",
     "confinement_experiment_isotropic",
     "ConfinementReport",
     "default_eps_schedule",
@@ -187,14 +191,7 @@ class ScratchPoint:
     chart: InfinityChart | IsotropicChart
 
     def describe(self) -> dict:
-        c = self.phase.c.coords
-        q = self.phase.q.q
-        return {
-            "kind": self.kind,
-            "basic": self.basic,
-            "c": [[z.real, z.imag] for z in c],
-            "q": [[z.real, z.imag] for z in q],
-        }
+        return {"kind": self.kind, "basic": self.basic, **phase_point_json(self.phase)}
 
 
 @dataclass(frozen=True)
@@ -282,6 +279,15 @@ def _cross(a, b):
     )
 
 
+def _require(scratch: ScratchPoint, family: str, basic: bool = True) -> None:
+    """Refuse a scratch point outside ``family`` ("infinity" or "isotropic")
+    and, when ``basic`` is set, a scratch point that is not basic."""
+    if not scratch.kind.startswith(family):
+        raise BlowupError(f"expected an {family}-kind scratch point")
+    if basic and not scratch.basic:
+        raise BlowupError("scratch point is not basic")
+
+
 # ---------------------------------------------------------------------------
 # chart limit maps
 # ---------------------------------------------------------------------------
@@ -293,10 +299,7 @@ def secant_at_infinity_limit(curve: PlaneCurve, e: ExceptionalParam) -> BranchSe
     direction.  The boundary members (tangent line at value 0 and the
     infinity line at value = infinity) are refused."""
     s = e.scratch
-    if s.kind != "infinity":
-        raise BlowupError("expected an infinity-kind scratch point")
-    if not s.basic:
-        raise BlowupError("scratch point is not basic")
+    _require(s, "infinity")
     if abs(e.value) < 1e-9 or abs(e.value) > 1e9:
         raise BoundaryPointError("pencil member is a boundary point of the chart")
     chart: InfinityChart = s.chart
@@ -322,10 +325,7 @@ def secant_at_infinity_limit(curve: PlaneCurve, e: ExceptionalParam) -> BranchSe
 def reflect_at_infinity_limit(curve: PlaneCurve, e: ExceptionalParam) -> ExceptionalParam:
     """Reflection fixes the scratch point and reflects the pencil across the
     tangent line: the chart offset is negated."""
-    if e.scratch.kind != "infinity":
-        raise BlowupError("expected an infinity-kind scratch point")
-    if not e.scratch.basic:
-        raise BlowupError("scratch point is not basic")
+    _require(e.scratch, "infinity")
     return ExceptionalParam(scratch=e.scratch, value=-e.value)
 
 
@@ -336,10 +336,7 @@ def secant_at_isotropic_limit(
     coordinate is negated, together with the static multiset of the d - 2
     other intersections of the isotropic tangent line."""
     s = e.scratch
-    if s.kind not in ("isotropic_plus", "isotropic_minus"):
-        raise BlowupError("expected an isotropic-kind scratch point")
-    if not s.basic:
-        raise BlowupError("scratch point is not basic")
+    _require(s, "isotropic")
     chart: IsotropicChart = s.chart
     c = s.phase.c
     x0, x1 = c.affine()
@@ -441,10 +438,7 @@ def reflect_at_isotropic_limit(
     Cauchy at 1e-6.
     """
     s = e.scratch
-    if s.kind not in ("isotropic_plus", "isotropic_minus"):
-        raise BlowupError("expected an isotropic-kind scratch point")
-    if not s.basic:
-        raise BlowupError("scratch point is not basic")
+    _require(s, "isotropic")
     chart: IsotropicChart = s.chart
     base = s.phase.c.affine()
     eps = default_eps_schedule() if eps_list is None else list(eps_list)
@@ -471,6 +465,9 @@ def reflect_at_isotropic_limit(
 # confinement experiments
 # ---------------------------------------------------------------------------
 
+PREDICTION_TOL = 1e-5
+SEPARATION_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class ConfinementReport:
@@ -484,16 +481,16 @@ class ConfinementReport:
     cauchy_ok: bool
     max_final_diff: float
 
-    def passed(self, prediction_tol: float = 1e-5, separation_tol: float = 1e-4) -> bool:
+    def passed(self) -> bool:
         """Cauchy limits, chart-prediction agreement where a prediction
         exists, and nonconstant dependence on the start where several
         starts were run.  The final Richardson difference only needs to be
         sane; its size is diagnostic, the accuracy gate is the prediction."""
         ok = self.cauchy_ok and self.max_final_diff < 1e-3
         if self.predicted and any(len(p) for p in self.predicted):
-            ok = ok and self.max_prediction_error < prediction_tol
+            ok = ok and self.max_prediction_error < PREDICTION_TOL
         if len(self.limits) >= 2:
-            ok = ok and self.min_pairwise_limit_distance > separation_tol
+            ok = ok and self.min_pairwise_limit_distance > SEPARATION_TOL
         return ok
 
     def to_dict(self) -> dict:
@@ -502,10 +499,10 @@ class ConfinementReport:
             "eps": list(self.eps),
             "samples": list(self.samples),
             "limits": [
-                [_phase_to_json(p) for p in group] for group in self.limits
+                [phase_point_json(p) for p in group] for group in self.limits
             ],
             "predicted": [
-                [_phase_to_json(p) for p in group] for group in self.predicted
+                [phase_point_json(p) for p in group] for group in self.predicted
             ],
             "max_prediction_error": self.max_prediction_error,
             "min_pairwise_limit_distance": self.min_pairwise_limit_distance,
@@ -514,27 +511,38 @@ class ConfinementReport:
         }
 
 
-def _phase_to_json(p: PhasePoint) -> dict:
-    return {
-        "c": [[z.real, z.imag] for z in p.c.coords],
-        "q": [[z.real, z.imag] for z in p.q.q],
-    }
-
-
-def _scratch_chart_distance(x: PhasePoint, scratch: ScratchPoint) -> float:
-    return phase_distance(x, scratch.phase)
-
-
-def _approached_scratch(distances: list[float]) -> bool:
-    """Did the followed branch demonstrably converge toward the scratch point?
+def _require_approach(distances: list[float]) -> None:
+    """Refuse a followed branch that did not demonstrably converge toward
+    the scratch point.
 
     The distance scales linearly in eps with a geometry-dependent constant,
     so for far-out scratch points an absolute bound misfires; accept either
     a small final distance or a 50-fold contraction across the schedule.
     """
-    if not distances:
-        return False
-    return distances[-1] < 1e-3 or distances[-1] < distances[0] / 50.0
+    if not (distances[-1] < 1e-3 or distances[-1] < distances[0] / 50.0):
+        raise BranchLostError(
+            f"nearest branch stayed {distances[-1]:.2e} from the scratch point"
+        )
+
+
+def _reflected(curve: PlaneCurve, points: list[PhasePoint]) -> list[PhasePoint]:
+    """Reflections of the points that can be reflected, in order."""
+    out = []
+    for p in points:
+        try:
+            out.append(reflect(curve, p).images[0].point)
+        except (PhaseError, CurveError):
+            continue
+    return out
+
+
+def _nearest(items, distance, lost: str):
+    """(distance, item) for the item nearest by ``distance``; the first of
+    equally near items wins.  No items at all means the branch is lost."""
+    best = min(((distance(x), x) for x in items), key=lambda t: t[0], default=None)
+    if best is None:
+        raise BranchLostError(lost)
+    return best
 
 
 def _phase_vector(p: PhasePoint) -> tuple[complex, ...]:
@@ -552,138 +560,49 @@ def _vector_to_phase(v: tuple[complex, ...]) -> PhasePoint:
     )
 
 
-def confinement_experiment_infinity(
-    curve: PlaneCurve,
-    scratch: ScratchPoint,
-    c0: ProjPoint,
-    eps_list: list[float] | None = None,
-) -> ConfinementReport:
-    """Drive b^2 through a scratch point at infinity from the start (c0, q).
+def _set_distance(a: tuple[PhasePoint, ...], b: tuple[PhasePoint, ...]) -> float:
+    """Hausdorff distance between two finite sets of phase points."""
+    d_ab = max(min(phase_distance(x, y) for y in b) for x in a)
+    d_ba = max(min(phase_distance(x, y) for y in a) for x in b)
+    return max(d_ab, d_ba)
 
-    For each eps the direction is rotated off the scratch direction by eps;
-    the first-step branch passing nearest the scratch is followed, the
-    second step expands fully, and each surviving chain is extrapolated.
-    The prediction composes the chart maps: reflect negates the pencil
-    offset kappa(c0), the secant limit intersects the opposite pencil
-    member, and a final reflection lands the chain.
 
-    The start must sit away from the tangent-line boundary of the chart
-    (|kappa(c0)| above an explicit margin): near it the confined targets
-    collide pairwise and the extrapolation degenerates.
+def _report(scratch: ScratchPoint, eps: list[float], runs) -> ConfinementReport:
+    """Collate per-start runs (sample metadata, chains, predicted limits).
+
+    Each chain is Richardson-extrapolated to one limit of its start.  The
+    prediction error is the Hausdorff distance between a start's limits and
+    its predicted limits; the separation is the least Hausdorff distance
+    between the limit sets of two starts.
     """
-    if scratch.kind != "infinity":
-        raise BlowupError("expected an infinity-kind scratch point")
-    eps = default_eps_schedule() if eps_list is None else list(eps_list)
-    chart: InfinityChart = scratch.chart
-    q_scratch = scratch.phase.q
-    if c0.is_at_infinity:
-        raise BoundaryPointError("start point must be affine")
-    offset0 = chart.kappa(*c0.affine())
-    if not KAPPA_MARGIN < abs(offset0) < 1.0 / KAPPA_MARGIN:
-        raise BoundaryPointError(
-            f"start offset kappa = {offset0:.3g} is too close to a chart boundary"
-        )
-
-    chains: list[list[tuple[complex, ...]]] = []
-    step_distances = []
-    for k, e in enumerate(eps):
-        q_eps = rotate_direction(q_scratch, e)
-        x = PhasePoint(c=c0, q=q_eps)
-        sec1 = secant(curve, x)
-        staged = []
-        for br in sec1.images:
-            try:
-                r1 = reflect(curve, br.point)
-            except Exception:
-                continue
-            y = r1.images[0].point
-            staged.append((_scratch_chart_distance(y, scratch), y))
-        if not staged:
-            raise BranchLostError("all first-step branches failed to reflect")
-        staged.sort(key=lambda t: t[0])
-        dist, y = staged[0]
-        step_distances.append(dist)
-        sec2 = secant(curve, y)
-        finals = []
-        for br in sec2.images:
-            try:
-                r2 = reflect(curve, br.point)
-            except Exception:
-                continue
-            finals.append(_phase_vector(r2.images[0].point))
-        if not finals:
-            raise BranchLostError("all second-step branches failed to reflect")
-        if not chains:
-            finals.sort(key=lambda v: (v[0].real, v[0].imag))
-            chains = [[v] for v in finals]
-        else:
-            # continuation: match each chain to the nearest new value
-            used = [False] * len(finals)
-            for chain in chains:
-                prev = chain[-1]
-                best_i, best_d = None, float("inf")
-                for i, v in enumerate(finals):
-                    if used[i]:
-                        continue
-                    dd = max(abs(a - b) for a, b in zip(v, prev))
-                    if dd < best_d:
-                        best_i, best_d = i, dd
-                if best_i is None:
-                    raise BranchLostError("branch continuation lost a chain")
-                used[best_i] = True
-                chain.append(finals[best_i])
-    if not _approached_scratch(step_distances):
-        raise BranchLostError(
-            f"nearest branch stayed {step_distances[-1]:.2e} from the scratch point"
-        )
-
     limits = []
     cauchy_all = True
     worst_diff = 0.0
-    for chain in chains:
-        limit, final_diff, cauchy = _extrapolate_vector(chain)
-        worst_diff = max(worst_diff, final_diff)
-        cauchy_all = cauchy_all and cauchy
-        limits.append(_vector_to_phase(limit))
-
-    # chart-level prediction: reflect the pencil offset, intersect, reflect
-    kappa0 = chart.kappa(*c0.affine())
-    predicted: list[PhasePoint] = []
-    try:
-        neg = reflect_at_infinity_limit(curve, ExceptionalParam(scratch, kappa0))
-        sec_limit = secant_at_infinity_limit(curve, neg)
-        for br in sec_limit.images:
-            try:
-                predicted.append(reflect(curve, br.point).images[0].point)
-            except Exception:
-                continue
-    except BoundaryPointError:
-        predicted = []
-
     pred_err = 0.0
-    if predicted:
-        for lim in limits:
-            pred_err = max(
-                pred_err, min(phase_distance(lim, p) for p in predicted)
-            )
-        for p in predicted:
-            pred_err = max(
-                pred_err, min(phase_distance(lim, p) for lim in limits)
-            )
-
-    sample = {
-        "c0": [[z.real, z.imag] for z in c0.coords],
-        "kappa": [kappa0.real, kappa0.imag],
-        "nearest_branch_distance": step_distances[-1],
-    }
+    for _sample, chains, predicted in runs:
+        group = []
+        for chain in chains:
+            limit, final_diff, cauchy = _extrapolate_vector(chain)
+            worst_diff = max(worst_diff, final_diff)
+            cauchy_all = cauchy_all and cauchy
+            group.append(_vector_to_phase(limit))
+        limits.append(tuple(group))
+        if predicted:
+            # phase_distance is not bitwise symmetric: the limit stays its
+            # first argument in both directions
+            dists = [[phase_distance(lim, p) for p in predicted] for lim in group]
+            pred_err = max(pred_err, *map(min, dists), *map(min, zip(*dists)))
+    separations = [
+        _set_distance(a, b) for i, a in enumerate(limits) for b in limits[i + 1:]
+    ]
     return ConfinementReport(
         scratch=scratch,
         eps=tuple(eps),
-        samples=(sample,),
-        limits=(tuple(limits),),
-        predicted=(tuple(predicted),),
+        samples=tuple(sample for sample, _, _ in runs),
+        limits=tuple(limits),
+        predicted=tuple(tuple(predicted) for _, _, predicted in runs),
         max_prediction_error=pred_err,
-        min_pairwise_limit_distance=float("inf"),
+        min_pairwise_limit_distance=min([math.inf, *separations]),
         cauchy_ok=cauchy_all,
         max_final_diff=worst_diff,
     )
@@ -695,34 +614,76 @@ def confinement_experiment_infinity_multi(
     starts: list[ProjPoint],
     eps_list: list[float] | None = None,
 ) -> ConfinementReport:
-    """Run the infinity experiment from several starts and collate separation."""
-    reports = [
-        confinement_experiment_infinity(curve, scratch, c0, eps_list) for c0 in starts
-    ]
-    limits = tuple(r.limits[0] for r in reports)
-    predicted = tuple(r.predicted[0] for r in reports)
-    min_sep = float("inf")
-    for i in range(len(limits)):
-        for j in range(i + 1, len(limits)):
-            min_sep = min(min_sep, _set_distance(limits[i], limits[j]))
-    return ConfinementReport(
-        scratch=scratch,
-        eps=reports[0].eps,
-        samples=tuple(r.samples[0] for r in reports),
-        limits=limits,
-        predicted=predicted,
-        max_prediction_error=max(r.max_prediction_error for r in reports),
-        min_pairwise_limit_distance=min_sep,
-        cauchy_ok=all(r.cauchy_ok for r in reports),
-        max_final_diff=max(r.max_final_diff for r in reports),
-    )
+    """Drive b^2 through a scratch point at infinity from each start (c0, q).
+
+    For each eps the direction is rotated off the scratch direction by eps;
+    the first-step branch passing nearest the scratch is followed, the
+    second step expands fully, and each surviving chain is extrapolated.
+    The prediction composes the chart maps: reflect negates the pencil
+    offset kappa(c0), the secant limit intersects the opposite pencil
+    member, and a final reflection lands the chain.  Distinct starts must
+    give distinct limit sets.
+
+    Each start must sit away from the tangent-line boundary of the chart
+    (|kappa(c0)| above an explicit margin): near it the confined targets
+    collide pairwise and the extrapolation degenerates.
+    """
+    _require(scratch, "infinity", basic=False)
+    if not starts:
+        raise BlowupError("the infinity experiment needs at least one start")
+    eps = default_eps_schedule() if eps_list is None else list(eps_list)
+    return _report(scratch, eps, [_follow_infinity(curve, scratch, c0, eps) for c0 in starts])
 
 
-def _set_distance(a: tuple[PhasePoint, ...], b: tuple[PhasePoint, ...]) -> float:
-    """Hausdorff distance between two finite sets of phase points."""
-    d_ab = max(min(phase_distance(x, y) for y in b) for x in a)
-    d_ba = max(min(phase_distance(x, y) for y in a) for x in b)
-    return max(d_ab, d_ba)
+def _follow_infinity(curve: PlaneCurve, scratch: ScratchPoint, c0: ProjPoint, eps):
+    """One start of the infinity experiment: (sample, chains, predicted limits)."""
+    chart: InfinityChart = scratch.chart
+    if c0.is_at_infinity:
+        raise BoundaryPointError("start point must be affine")
+    kappa0 = chart.kappa(*c0.affine())
+    if not KAPPA_MARGIN < abs(kappa0) < 1.0 / KAPPA_MARGIN:
+        raise BoundaryPointError(
+            f"start offset kappa = {kappa0:.3g} is too close to a chart boundary"
+        )
+
+    chains: list[list[tuple[complex, ...]]] = []
+    step_distances = []
+    for e in eps:
+        x = PhasePoint(c=c0, q=rotate_direction(scratch.phase.q, e))
+        dist, y = _nearest(
+            _reflected(curve, secant(curve, x).points()),
+            lambda p: phase_distance(p, scratch.phase),
+            "all first-step branches failed to reflect",
+        )
+        step_distances.append(dist)
+        finals = [_phase_vector(p) for p in _reflected(curve, secant(curve, y).points())]
+        if not finals:
+            raise BranchLostError("all second-step branches failed to reflect")
+        if not chains:
+            finals.sort(key=lambda v: (v[0].real, v[0].imag))
+            chains = [[v] for v in finals]
+            continue
+        # continuation: match each chain to the nearest unused new value
+        for chain in chains:
+            prev = chain[-1]
+            _, v = _nearest(
+                finals,
+                lambda w: max(abs(a - b) for a, b in zip(w, prev)),
+                "branch continuation lost a chain",
+            )
+            finals.remove(v)
+            chain.append(v)
+    _require_approach(step_distances)
+
+    # chart-level prediction: reflect the pencil offset, intersect, reflect
+    neg = reflect_at_infinity_limit(curve, ExceptionalParam(scratch, kappa0))
+    predicted = _reflected(curve, secant_at_infinity_limit(curve, neg).points())
+    sample = {
+        "c0": [[z.real, z.imag] for z in c0.coords],
+        "kappa": [kappa0.real, kappa0.imag],
+        "nearest_branch_distance": step_distances[-1],
+    }
+    return sample, chains, predicted
 
 
 def confinement_experiment_isotropic(
@@ -731,7 +692,6 @@ def confinement_experiment_isotropic(
     n_samples: int = 5,
     seed: int = 0,
     eps_list: list[float] | None = None,
-    sample_params: list[complex] | None = None,
 ) -> ConfinementReport:
     """Drive b^2 through an isotropic scratch point from sampled starts.
 
@@ -741,101 +701,46 @@ def confinement_experiment_isotropic(
     limits must lie on the direction fiber over the tangency point and vary
     with the start.
     """
-    if scratch.kind not in ("isotropic_plus", "isotropic_minus"):
-        raise BlowupError("expected an isotropic-kind scratch point")
-    import random
-
+    _require(scratch, "isotropic", basic=False)
     rng = random.Random(seed)
     eps = default_eps_schedule() if eps_list is None else list(eps_list)
     c = scratch.phase.c
 
-    if sample_params is None:
-        sample_params = []
-        while len(sample_params) < n_samples:
-            theta = rng.uniform(0, 2 * math.pi) + 1j * rng.uniform(-0.5, 0.5)
-            sample_params.append(theta)
-
     starts: list[PhasePoint] = []
-    for theta in sample_params:
+    for _ in range(n_samples):
+        theta = rng.uniform(0, 2 * math.pi) + 1j * rng.uniform(-0.5, 0.5)
         q_dir = rotate_direction(direction_point(1, 0, 1), theta)
         try:
             sec = secant(curve, PhasePoint(c=c, q=q_dir))
-        except Exception:
+        except (PhaseError, NonConvergenceError):
             continue
-        cands = [
-            b.point
-            for b in sec.images
-            if not b.point.c.is_at_infinity
-            and proj_distance(b.point.c, c) > 1e-3
-        ]
-        if not cands:
-            continue
-        starts.append(cands[0])
-
+        starts += [
+            p for p in sec.points()
+            if not p.c.is_at_infinity and proj_distance(p.c, c) > 1e-3
+        ][:1]
     if len(starts) < 2:
         raise BranchLostError("could not sample enough starts on the contracted curve")
+    return _report(scratch, eps, [_follow_isotropic(curve, scratch, x0, eps) for x0 in starts])
 
-    limit_groups: list[tuple[PhasePoint, ...]] = []
-    samples_meta = []
-    cauchy_all = True
-    worst_diff = 0.0
-    for x0 in starts:
-        chain = []
-        approach = []
-        for e in eps:
-            q_eps = rotate_direction(x0.q, e)
-            x = PhasePoint(c=x0.c, q=q_eps)
-            sec1 = secant(curve, x)
-            best = None
-            for br in sec1.images:
-                d = proj_distance(br.point.c, c)
-                if best is None or d < best[0]:
-                    best = (d, br.point)
-            if best is None:
-                raise BranchLostError("first secant produced no branches")
-            y_mid = best[1]
-            r1 = reflect(curve, y_mid)
-            y = r1.images[0].point
-            approach.append(_scratch_chart_distance(y, scratch))
-            sec2 = secant(curve, y)
-            best2 = None
-            for br in sec2.images:
-                d = proj_distance(br.point.c, c)
-                if best2 is None or d < best2[0]:
-                    best2 = (d, br.point)
-            if best2 is None:
-                raise BranchLostError("second secant produced no branches")
-            r2 = reflect(curve, best2[1])
-            chain.append(_phase_vector(r2.images[0].point))
-        if not _approached_scratch(approach):
-            raise BranchLostError(
-                f"branch stayed {approach[-1]:.2e} away from the scratch point"
-            )
-        last_dist = approach[-1]
-        limit, final_diff, cauchy = _extrapolate_vector(chain)
-        worst_diff = max(worst_diff, final_diff)
-        cauchy_all = cauchy_all and cauchy
-        limit_groups.append((_vector_to_phase(limit),))
-        samples_meta.append(
-            {
-                "start": _phase_to_json(x0),
-                "nearest_branch_distance": last_dist,
-            }
-        )
 
-    min_sep = float("inf")
-    for i in range(len(limit_groups)):
-        for j in range(i + 1, len(limit_groups)):
-            min_sep = min(min_sep, _set_distance(limit_groups[i], limit_groups[j]))
+def _follow_isotropic(curve: PlaneCurve, scratch: ScratchPoint, x0: PhasePoint, eps):
+    """One start of the isotropic experiment: (sample, [chain], no prediction)."""
+    c = scratch.phase.c
 
-    return ConfinementReport(
-        scratch=scratch,
-        eps=tuple(eps),
-        samples=tuple(samples_meta),
-        limits=tuple(limit_groups),
-        predicted=((),) * len(limit_groups),
-        max_prediction_error=0.0,
-        min_pairwise_limit_distance=min_sep,
-        cauchy_ok=cauchy_all,
-        max_final_diff=worst_diff,
-    )
+    def near_base(p: PhasePoint) -> float:
+        return proj_distance(p.c, c)
+
+    chain = []
+    approach = []
+    for e in eps:
+        x = PhasePoint(c=x0.c, q=rotate_direction(x0.q, e))
+        _, mid = _nearest(secant(curve, x).points(), near_base,
+                          "first secant produced no branches")
+        y = reflect(curve, mid).images[0].point
+        approach.append(phase_distance(y, scratch.phase))
+        _, end = _nearest(secant(curve, y).points(), near_base,
+                          "second secant produced no branches")
+        chain.append(_phase_vector(reflect(curve, end).images[0].point))
+    _require_approach(approach)
+    sample = {"start": phase_point_json(x0), "nearest_branch_distance": approach[-1]}
+    return sample, [chain], []

@@ -39,6 +39,8 @@ CLUSTER_REL_TOL = 1e-6
 ROOT_RESIDUAL_TOL = 1e-8
 DEFLATE_RESIDUAL_TOL = 1e-6
 MAX_ABERTH_SWEEPS = 500
+BRACKET_TOL = 1e-12
+BRACKET_SAMPLES = 64
 
 
 class NonConvergenceError(RuntimeError):
@@ -416,14 +418,12 @@ def exact_poly_divide(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
     return IntPoly([int(f) for f in q]), IntPoly([int(f) for f in r])
 
 
-def bracketed_largest_root(
-    p: IntPoly, lo, hi, *, tol: float = 1e-12, samples: int = 64
-) -> float:
-    """The unique root of ``p`` in (lo, hi), to absolute tolerance ``tol``.
+def bracketed_largest_root(p: IntPoly, lo, hi) -> float:
+    """The unique root of ``p`` in (lo, hi), to absolute tolerance BRACKET_TOL.
 
     The bracket is validated with exact sign evaluation at rational points:
     p(lo) * p(hi) < 0, and uniqueness is verified by checking the sign
-    sequence at ``samples`` equispaced interior rational points for exactly
+    sequence at BRACKET_SAMPLES equispaced interior rational points for exactly
     one change.  Refinement is bisection (with exact signs) followed by a
     floating-point Newton polish.
     """
@@ -435,8 +435,8 @@ def bracketed_largest_root(
         raise NoSignChangeError(f"no sign change of p on [{lo}, {hi}]")
 
     signs = [slo]
-    step = (fhi - flo) / (samples + 1)
-    for j in range(1, samples + 1):
+    step = (fhi - flo) / (BRACKET_SAMPLES + 1)
+    for j in range(1, BRACKET_SAMPLES + 1):
         signs.append(p.sign_at(flo + j * step))
     signs.append(shi)
     zeros = sum(1 for s in signs[1:-1] if s == 0)
@@ -455,7 +455,7 @@ def bracketed_largest_root(
         )
 
     a, b, sa = flo, fhi, slo
-    while float(b - a) > tol / 4:
+    while float(b - a) > BRACKET_TOL / 4:
         mid = (a + b) / 2
         sm = p.sign_at(mid)
         if sm == 0:
@@ -476,12 +476,12 @@ def bracketed_largest_root(
             break
         step_f = fx / dfx
         x -= step_f
-        if not (float(a) - tol <= x <= float(b) + tol):
+        if not (float(a) - BRACKET_TOL <= x <= float(b) + BRACKET_TOL):
             break
         val = abs(float(p.eval_fraction(Fraction(x))))
         if val < best_val:
             best, best_val = x, val
-        if abs(step_f) < tol / 8:
+        if abs(step_f) < BRACKET_TOL / 8:
             break
     return best
 

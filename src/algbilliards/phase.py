@@ -52,6 +52,7 @@ __all__ = [
     "conic_residual",
     "phase_point",
     "phase_distance",
+    "phase_point_json",
     "line_point",
     "line_intersections",
     "secant",
@@ -66,6 +67,7 @@ CONIC_TOL = 1e-10
 ISOTROPIC_Q2_TOL = 1e-8
 SCRATCH_HARD_TOL = 1e-9
 SCRATCH_SOFT_TOL = 1e-5
+MAX_ORBIT_NODES = 500000
 
 
 class PhaseError(ValueError):
@@ -190,6 +192,14 @@ def phase_point(curve: PlaneCurve, c: ProjPoint, q: DirectionPoint) -> PhasePoin
 def phase_distance(x: PhasePoint, y: PhasePoint) -> float:
     dq = proj_distance(proj_point(*x.q.q), proj_point(*y.q.q))
     return max(proj_distance(x.c, y.c), dq)
+
+
+def phase_point_json(x: PhasePoint) -> dict:
+    """JSON form of a state: the coordinates of c and q as [re, im] pairs."""
+    return {
+        "c": [[z.real, z.imag] for z in x.c.coords],
+        "q": [[z.real, z.imag] for z in x.q.q],
+    }
 
 
 @dataclass(frozen=True)
@@ -580,17 +590,24 @@ class OrbitTree:
         return self.level_mass(self.depth)
 
 
-def orbit_tree(curve: PlaneCurve, x: PhasePoint, depth: int, max_nodes: int = 500000) -> OrbitTree:
+def orbit_tree(curve: PlaneCurve, x: PhasePoint, depth: int) -> OrbitTree:
     """Breadth-first expansion of the billiard correspondence to ``depth`` levels.
 
     Branches that hit scratch points are kept as terminated nodes with a
     reason rather than silently dropped, so the surviving mass at level k
-    plus terminated mass accounts for the full (d-1)^k count.
+    plus terminated mass accounts for the full (d-1)^k count.  A tree whose
+    node bound sum_{k <= depth} (d-1)^k exceeds MAX_ORBIT_NODES is refused
+    before any step is taken.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    bound, width = 0, 1
+    for _level in range(depth + 1):
+        bound += width
+        if bound > MAX_ORBIT_NODES:
+            raise PhaseError(f"orbit tree exceeds {MAX_ORBIT_NODES} nodes")
+        width *= curve.degree - 1
     levels: list[tuple[OrbitNode, ...]] = [(OrbitNode(x, -1, 1),)]
-    total = 1
     for _level in range(depth):
         nxt: list[OrbitNode] = []
         for idx, node in enumerate(levels[-1]):
@@ -609,9 +626,6 @@ def orbit_tree(curve: PlaneCurve, x: PhasePoint, depth: int, max_nodes: int = 50
                 nxt.append(
                     OrbitNode(tb.point, idx, node.multiplicity * tb.multiplicity, tb.reason)
                 )
-        total += len(nxt)
-        if total > max_nodes:
-            raise PhaseError(f"orbit tree exceeds {max_nodes} nodes")
         levels.append(tuple(nxt))
     return OrbitTree(root=x, depth=depth, levels=tuple(levels))
 
@@ -623,13 +637,10 @@ def orbit_tree_jsonl(tree: OrbitTree) -> list[str]:
     lines = []
     for level, nodes in enumerate(tree.levels):
         for node in nodes:
-            c = node.point.c.coords
-            q = node.point.q.q
             obj = {
                 "level": level,
                 "parent_index": node.parent_index,
-                "c": [[z.real, z.imag] for z in c],
-                "q": [[z.real, z.imag] for z in q],
+                **phase_point_json(node.point),
                 "mult": node.multiplicity,
             }
             if node.terminated_reason is not None:

@@ -30,22 +30,17 @@ from .phase import (
 __all__ = ["sample_phase_points", "sample_curve_points", "sample_real_state"]
 
 SCRATCH_MARGIN = 5e-2
+MAX_TRIES = 100000
+MAX_REAL_TRIES = 4000
 
 
-def sample_phase_points(
-    curve: PlaneCurve,
-    count: int,
-    seed: int,
-    *,
-    scratch_margin: float = SCRATCH_MARGIN,
-    max_tries: int = 100000,
-) -> list[PhasePoint]:
+def sample_phase_points(curve: PlaneCurve, count: int, seed: int) -> list[PhasePoint]:
     rng = random.Random(seed)
     out: list[PhasePoint] = []
     tries = 0
     while len(out) < count:
         tries += 1
-        if tries > max_tries:
+        if tries > MAX_TRIES:
             raise RuntimeError("sampling failed to find enough generic states")
         theta = rng.uniform(0, 2 * math.pi) + 1j * rng.uniform(-0.6, 0.6)
         q = rotate_direction(direction_point(1, 0, 1), theta)
@@ -69,9 +64,9 @@ def sample_phase_points(
         if abs(c.coords[2]) < 0.05 or max(abs(z) for z in c.coords) > 20:
             continue
         x = PhasePoint(c=c, q=q)
-        if secant_scratch_proximity(curve, x) < scratch_margin:
+        if secant_scratch_proximity(curve, x) < SCRATCH_MARGIN:
             continue
-        if reflect_scratch_proximity(curve, x) < scratch_margin:
+        if reflect_scratch_proximity(curve, x) < SCRATCH_MARGIN:
             continue
         if on_curve_residual(curve, c) > 1e-9:
             continue
@@ -95,10 +90,10 @@ def sample_curve_points(curve: PlaneCurve, count: int, seed: int) -> list:
     return [x.c for x in sample_phase_points(curve, count, seed)]
 
 
-def sample_real_state(curve: PlaneCurve, seed: int, tries: int = 4000) -> PhasePoint:
+def sample_real_state(curve: PlaneCurve, seed: int) -> PhasePoint:
     """A real affine state on a real curve, suitable for the classical map."""
     rng = random.Random(seed)
-    for _ in range(tries):
+    for _ in range(MAX_REAL_TRIES):
         theta = rng.uniform(0, 2 * math.pi)
         q = rotate_direction(direction_point(1, 0, 1), theta)
         anchor = (rng.uniform(-2, 2), rng.uniform(-2, 2), 1.0)

@@ -410,12 +410,15 @@ def rho(d: int, cross_check: bool = True) -> float:
     return value
 
 
-def power_iteration_radius(m: BigIntMatrix, iters: int = 400) -> float:
+POWER_ITERATIONS = 400
+
+
+def power_iteration_radius(m: BigIntMatrix) -> float:
     a = np.array(m.to_lists(), dtype=float)
     n = a.shape[0]
     v = np.full(n, 1.0) / math.sqrt(n)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERATIONS):
         w = a @ v
         norm = np.linalg.norm(w)
         if norm == 0:

@@ -287,10 +287,10 @@ def test_criterion_10_confinement(ellipse, cubic):
             candidates = sample_curve_points(cubic, 24, seed=100 + idx)
             starts = infinity_experiment_starts(cubic, sp, candidates, 3)
             r = confinement_experiment_infinity_multi(cubic, sp, starts)
-            good = r.passed(prediction_tol=1e-5, separation_tol=1e-4)
+            good = r.passed()
         else:
             r = confinement_experiment_isotropic(cubic, sp, n_samples=4, seed=100 + idx)
-            good = r.passed(separation_tol=1e-4)
+            good = r.passed()
         cubic_pass += good
     ok = ok_ellipse and cubic_pass == 18
     report(

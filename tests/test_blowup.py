@@ -6,10 +6,10 @@ import random
 import pytest
 
 from algbilliards.blowup import (
+    BlowupError,
     BoundaryPointError,
     ExceptionalParam,
     GenericityFailureError,
-    confinement_experiment_infinity,
     confinement_experiment_infinity_multi,
     confinement_experiment_isotropic,
     enumerate_scratch_points,
@@ -183,7 +183,7 @@ def test_reflect_isotropic_limit_conjugate_symmetry(ellipse):
 
 def test_confinement_infinity_ellipse_closed_form(ellipse):
     s = _ellipse_infinity_scratch(ellipse)
-    rep = confinement_experiment_infinity(ellipse, s, proj_point(0, -1, 1))
+    rep = confinement_experiment_infinity_multi(ellipse, s, [proj_point(0, -1, 1)])
     assert rep.cauchy_ok
     assert rep.max_prediction_error < 1e-5
     lim = rep.limits[0][0]
@@ -200,7 +200,7 @@ def test_confinement_infinity_two_starts_distinct(ellipse):
     )
     # the two limits differ in the curve coordinate: distinct points
     assert rep.min_pairwise_limit_distance > 1e-3
-    assert rep.passed(prediction_tol=1e-5, separation_tol=1e-3)
+    assert rep.passed()
 
 
 def test_confinement_isotropic_ellipse(ellipse):
@@ -226,8 +226,28 @@ def test_confinement_report_json_roundtrip(ellipse):
     import json
 
     s = _ellipse_infinity_scratch(ellipse)
-    rep = confinement_experiment_infinity(ellipse, s, proj_point(0, -1, 1))
+    rep = confinement_experiment_infinity_multi(ellipse, s, [proj_point(0, -1, 1)])
     text = json.dumps(rep.to_dict(), sort_keys=True)
     data = json.loads(text)
     assert data["scratch"]["kind"] == "infinity"
     assert "max_prediction_error" in data
+
+
+def test_confinement_propagates_unexpected_reflect_errors(ellipse, monkeypatch):
+    # only the typed refusals of reflect skip a branch; anything else is a bug
+    import algbilliards.blowup as blowup
+
+    def broken(curve, x):
+        raise ZeroDivisionError("injected")
+
+    s = _ellipse_infinity_scratch(ellipse)
+    monkeypatch.setattr(blowup, "reflect", broken)
+    with pytest.raises(ZeroDivisionError):
+        confinement_experiment_infinity_multi(ellipse, s, [proj_point(0, -1, 1)])
+
+
+def test_confinement_infinity_refuses_no_starts(ellipse):
+    # an empty run would otherwise collate into a vacuously passing report
+    s = _ellipse_infinity_scratch(ellipse)
+    with pytest.raises(BlowupError):
+        confinement_experiment_infinity_multi(ellipse, s, [])

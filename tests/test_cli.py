@@ -2,8 +2,14 @@
 
 import json
 import pathlib
+import time
 
+import pytest
+
+from algbilliards import cli
 from algbilliards.cli import main
+from algbilliards.numerics import NonConvergenceError
+from algbilliards.spectral import MatrixMismatchError
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -198,3 +204,41 @@ def test_form_check_refuses_zero_samples(tmp_path):
     assert run(["form-check", "--curve", DATA / "ellipse.json", "--samples", 0,
                 "--out", out]) == 1
     assert not out.exists()
+
+
+def test_orbit_tree_over_node_cap_is_refused_up_front(tmp_path):
+    # quartic depth 14: the bound (3^15 - 1) / 2 exceeds the 500,000-node cap
+    out = tmp_path / "orbit.jsonl"
+    started = time.monotonic()
+    assert run(["orbit", "--curve", DATA / "quartic.json", "--depth", 14,
+                "--out", out]) == 1
+    assert time.monotonic() - started < 10
+    assert not out.exists()
+
+
+def test_confine_refuses_zero_samples(tmp_path):
+    out = tmp_path / "c.json"
+    assert run(["confine", "--curve", DATA / "ellipse.json", "--samples", 0,
+                "--scratch-index", 0, "--out", out]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error", [NonConvergenceError, MatrixMismatchError, ArithmeticError],
+    ids=lambda e: e.__name__,
+)
+@pytest.mark.parametrize("target,argv", [
+    ("verify_factorization", ["spectral", "--d", 2]),
+    ("orbit_tree", ["orbit", "--curve", DATA / "ellipse.json", "--depth", 2]),
+], ids=["spectral", "orbit"])
+def test_mathematical_failures_exit_2_without_traceback(
+    monkeypatch, capsys, tmp_path, error, target, argv
+):
+    def fail(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr(cli, target, fail)
+    assert run(argv + ["--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "error: injected failure" in err
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
-"""Whole-package checks: no assert-based invariants, and every demo runs."""
+"""Whole-package checks: no assert-based invariants, no catch-all handlers,
+and every demo runs."""
 
 import ast
 import os
@@ -22,6 +23,26 @@ def test_no_assert_in_library_code():
         if isinstance(node, ast.Assert)
     ]
     assert MODULES
+    assert found == []
+
+
+def _catches_everything(handler: ast.ExceptHandler) -> bool:
+    if handler.type is None:
+        return True
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(
+        isinstance(n, ast.Name) and n.id in ("Exception", "BaseException") for n in names
+    )
+
+
+def test_no_catch_all_handlers_in_library_code():
+    # a catch-all hides programming errors as skipped branches or input errors
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ExceptHandler) and _catches_everything(node)
+    ]
     assert found == []
 
 
