@@ -21,7 +21,7 @@ for d in range(2, 9):
     ok_fact, _ = verify_factorization(d)
     ok_conj, _ = verify_conjugation(d)
     assert ok_fact and ok_conj
-    r = rho(d, cross_check=False)
+    r = rho(d)
     print(
         f"{d}   {2*d*d+2:4d}   {str(list(phi(d).coeffs)):42s}  {r:10.6f}   {rho_bracket(d)}"
     )
@@ -30,7 +30,7 @@ print("\nmodel degree sequence for d = 3 (exact integers):")
 seq = degree_sequence(3, 60)
 print("  first terms:", seq[:6])
 print("  ratio d_61/d_60 =", degree_sequence(3, 61)[61] / seq[60])
-print("  rho_3          =", rho(3, cross_check=False))
+print("  rho_3          =", rho(3))
 
 print("\nfor d = 2 growth is quadratic, not exponential:")
 seq2 = degree_sequence(2, 12)

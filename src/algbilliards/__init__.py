@@ -43,7 +43,6 @@ from .numerics import (
     bracketed_largest_root,
     char_poly,
     deflate_root,
-    exact_poly_divide,
     find_roots,
 )
 from .phase import (

@@ -86,6 +86,7 @@ __all__ = [
 
 EPS_BASE = 1e-2
 EPS_COUNT = 13
+MIN_ISOTROPIC_STARTS = 2  # the isotropic limits must be seen to vary with the start
 
 
 class BlowupError(ValueError):
@@ -702,6 +703,8 @@ def confinement_experiment_isotropic(
     with the start.
     """
     _require(scratch, "isotropic", basic=False)
+    if n_samples < MIN_ISOTROPIC_STARTS:
+        raise BlowupError(f"the isotropic experiment needs at least {MIN_ISOTROPIC_STARTS} starts")
     rng = random.Random(seed)
     eps = default_eps_schedule() if eps_list is None else list(eps_list)
     c = scratch.phase.c
@@ -718,7 +721,7 @@ def confinement_experiment_isotropic(
             p for p in sec.points()
             if not p.c.is_at_infinity and proj_distance(p.c, c) > 1e-3
         ][:1]
-    if len(starts) < 2:
+    if len(starts) < MIN_ISOTROPIC_STARTS:
         raise BranchLostError("could not sample enough starts on the contracted curve")
     return _report(scratch, eps, [_follow_isotropic(curve, scratch, x0, eps) for x0 in starts])
 

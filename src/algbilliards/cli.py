@@ -27,13 +27,14 @@ from fractions import Fraction
 
 from . import __version__
 from .blowup import (
+    MIN_ISOTROPIC_STARTS,
     confinement_experiment_infinity_multi,
     confinement_experiment_isotropic,
     enumerate_scratch_points,
     infinity_experiment_starts,
 )
 from .curve import CurveError, curve_from_json, genericity_report
-from .numerics import NonConvergenceError
+from .numerics import MAX_MATRIX_SIDE, NonConvergenceError
 from .phase import (
     NoRealReturnError,
     PhaseError,
@@ -44,6 +45,7 @@ from .phase import (
 )
 from .sampling import sample_curve_points, sample_phase_points, sample_real_state
 from .spectral import (
+    MAX_SEQUENCE_INDEX,
     MatrixMismatchError,
     degree_sequence,
     phi,
@@ -57,6 +59,13 @@ from .symplectic import SymplecticError, check_invariance
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFICATION = 2
+
+# errors that mean a mathematical verification failed (exit 2); every other
+# error the package raises is a ValueError (exit 1)
+VERIFICATION_ERRORS = (NonConvergenceError, MatrixMismatchError, ArithmeticError)
+
+# the largest degree whose lattice rank 2d^2 + 2 char_poly accepts
+MAX_SPECTRAL_DEGREE = math.isqrt((MAX_MATRIX_SIDE - 2) // 2)
 
 JSON_INT_LIMIT = 2**53
 
@@ -111,6 +120,9 @@ def _load_curve(path: str):
 
 
 def cmd_spectral(args) -> int:
+    if not 0 <= args.m_max <= MAX_SEQUENCE_INDEX:
+        _log(f"--m-max must be in 0..{MAX_SEQUENCE_INDEX}")
+        return EXIT_INPUT
     if args.curve:
         curve = _load_curve(args.curve)
         d = curve.degree
@@ -120,8 +132,8 @@ def cmd_spectral(args) -> int:
             return EXIT_INPUT
     else:
         d = args.d
-    if d is None or d < 2:
-        _log("spectral needs --d N with N >= 2 (or a generic --curve)")
+    if d is None or not 2 <= d <= MAX_SPECTRAL_DEGREE:
+        _log(f"spectral needs --d N with 2 <= N <= {MAX_SPECTRAL_DEGREE} (or a generic --curve)")
         return EXIT_INPUT
 
     fact_ok, _fact_cert = verify_factorization(d)
@@ -193,6 +205,9 @@ def cmd_confine(args) -> int:
             _log(f"scratch index out of range 0..{len(scratch) - 1}")
             return EXIT_INPUT
         selected = [scratch[args.scratch_index]]
+    if args.samples < MIN_ISOTROPIC_STARTS and any(sp.kind != "infinity" for sp in selected):
+        _log(f"--samples must be at least {MIN_ISOTROPIC_STARTS} at isotropic scratch points")
+        return EXIT_INPUT
     eps_list = None
     if args.eps:
         try:
@@ -392,7 +407,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _log(f"error: {exc}")
         code = EXIT_INPUT
-    except (NonConvergenceError, MatrixMismatchError, ArithmeticError) as exc:
+    except VERIFICATION_ERRORS as exc:
         _log(f"error: {exc}")
         code = EXIT_VERIFICATION
     _log(f"[{args.command}] version {__version__}, wall time {time.monotonic() - started:.3f}s")

@@ -28,10 +28,8 @@ __all__ = [
     "find_roots",
     "deflate_root",
     "char_poly",
-    "exact_poly_divide",
     "bracketed_largest_root",
     "exact_rank",
-    "exact_det",
 ]
 
 LEADING_ZERO_TOL = 1e-12
@@ -41,6 +39,7 @@ DEFLATE_RESIDUAL_TOL = 1e-6
 MAX_ABERTH_SWEEPS = 500
 BRACKET_TOL = 1e-12
 BRACKET_SAMPLES = 64
+MAX_MATRIX_SIDE = 1000
 
 
 class NonConvergenceError(RuntimeError):
@@ -388,36 +387,6 @@ class IntPoly:
         return (v > 0) - (v < 0)
 
 
-def exact_poly_divide(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Exact polynomial division over the rationals, returned as (quotient, remainder).
-
-    Raises ValueError if the rational quotient or remainder fails to be
-    integral (cannot happen for monic divisors).
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    n = [Fraction(c) for c in num.coeffs]
-    d = [Fraction(c) for c in den.coeffs]
-    q = [Fraction(0)] * max(1, len(n) - len(d) + 1)
-    r = list(n)
-    dd = len(d) - 1
-    lead = d[-1]
-    while len(r) - 1 >= dd and any(r):
-        k = len(r) - 1 - dd
-        f = r[-1] / lead
-        q[k] = f
-        for i in range(len(d)):
-            r[k + i] -= f * d[i]
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dd:
-            break
-    for f in q + r:
-        if f.denominator != 1:
-            raise ValueError("quotient/remainder not integral")
-    return IntPoly([int(f) for f in q]), IntPoly([int(f) for f in r])
-
-
 def bracketed_largest_root(p: IntPoly, lo, hi) -> float:
     """The unique root of ``p`` in (lo, hi), to absolute tolerance BRACKET_TOL.
 
@@ -518,10 +487,6 @@ class BigIntMatrix:
     def identity(n: int) -> "BigIntMatrix":
         return BigIntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @staticmethod
-    def zeros(r: int, c: int) -> "BigIntMatrix":
-        return BigIntMatrix(r, c, (0,) * (r * c))
-
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -541,12 +506,6 @@ class BigIntMatrix:
 
     def max_abs(self) -> int:
         return max((abs(v) for v in self.entries), default=0)
-
-    def __add__(self, other: "BigIntMatrix") -> "BigIntMatrix":
-        self._check_same_shape(other)
-        return BigIntMatrix(
-            self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
 
     def __sub__(self, other: "BigIntMatrix") -> "BigIntMatrix":
         self._check_same_shape(other)
@@ -596,31 +555,6 @@ class BigIntMatrix:
         )
 
 
-def exact_det(m: BigIntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = m.rows
-    a = [row[:] for row in m.to_lists()]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def exact_rank(m: BigIntMatrix) -> int:
     """Exact rank over the rationals, by fraction-free elimination."""
     a = [row[:] for row in m.to_lists()]
@@ -649,49 +583,23 @@ def exact_rank(m: BigIntMatrix) -> int:
 
 # -- characteristic polynomial ----------------------------------------------
 
-_SMALL_CHARPOLY_SIDE = 24
-
-
 def char_poly(m: BigIntMatrix) -> IntPoly:
     """Exact integer characteristic polynomial det(lambda*I - M), ascending coeffs.
 
-    Small matrices use the Faddeev-LeVerrier recursion (all divisions exact
-    over the integers).  Larger ones reduce to Hessenberg form modulo a batch
-    of word-size primes and reconstruct the integer coefficients by CRT; the
-    prime batch is sized from the Hadamard-style coefficient bound
-    binom(n,k) * ||M||_F^k, so the reconstruction is certified, never
-    heuristic.  No floating point is involved in either path.
+    M is reduced to Hessenberg form modulo a batch of word-size primes and the
+    integer coefficients are reconstructed by CRT.  The prime batch is sized
+    from the Hadamard-style coefficient bound binom(n,k) * ||M||_F^k, so the
+    reconstruction is certified, never heuristic.  No floating point is
+    involved, and entries of any size are accepted.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of non-square matrix")
     n = m.rows
-    if n > 1000:
-        raise ValueError("matrix side exceeds supported bound 1000")
+    if n > MAX_MATRIX_SIDE:
+        raise ValueError(f"matrix side exceeds supported bound {MAX_MATRIX_SIDE}")
     if n == 0:
         return IntPoly((1,))
-    if n <= _SMALL_CHARPOLY_SIDE:
-        return _char_poly_faddeev(m)
     return _char_poly_crt(m)
-
-
-def _char_poly_faddeev(m: BigIntMatrix) -> IntPoly:
-    n = m.rows
-    a = m
-    ident = BigIntMatrix.identity(n)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    mk = ident
-    ck = 1
-    for k in range(1, n + 1):
-        am = a @ mk
-        tr = sum(am[i, i] for i in range(n))
-        if tr % k:
-            raise ArithmeticError(f"Faddeev trace {tr} is not divisible by {k}")
-        ck = -tr // k
-        coeffs[n - k] = ck
-        if k < n:
-            mk = am + ident.scalar(ck)
-    return IntPoly(coeffs)
 
 
 def _primes_for_crt(need: int) -> list[int]:
@@ -734,10 +642,16 @@ def _char_poly_crt(m: BigIntMatrix) -> IntPoly:
         bound = max(bound, binom * spow)
     primes = _primes_for_crt(2 * bound + 1)
 
-    a64 = np.array(m.to_lists(), dtype=np.int64)
-    residues = []
-    for p in primes:
-        residues.append(_char_poly_mod(a64 % p, p))
+    rows = m.to_lists()
+    if m.max_abs() < 2**63:
+        a64 = np.array(rows, dtype=np.int64)
+        residues = [_char_poly_mod(a64 % p, p) for p in primes]
+    else:
+        # entries beyond int64: reduce each prime's residues from the Python ints
+        residues = [
+            _char_poly_mod(np.array([[v % p for v in row] for row in rows], dtype=np.int64), p)
+            for p in primes
+        ]
 
     coeffs = []
     for k in range(n + 1):

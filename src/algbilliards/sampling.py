@@ -27,11 +27,20 @@ from .phase import (
     secant_scratch_proximity,
 )
 
-__all__ = ["sample_phase_points", "sample_curve_points", "sample_real_state"]
+__all__ = [
+    "sample_phase_points",
+    "sample_curve_points",
+    "sample_real_state",
+    "SamplingError",
+]
 
 SCRATCH_MARGIN = 5e-2
 MAX_TRIES = 100000
 MAX_REAL_TRIES = 4000
+
+
+class SamplingError(ValueError):
+    """No acceptable state was found within the try budget; the curve offers too few."""
 
 
 def sample_phase_points(curve: PlaneCurve, count: int, seed: int) -> list[PhasePoint]:
@@ -41,7 +50,9 @@ def sample_phase_points(curve: PlaneCurve, count: int, seed: int) -> list[PhaseP
     while len(out) < count:
         tries += 1
         if tries > MAX_TRIES:
-            raise RuntimeError("sampling failed to find enough generic states")
+            raise SamplingError(
+                f"sampling found {len(out)} of {count} generic states in {MAX_TRIES} tries"
+            )
         theta = rng.uniform(0, 2 * math.pi) + 1j * rng.uniform(-0.6, 0.6)
         q = rotate_direction(direction_point(1, 0, 1), theta)
         anchor = (
@@ -114,4 +125,6 @@ def sample_real_state(curve: PlaneCurve, seed: int) -> PhasePoint:
         if on_curve_residual(curve, c) > 1e-9:
             continue
         return x
-    raise RuntimeError("could not sample a real state on the curve")
+    raise SamplingError(
+        f"could not sample a real state on the curve in {MAX_REAL_TRIES} tries"
+    )

@@ -388,7 +388,7 @@ def rho_bracket(d: int) -> tuple[int, int]:
     return (2 * d * d - d - 5, 2 * d * d - d - 3)
 
 
-def rho(d: int, cross_check: bool = True) -> float:
+def rho(d: int) -> float:
     """Largest root of Phi_d; equals 1 exactly when d = 2.
 
     For d >= 3 the root is isolated in (2d^2-d-5, 2d^2-d-3) and refined to
@@ -401,12 +401,11 @@ def rho(d: int, cross_check: bool = True) -> float:
         return 1.0
     lo, hi = rho_bracket(d)
     value = bracketed_largest_root(phi(d), lo, hi)
-    if cross_check:
-        numeric = power_iteration_radius(pushforward_b_hat(d).matrix)
-        if abs(numeric - value) / value > 1e-8:
-            raise ArithmeticError(
-                f"power iteration {numeric} disagrees with exact root {value}"
-            )
+    numeric = power_iteration_radius(pushforward_b_hat(d).matrix)
+    if abs(numeric - value) / value > 1e-8:
+        raise ArithmeticError(
+            f"power iteration {numeric} disagrees with exact root {value}"
+        )
     return value
 
 
@@ -432,6 +431,9 @@ def power_iteration_radius(m: BigIntMatrix) -> float:
     return abs(lam)
 
 
+MAX_SEQUENCE_INDEX = 200
+
+
 def degree_sequence(d: int, m_max: int) -> list[int]:
     """Model degrees deg_m = (M^m Delta) . Delta for Delta = C0 + D0.
 
@@ -441,8 +443,8 @@ def degree_sequence(d: int, m_max: int) -> list[int]:
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    if m_max > 200:
-        raise ValueError("m_max capped at 200")
+    if m_max > MAX_SEQUENCE_INDEX:
+        raise ValueError(f"m_max capped at {MAX_SEQUENCE_INDEX}")
     m = pushforward_b_hat(d).matrix
     j = intersection_form(d)
     n = m.rows

@@ -63,12 +63,12 @@ def test_criterion_01_char_poly_factorization():
 
 def test_criterion_02_rho_brackets():
     t0 = time.time()
-    ok = rho(2, cross_check=False) == 1.0
-    r3 = rho(3, cross_check=False)
+    ok = rho(2) == 1.0
+    r3 = rho(3)
     ok = ok and 11.21 < r3 < 11.22
     for d in range(3, 13):
         lo, hi = rho_bracket(d)
-        r = rho(d, cross_check=False)
+        r = rho(d)
         ok = ok and lo < r < hi
         p = phi(d)
         from fractions import Fraction
@@ -131,7 +131,7 @@ def test_criterion_05_jordan_d2():
 def test_criterion_06_degree_sequence():
     t0 = time.time()
     seq3 = degree_sequence(3, 61)
-    r3 = rho(3, cross_check=False)
+    r3 = rho(3)
     ratio = seq3[61] / seq3[60]
     ok3 = abs(ratio - r3) / r3 < 1e-6
     seq2 = degree_sequence(2, 40)

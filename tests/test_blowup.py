@@ -251,3 +251,16 @@ def test_confinement_infinity_refuses_no_starts(ellipse):
     s = _ellipse_infinity_scratch(ellipse)
     with pytest.raises(BlowupError):
         confinement_experiment_infinity_multi(ellipse, s, [])
+
+
+def test_confinement_isotropic_refuses_one_start_before_sampling(ellipse, monkeypatch):
+    # the limits must be seen to vary with the start, so one start cannot pass
+    import algbilliards.blowup as blowup
+
+    def unreachable(curve, x):
+        raise ZeroDivisionError("sampled a start")
+
+    iso = scratch_of(enumerate_scratch_points(ellipse), "isotropic_plus")
+    monkeypatch.setattr(blowup, "secant", unreachable)
+    with pytest.raises(BlowupError, match=f"at least {blowup.MIN_ISOTROPIC_STARTS}"):
+        confinement_experiment_isotropic(ellipse, iso, n_samples=1)

@@ -6,10 +6,9 @@ import time
 
 import pytest
 
-from algbilliards import cli
+from algbilliards import cli, sampling
 from algbilliards.cli import main
-from algbilliards.numerics import NonConvergenceError
-from algbilliards.spectral import MatrixMismatchError
+from algbilliards.numerics import MAX_MATRIX_SIDE
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -41,6 +40,20 @@ def test_spectral_d3_bracket(tmp_path):
 
 def test_spectral_rejects_d1():
     assert run(["spectral", "--d", 1]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--d", 23], ["--d", 12, "--m-max", 201], ["--d", 12, "--m-max", -1],
+], ids=["d23", "m_max201", "m_max-1"])
+def test_spectral_refuses_unsupported_input_up_front(tmp_path, argv):
+    # d = 22 is the largest degree whose lattice rank 2d^2 + 2 char_poly accepts
+    d = cli.MAX_SPECTRAL_DEGREE
+    assert 2 * d * d + 2 <= MAX_MATRIX_SIDE < 2 * (d + 1) ** 2 + 2
+    out = tmp_path / "spec.json"
+    started = time.monotonic()
+    assert run(["spectral", *argv, "--out", out]) == 1
+    assert time.monotonic() - started < 1
+    assert not out.exists()
 
 
 def test_spectral_big_integers_as_strings(tmp_path):
@@ -224,8 +237,7 @@ def test_confine_refuses_zero_samples(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "error", [NonConvergenceError, MatrixMismatchError, ArithmeticError],
-    ids=lambda e: e.__name__,
+    "error", cli.VERIFICATION_ERRORS, ids=lambda e: e.__name__,
 )
 @pytest.mark.parametrize("target,argv", [
     ("verify_factorization", ["spectral", "--d", 2]),
@@ -242,3 +254,47 @@ def test_mathematical_failures_exit_2_without_traceback(
     err = capsys.readouterr().err
     assert "error: injected failure" in err
     assert "Traceback" not in err
+
+
+def test_confine_one_sample_refused_at_isotropic_points(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert run(["confine", "--curve", DATA / "ellipse.json", "--samples", 1,
+                "--out", out]) == 1
+    assert "--samples must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_confine_one_sample_at_an_infinity_point(tmp_path):
+    out = tmp_path / "c.json"
+    assert run(["confine", "--curve", DATA / "ellipse.json", "--samples", 1,
+                "--scratch-index", 0, "--out", out]) == 0
+    data = json.loads(out.read_text())
+    assert data["reports"][0]["scratch"]["kind"] == "infinity"
+
+
+def _single_error_line(err):
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+def test_orbit_real_on_a_curve_without_real_points_is_input_error(tmp_path, capsys):
+    # x^2 + 4y^2 + 4 = 0 is generic but has no real points
+    curve = tmp_path / "imaginary.json"
+    curve.write_text(json.dumps({"degree": 2, "coeffs": [
+        {"i": 2, "j": 0, "k": 0, "re": "1"},
+        {"i": 0, "j": 2, "k": 0, "re": "4"},
+        {"i": 0, "j": 0, "k": 2, "re": "4"},
+    ]}))
+    out = tmp_path / "real.jsonl"
+    assert run(["orbit", "--real", "--depth", 3, "--curve", curve, "--out", out]) == 1
+    assert len(_single_error_line(capsys.readouterr().err)) == 1
+    assert not out.exists()
+
+
+def test_phase_sampling_exhaustion_is_input_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sampling, "MAX_TRIES", 0)
+    out = tmp_path / "orbit.jsonl"
+    assert run(["orbit", "--curve", DATA / "ellipse.json", "--depth", 2,
+                "--out", out]) == 1
+    assert len(_single_error_line(capsys.readouterr().err)) == 1
+    assert not out.exists()

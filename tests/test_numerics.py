@@ -1,8 +1,8 @@
 """Tests for the numerics module.
 
 Expected values are produced by small independent oracles defined here
-(bisection on exact signs, cofactor determinants, convolution products),
-never by the code paths under test.
+(bisection on exact signs, cofactor and fraction-free determinants,
+convolution products), never by the code paths under test.
 """
 
 import math
@@ -20,8 +20,6 @@ from algbilliards.numerics import (
     bracketed_largest_root,
     char_poly,
     deflate_root,
-    exact_det,
-    exact_poly_divide,
     exact_rank,
     find_roots,
 )
@@ -65,6 +63,36 @@ def cofactor_det(rows):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def elimination_det(rows):
+    """Determinant by fraction-free (Bareiss) elimination on plain lists."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # exact: every intermediate is a minor of the input
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
+
+
+def assert_char_poly_matches_elimination(rows):
+    # det(kI - M) at k = 0..n pins all n + 1 coefficients of a degree-n polynomial
+    n = len(rows)
+    cp = char_poly(BigIntMatrix.from_rows(rows))
+    assert cp.degree == n
+    for k in range(n + 1):
+        shifted = [[(k if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)]
+        assert cp(k) == elimination_det(shifted)
 
 
 def convolve(a, b):
@@ -194,46 +222,32 @@ def test_char_poly_matches_cofactor_det_at_zero():
         assert cp.coeffs[-1] == 1
 
 
-def test_char_poly_crt_path_agrees_with_faddeev():
-    rng = random.Random(5)
-    n = 30  # above the small-matrix cutoff
-    rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
-    m = BigIntMatrix.from_rows(rows)
-    from algbilliards.numerics import _char_poly_crt, _char_poly_faddeev
+@pytest.mark.parametrize("n", [1, 2, 5, 23, 24, 25, 30])
+def test_char_poly_matches_elimination_oracle(n):
+    rng = random.Random(5 + n)
+    # dense, then sparse: zeros make the Hessenberg reduction swap pivots
+    for density in (1.0, 0.25):
+        rows = [[rng.randrange(-9, 10) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)]
+        assert_char_poly_matches_elimination(rows)
 
-    assert _char_poly_crt(m).coeffs == _char_poly_faddeev(m).coeffs
+
+def test_char_poly_entries_beyond_int64():
+    assert_char_poly_matches_elimination([[2**70, 1], [3, 4]])
+    rng = random.Random(30)
+    rows = [[rng.randrange(-4, 5) * 2**62 for _ in range(30)] for _ in range(30)]
+    assert max(abs(v) for row in rows for v in row) >= 2**63
+    assert_char_poly_matches_elimination(rows)
 
 
 def test_exact_det_and_rank():
+    # det M = (-1)^n char_poly(M)(0), checked against the cofactor oracle
     m = BigIntMatrix.from_rows([[2, 4], [1, 2]])
-    assert exact_det(m) == 0
+    assert char_poly(m)(0) == 0
     assert exact_rank(m) == 1
     m2 = BigIntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    assert exact_det(m2) == cofactor_det([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    assert -char_poly(m2)(0) == cofactor_det([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
     assert exact_rank(m2) == 3
-
-
-# ---------------------------------------------------------------------------
-# exact_poly_divide
-# ---------------------------------------------------------------------------
-
-
-def test_exact_divide_basic():
-    q, r = exact_poly_divide(IntPoly([-1, 0, 1]), IntPoly([-1, 1]))
-    assert q.coeffs == (1, 1) and r.is_zero()
-
-
-def test_exact_divide_power():
-    cube = IntPoly(convolve(convolve([-1, 1], [-1, 1]), [-1, 1]))
-    q, r = exact_poly_divide(cube, IntPoly([-1, 1]))
-    assert q.coeffs == tuple(convolve([-1, 1], [-1, 1])) and r.is_zero()
-
-
-def test_exact_divide_with_remainder():
-    q, r = exact_poly_divide(IntPoly([1, 0, 1]), IntPoly([-1, 1]))
-    assert not r.is_zero()
-    recomposed = IntPoly(convolve(list(q.coeffs), [-1, 1])) + r
-    assert recomposed.coeffs == (1, 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Whole-package checks: no assert-based invariants, no catch-all handlers,
-and every demo runs."""
+every error maps to an exit code, and every demo runs."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -42,6 +43,40 @@ def test_no_catch_all_handlers_in_library_code():
         for path in MODULES
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.ExceptHandler) and _catches_everything(node)
+    ]
+    assert found == []
+
+
+def test_every_library_error_maps_to_an_exit_code():
+    # cli.main reports a ValueError as exit 1 and VERIFICATION_ERRORS as exit 2;
+    # anything else would escape as a traceback
+    from algbilliards import cli
+
+    mapped = (ValueError, *cli.VERIFICATION_ERRORS)
+    modules = [importlib.import_module(f"algbilliards.{p.stem}") for p in MODULES
+               if p.stem != "__init__"]
+    errors = [
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+        and obj.__module__ == module.__name__
+    ]
+    assert errors
+    assert [e.__qualname__ for e in errors if not issubclass(e, mapped)] == []
+
+
+def test_no_generic_raises_in_library_code():
+    # a bare RuntimeError or Exception has no place in the exit-code contract
+    def raised_name(node: ast.Raise):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return exc.id if isinstance(exc, ast.Name) else None
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise) and raised_name(node) in ("RuntimeError", "Exception")
     ]
     assert found == []
 

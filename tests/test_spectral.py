@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from algbilliards.numerics import BigIntMatrix, IntPoly, char_poly
+from algbilliards.numerics import BigIntMatrix, char_poly
 from algbilliards.spectral import (
     cheap_eigenvalues,
     cheap_matrices,
@@ -257,18 +257,14 @@ def test_rho_in_bracket_and_below_bound(d):
 
 @pytest.mark.parametrize("d", range(3, 13))
 def test_rho_power_iteration_agreement(d):
-    r = rho(d, cross_check=False)
+    r = rho(d)
     numeric = power_iteration_radius(pushforward_b_hat(d).matrix)
     assert abs(numeric - r) / r < 1e-8
 
 
 def test_exact_divide_char_poly_d2_by_lambda_plus_1_pow6():
-    from algbilliards.numerics import exact_poly_divide
-
     chi = char_poly(pushforward_b_hat(2).matrix)
-    q, r = exact_poly_divide(chi, IntPoly([1, 1]) ** 6)
-    assert r.is_zero()
-    assert list(q.coeffs) == poly_power([-1, 1], 4)
+    assert list(chi.coeffs) == convolve(poly_power([-1, 1], 4), poly_power([1, 1], 6))
 
 
 def test_topological_degree_matches_branch_count(ellipse, cubic):
@@ -297,7 +293,7 @@ def test_degree_sequence_d2_quadratic():
 
 def test_degree_sequence_d3_ratio_converges_to_rho():
     seq = degree_sequence(3, 61)
-    r3 = rho(3, cross_check=False)
+    r3 = rho(3)
     ratio = seq[61] / seq[60]
     assert abs(ratio - r3) / r3 < 1e-6
 
