@@ -505,7 +505,7 @@ class BigIntMatrix:
         )
 
     def max_abs(self) -> int:
-        return max((abs(v) for v in self.entries), default=0)
+        return max(map(abs, self.entries), default=0)
 
     def __sub__(self, other: "BigIntMatrix") -> "BigIntMatrix":
         self._check_same_shape(other)
@@ -537,17 +537,6 @@ class BigIntMatrix:
             for col in bt:
                 flat.append(sum(x * y for x, y in zip(row, col)))
         return BigIntMatrix(self.rows, other.cols, tuple(flat))
-
-    def matvec(self, v: list[int]) -> list[int]:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        e = self.entries
-        c = self.cols
-        for i in range(self.rows):
-            base = i * c
-            out.append(sum(e[base + j] * v[j] for j in range(c) if v[j]))
-        return out
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -588,7 +577,8 @@ def char_poly(m: BigIntMatrix) -> IntPoly:
 
     M is reduced to Hessenberg form modulo a batch of word-size primes and the
     integer coefficients are reconstructed by CRT.  The prime batch is sized
-    from the Hadamard-style coefficient bound binom(n,k) * ||M||_F^k, so the
+    from Hadamard's inequality on principal minors, |c_k| <= min(e_k(row
+    norms), e_k(column norms)) (see ``_coefficient_bound``), so the
     reconstruction is certified, never heuristic.  No floating point is
     involved, and entries of any size are accepted.
     """
@@ -600,6 +590,35 @@ def char_poly(m: BigIntMatrix) -> IntPoly:
     if n == 0:
         return IntPoly((1,))
     return _char_poly_crt(m)
+
+
+def _coefficient_bound(m: BigIntMatrix) -> int:
+    """An upper bound on the absolute value of every coefficient of char_poly(m).
+
+    The coefficient of lambda^(n-k) is a signed sum of the k x k principal
+    minors det M_S.  Hadamard's inequality bounds |det M_S| by the product of
+    the row norms of M_S, hence of M, over S; det M_S = det M_S^T gives the
+    same with column norms.  Summing over S gives |c_k| <= min(e_k(||row_i||),
+    e_k(||col_j||)), e_k the elementary symmetric polynomial.  Norms are
+    rounded up to integers, so no floating point enters.
+    """
+    rows = m.to_lists()
+    row_norms = [math.isqrt(sum(v * v for v in row)) + 1 for row in rows]
+    col_norms = [math.isqrt(sum(v * v for v in col)) + 1 for col in zip(*rows)]
+    return max(
+        min(by_rows, by_cols)
+        for by_rows, by_cols in zip(
+            _elementary_symmetric(row_norms), _elementary_symmetric(col_norms)
+        )
+    )
+
+
+def _elementary_symmetric(values: list[int]) -> list[int]:
+    """[e_0, ..., e_n] of the given integers."""
+    e = [1]
+    for v in values:
+        e = [a + v * b for a, b in zip(e + [0], [0] + e)]
+    return e
 
 
 def _primes_for_crt(need: int) -> list[int]:
@@ -631,16 +650,7 @@ def _is_prime(v: int) -> bool:
 
 def _char_poly_crt(m: BigIntMatrix) -> IntPoly:
     n = m.rows
-    frob2 = sum(v * v for v in m.entries)
-    s = math.isqrt(frob2) + 1
-    bound = 1
-    binom = 1
-    spow = 1
-    for k in range(1, n + 1):
-        binom = binom * (n - k + 1) // k
-        spow *= s
-        bound = max(bound, binom * spow)
-    primes = _primes_for_crt(2 * bound + 1)
+    primes = _primes_for_crt(2 * _coefficient_bound(m) + 1)
 
     rows = m.to_lists()
     if m.max_abs() < 2**63:
@@ -653,37 +663,30 @@ def _char_poly_crt(m: BigIntMatrix) -> IntPoly:
             for p in primes
         ]
 
-    coeffs = []
-    for k in range(n + 1):
-        x, mod = 0, 1
-        for p, res in zip(primes, residues):
-            r = int(res[k])
-            # incremental CRT: x' = x + mod * t, t = (r - x) / mod (mod p)
-            t = ((r - x) % p) * pow(mod % p, -1, p) % p
-            x += mod * t
-            mod *= p
-        if x > mod // 2:
-            x -= mod
-        coeffs.append(x)
-    return IntPoly(coeffs)
+    # incremental CRT over the primes: x' = x + mod * t, t = (r - x) / mod (mod p)
+    coeffs = [0] * (n + 1)
+    mod = 1
+    for p, res in zip(primes, residues):
+        inv = pow(mod % p, -1, p)
+        coeffs = [x + mod * ((r - x) % p * inv % p) for x, r in zip(coeffs, res.tolist())]
+        mod *= p
+    return IntPoly([x - mod if x > mod // 2 else x for x in coeffs])
 
 
 def _char_poly_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Characteristic polynomial of a mod p (ascending), via Hessenberg reduction.
 
-    All arithmetic stays below 2**63: entries are reduced mod p < 2**25 and
-    dot products accumulate at most n < 2**13 terms of size < 2**50.
+    All arithmetic stays below 2**63: entries are reduced mod p < 2**25, so a
+    product is below 2**50, and a dot product sums at most n <= MAX_MATRIX_SIDE
+    = 1000 < 2**10 such products, staying below 2**60.
     """
     h = a.astype(np.int64) % p
     n = h.shape[0]
     for k in range(n - 2):
-        piv = None
-        for i in range(k + 1, n):
-            if h[i, k] % p:
-                piv = i
-                break
-        if piv is None:
+        nonzero = np.flatnonzero(h[k + 1 :, k])
+        if not nonzero.size:
             continue
+        piv = k + 1 + int(nonzero[0])
         if piv != k + 1:
             h[[k + 1, piv], :] = h[[piv, k + 1], :]
             h[:, [k + 1, piv]] = h[:, [piv, k + 1]]
@@ -693,20 +696,19 @@ def _char_poly_mod(a: np.ndarray, p: int) -> np.ndarray:
             h[k + 2 :, k:] = (h[k + 2 :, k:] - np.outer(f, h[k + 1, k:])) % p
             h[:, k + 1] = (h[:, k + 1] + h[:, k + 2 :] @ f) % p
 
-    # p_k = (x - h[k-1,k-1]) p_{k-1} - sum_i h[i-1,k-1] * prod(subdiag) * p_{i-1}
+    # p_k = (x - h[k-1,k-1]) p_{k-1} - sum_{i<k} h[i-1,k-1] * sub[i-1] * p_{i-1}, where
+    # sub[i-1] = prod_{j=i}^{k-1} h[j,j-1] gains the factor h[k-1,k-2] at each k.
+    # p_{i-1} has degree i-1, so only the leading k-1 columns of polys[:k-1] are nonzero.
     polys = np.zeros((n + 1, n + 1), dtype=np.int64)
     polys[0, 0] = 1
+    sub = np.zeros(n, dtype=np.int64)
     for k in range(1, n + 1):
-        prev = polys[k - 1]
-        cur = np.zeros(n + 1, dtype=np.int64)
+        prev, cur = polys[k - 1], polys[k]
         cur[1 : k + 1] = prev[:k]
-        cur = (cur - (int(h[k - 1, k - 1]) % p) * prev) % p
+        cur[:k] = (cur[:k] - h[k - 1, k - 1] * prev[:k]) % p
         if k >= 2:
-            weights = np.zeros(k - 1, dtype=np.int64)
-            prod = 1
-            for i in range(k - 1, 0, -1):
-                prod = (prod * int(h[i, i - 1])) % p
-                weights[i - 1] = (int(h[i - 1, k - 1]) * prod) % p
-            cur = (cur - (weights @ polys[: k - 1]) % p) % p
-        polys[k] = cur
-    return polys[n] % p
+            sub[k - 2] = 1
+            sub[: k - 1] = sub[: k - 1] * h[k - 1, k - 2] % p
+            weights = h[: k - 1, k - 1] * sub[: k - 1] % p
+            cur[: k - 1] = (cur[: k - 1] - weights @ polys[: k - 1, : k - 1]) % p
+    return polys[n].copy()  # a view would keep all of polys alive

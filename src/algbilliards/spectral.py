@@ -20,6 +20,7 @@ power-iteration cross-check and the bracketed root refinement.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ import numpy as np
 from .numerics import (
     BigIntMatrix,
     IntPoly,
+    NoSignChangeError,
     bracketed_largest_root,
     char_poly,
     exact_rank,
@@ -235,9 +237,14 @@ def _display_b_hat(d: int) -> BigIntMatrix:
     return BigIntMatrix.from_rows(rows)
 
 
+@functools.lru_cache(maxsize=1)
 def pushforward_b_hat(d: int) -> PushforwardMatrix:
     """Billiard pushforward: the exact product r_hat * s_hat, checked entrywise
-    against the independently generated block-rule matrix."""
+    against the independently generated block-rule matrix.
+
+    The last degree's matrix is kept (the result is immutable), so the
+    certificates, ``rho`` and ``degree_sequence`` of one degree share a build.
+    """
     ms = pushforward_s_hat(d).matrix
     mr = pushforward_r_hat(d).matrix
     product = mr @ ms
@@ -393,14 +400,20 @@ def rho(d: int) -> float:
 
     For d >= 3 the root is isolated in (2d^2-d-5, 2d^2-d-3) and refined to
     1e-12; a floating-point power iteration on the full pushforward matrix
-    must agree to relative 1e-8.
+    must agree to relative 1e-8.  A bracket without a sign change of Phi_d, or
+    a disagreeing power iteration, raises ArithmeticError.
     """
     if d < 2:
         raise ValueError("degree must be >= 2")
     if d == 2:
         return 1.0
     lo, hi = rho_bracket(d)
-    value = bracketed_largest_root(phi(d), lo, hi)
+    try:
+        value = bracketed_largest_root(phi(d), lo, hi)
+    except NoSignChangeError as exc:
+        raise ArithmeticError(
+            f"Phi_{d} has no root in the bracket ({lo}, {hi}): {exc}"
+        ) from exc
     numeric = power_iteration_radius(pushforward_b_hat(d).matrix)
     if abs(numeric - value) / value > 1e-8:
         raise ArithmeticError(
@@ -445,17 +458,24 @@ def degree_sequence(d: int, m_max: int) -> list[int]:
         raise ValueError("m_max must be >= 0")
     if m_max > MAX_SEQUENCE_INDEX:
         raise ValueError(f"m_max capped at {MAX_SEQUENCE_INDEX}")
-    m = pushforward_b_hat(d).matrix
-    j = intersection_form(d)
-    n = m.rows
-    delta = [1, 1] + [0] * (n - 2)
-    pairing = j.matvec(delta)  # J Delta
+    m = _nonzero_rows(pushforward_b_hat(d).matrix)
+    delta = [1, 1] + [0] * (len(m) - 2)
+    pairing = _sparse_matvec(_nonzero_rows(intersection_form(d)), delta)  # J Delta
     out = []
-    v = delta[:]
+    v = delta
     for _ in range(m_max + 1):
         out.append(sum(a * b for a, b in zip(v, pairing)))
-        v = m.matvec(v)
+        v = _sparse_matvec(m, v)
     return out
+
+
+def _nonzero_rows(m: BigIntMatrix) -> list[list[tuple[int, int]]]:
+    """Each row of m as its (column, entry) pairs with a nonzero entry."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in m.to_lists()]
+
+
+def _sparse_matvec(rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
+    return [sum(a * v[j] for j, a in row) for row in rows]
 
 
 def jordan_structure_d2() -> dict:

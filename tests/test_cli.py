@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from algbilliards import cli, sampling
+from algbilliards import cli, sampling, spectral
 from algbilliards.cli import main
 from algbilliards.numerics import MAX_MATRIX_SIDE
 
@@ -254,6 +254,16 @@ def test_mathematical_failures_exit_2_without_traceback(
     err = capsys.readouterr().err
     assert "error: injected failure" in err
     assert "Traceback" not in err
+
+
+def test_rho_outside_its_bracket_is_a_verification_failure(monkeypatch, tmp_path, capsys):
+    # Phi_d is positive beyond its largest root, so (2d^2, 2d^2 + 1) holds no root
+    monkeypatch.setattr(spectral, "rho_bracket", lambda d: (2 * d * d, 2 * d * d + 1))
+    assert run(["spectral", "--d", 3, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1 and "(18, 19)" in lines[0]
 
 
 def test_confine_one_sample_refused_at_isotropic_points(tmp_path, capsys):

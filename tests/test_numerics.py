@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from algbilliards import numerics
 from algbilliards.numerics import (
     BigIntMatrix,
     ComplexPoly,
@@ -230,6 +231,16 @@ def test_char_poly_matches_elimination_oracle(n):
         rows = [[rng.randrange(-9, 10) if rng.random() < density else 0 for _ in range(n)]
                 for _ in range(n)]
         assert_char_poly_matches_elimination(rows)
+    # rank one u v^T with one huge column, then its transpose with one huge row:
+    # the column norms set the coefficient bound for the first, the row norms for
+    # the second.  The trace lies just above half the first CRT prime, so for
+    # n <= 2, where the bound is within a factor 2 of it, one prime too few
+    # reconstructs the wrong sign.
+    huge = numerics._primes_for_crt(1)[0] // 2 + 1
+    u = [huge] + [1] * (n - 1)
+    huge_column = [[ui if j == 0 else 0 for j in range(n)] for ui in u]
+    assert_char_poly_matches_elimination(huge_column)
+    assert_char_poly_matches_elimination([list(col) for col in zip(*huge_column)])
 
 
 def test_char_poly_entries_beyond_int64():

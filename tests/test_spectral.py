@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from algbilliards import numerics
 from algbilliards.numerics import BigIntMatrix, char_poly
 from algbilliards.spectral import (
     cheap_eigenvalues,
@@ -196,6 +198,26 @@ def test_verify_factorization_small(d):
     assert cert["degree"] == 2 * d * d + 2
 
 
+@pytest.mark.parametrize("d", range(2, 13))
+def test_coefficient_bound_covers_the_claimed_factorization(d):
+    bound = numerics._coefficient_bound(pushforward_b_hat(d).matrix)
+    assert bound >= max(abs(c) for c in claimed_factorization(d).coeffs)
+
+
+def test_prime_batch_at_d12(monkeypatch):
+    # the bound is 603 bits here, 25 primes of 25 bits (the coefficients
+    # themselves have up to 291 bits)
+    calls = []
+
+    def count(a, p):
+        calls.append(p)
+        return np.zeros(a.shape[0] + 1, dtype=np.int64)
+
+    monkeypatch.setattr(numerics, "_char_poly_mod", count)
+    char_poly(pushforward_b_hat(12).matrix)
+    assert 0 < len(calls) <= 27
+
+
 def test_factorization_degree_bookkeeping():
     for d in (2, 3, 5):
         assert claimed_factorization(d).degree == 2 * d * d + 2
@@ -280,6 +302,20 @@ def test_topological_degree_matches_branch_count(ellipse, cubic):
 def test_degree_sequence_d0_is_2():
     for d in (2, 3, 4):
         assert degree_sequence(d, 0)[0] == 2
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_degree_sequence_matches_dense_products(d):
+    m = pushforward_b_hat(d).matrix.to_lists()
+    j = intersection_form(d).to_lists()
+    delta = [1, 1] + [0] * (len(m) - 2)
+    pairing = [sum(a * b for a, b in zip(row, delta)) for row in j]
+    expected = []
+    v = delta
+    for _ in range(61):
+        expected.append(sum(a * b for a, b in zip(v, pairing)))
+        v = [sum(a * b for a, b in zip(row, v)) for row in m]
+    assert degree_sequence(d, 60) == expected
 
 
 def test_degree_sequence_d2_quadratic():
