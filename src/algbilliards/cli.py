@@ -64,7 +64,8 @@ EXIT_VERIFICATION = 2
 # error the package raises is a ValueError (exit 1)
 VERIFICATION_ERRORS = (NonConvergenceError, MatrixMismatchError, ArithmeticError)
 
-# the largest degree whose lattice rank 2d^2 + 2 char_poly accepts
+# the largest degree whose lattice rank 2d^2 + 2 stays within MAX_MATRIX_SIDE, so
+# the general char_poly remains an independent check over the accepted range
 MAX_SPECTRAL_DEGREE = math.isqrt((MAX_MATRIX_SIDE - 2) // 2)
 
 JSON_INT_LIMIT = 2**53
@@ -106,6 +107,12 @@ def _log(message: str):
     print(message, file=sys.stderr)
 
 
+def _error(message: str, code: int = EXIT_INPUT) -> int:
+    """Report a refused or failed run as its one ``error:`` line; return the exit code."""
+    _log(f"error: {message}")
+    return code
+
+
 def _load_curve(path: str):
     try:
         with open(path) as fh:
@@ -121,20 +128,17 @@ def _load_curve(path: str):
 
 def cmd_spectral(args) -> int:
     if not 0 <= args.m_max <= MAX_SEQUENCE_INDEX:
-        _log(f"--m-max must be in 0..{MAX_SEQUENCE_INDEX}")
-        return EXIT_INPUT
+        return _error(f"--m-max must be in 0..{MAX_SEQUENCE_INDEX}")
     if args.curve:
         curve = _load_curve(args.curve)
         d = curve.degree
         report = genericity_report(curve)
         if not report.all_ok():
-            _log("curve fails genericity; the spectral data assumes general position")
-            return EXIT_INPUT
+            return _error("curve fails genericity; the spectral data assumes general position")
     else:
         d = args.d
     if d is None or not 2 <= d <= MAX_SPECTRAL_DEGREE:
-        _log(f"spectral needs --d N with 2 <= N <= {MAX_SPECTRAL_DEGREE} (or a generic --curve)")
-        return EXIT_INPUT
+        return _error(f"spectral needs --d N with 2 <= N <= {MAX_SPECTRAL_DEGREE} (or a generic --curve)")
 
     fact_ok, _fact_cert = verify_factorization(d)
     conj_ok, _conj_cert = verify_conjugation(d)
@@ -153,15 +157,15 @@ def cmd_spectral(args) -> int:
         "ratios": ratios,
     }
     _emit(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", args.out)
-    return EXIT_OK if fact_ok and conj_ok else EXIT_VERIFICATION
+    failed = [key for key in ("char_poly_verified", "conjugation_verified") if not payload[key]]
+    return _error("failed certificate: " + ", ".join(failed), EXIT_VERIFICATION) if failed else EXIT_OK
 
 
 def cmd_orbit(args) -> int:
     curve = _load_curve(args.curve)
     report = genericity_report(curve)
     if not report.all_ok():
-        _log("curve fails genericity: " + "; ".join(report.diagnostics))
-        return EXIT_INPUT
+        return _error("curve fails genericity: " + "; ".join(report.diagnostics))
     if args.real:
         state = sample_real_state(curve, args.seed)
         lines = []
@@ -195,31 +199,26 @@ def cmd_orbit(args) -> int:
 
 def cmd_confine(args) -> int:
     if args.samples < 1:
-        _log("--samples must be at least 1")
-        return EXIT_INPUT
+        return _error("--samples must be at least 1")
     curve = _load_curve(args.curve)
     scratch = enumerate_scratch_points(curve)
     selected = scratch
     if args.scratch_index is not None:
         if not 0 <= args.scratch_index < len(scratch):
-            _log(f"scratch index out of range 0..{len(scratch) - 1}")
-            return EXIT_INPUT
+            return _error(f"scratch index out of range 0..{len(scratch) - 1}")
         selected = [scratch[args.scratch_index]]
     if args.samples < MIN_ISOTROPIC_STARTS and any(sp.kind != "infinity" for sp in selected):
-        _log(f"--samples must be at least {MIN_ISOTROPIC_STARTS} at isotropic scratch points")
-        return EXIT_INPUT
+        return _error(f"--samples must be at least {MIN_ISOTROPIC_STARTS} at isotropic scratch points")
     eps_list = None
     if args.eps:
         try:
             eps_list = [float(v) for v in args.eps.split(",")]
         except ValueError:
-            _log("--eps expects comma-separated floats")
-            return EXIT_INPUT
+            return _error("--eps expects comma-separated floats")
         if len(eps_list) < 3 or any(
             not 0 < b < a for a, b in zip(eps_list, eps_list[1:])
         ):
-            _log("--eps must be at least 3 strictly decreasing positive values")
-            return EXIT_INPUT
+            return _error("--eps must be at least 3 strictly decreasing positive values")
     reports = []
     all_ok = True
     for idx, sp in enumerate(selected):
@@ -239,21 +238,18 @@ def cmd_confine(args) -> int:
         reports.append(entry)
     payload = {"meta": _meta(args), "reports": reports, "all_passed": all_ok}
     _emit(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", args.out)
-    return EXIT_OK if all_ok else EXIT_VERIFICATION
+    return EXIT_OK if all_ok else _error("a confinement report failed", EXIT_VERIFICATION)
 
 
 def cmd_form_check(args) -> int:
     if not (args.h > 0 and math.isfinite(args.h)):
-        _log("--h must be a positive finite step")
-        return EXIT_INPUT
+        return _error("--h must be a positive finite step")
     if args.samples < 1:
-        _log("--samples must be at least 1")
-        return EXIT_INPUT
+        return _error("--samples must be at least 1")
     curve = _load_curve(args.curve)
     report = genericity_report(curve)
     if not report.all_ok():
-        _log("curve fails genericity: " + "; ".join(report.diagnostics))
-        return EXIT_INPUT
+        return _error("curve fails genericity: " + "; ".join(report.diagnostics))
     states = sample_phase_points(curve, args.samples, args.seed)
     branch_count = curve.degree - 1
     buf = io.StringIO()
@@ -288,7 +284,7 @@ def cmd_form_check(args) -> int:
             )
     _emit(buf.getvalue(), args.out)
     _log(f"max residual {worst:.3e}; skipped {skipped}")
-    return EXIT_OK if worst < 1e-4 else EXIT_VERIFICATION
+    return EXIT_OK if worst < 1e-4 else _error("max residual is not below 1e-4", EXIT_VERIFICATION)
 
 
 def cmd_scratch(args) -> int:
@@ -324,8 +320,7 @@ def cmd_scratch(args) -> int:
         }
         _emit(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", args.out)
     if len(points) != expected:
-        _log(f"census mismatch: {len(points)} != {expected}")
-        return EXIT_VERIFICATION
+        return _error(f"census mismatch: {len(points)} != {expected}", EXIT_VERIFICATION)
     return EXIT_OK
 
 
@@ -334,7 +329,7 @@ def cmd_genericity(args) -> int:
     report = genericity_report(curve)
     payload = {"meta": _meta(args), "report": report.to_dict(), "all_ok": report.all_ok()}
     _emit(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", args.out)
-    return EXIT_OK if report.all_ok() else EXIT_VERIFICATION
+    return EXIT_OK if report.all_ok() else _error("curve fails genericity", EXIT_VERIFICATION)
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +400,9 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
     except ValueError as exc:
-        _log(f"error: {exc}")
-        code = EXIT_INPUT
+        code = _error(str(exc))
     except VERIFICATION_ERRORS as exc:
-        _log(f"error: {exc}")
-        code = EXIT_VERIFICATION
+        code = _error(str(exc), EXIT_VERIFICATION)
     _log(f"[{args.command}] version {__version__}, wall time {time.monotonic() - started:.3f}s")
     return code
 

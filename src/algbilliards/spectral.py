@@ -20,8 +20,11 @@ power-iteration cross-check and the bracketed root refinement.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,12 +115,27 @@ def intersection_form(d: int) -> BigIntMatrix:
     exceptional class is a (-1)-curve disjoint from the others and from the
     chosen fibers.  The matrix is an involution: J^2 = I.
     """
+    entries = {(0, 1): 1, (1, 0): 1}
+    entries.update(((i, i), -1) for i in range(2, 2 * d * d + 2))
+    return _matrix(d, entries)
+
+
+def _matrix(d: int, entries: dict) -> BigIntMatrix:
+    """The square matrix of the lattice rank with the given {(row, col): value} entries."""
     n = 2 * d * d + 2
-    rows = [[0] * n for _ in range(n)]
-    rows[0][1] = rows[1][0] = 1
-    for i in range(2, n):
-        rows[i][i] = -1
-    return BigIntMatrix.from_rows(rows)
+    flat = [0] * (n * n)
+    for (i, j), v in entries.items():
+        flat[i * n + j] = v
+    return BigIntMatrix(n, n, tuple(flat))
+
+
+def _sparse_rows(d: int, entries: dict) -> list[list[tuple[int, int]]]:
+    """The same matrix as rows of (column, entry) pairs, the form of ``_nonzero_rows``."""
+    rows = [[] for _ in range(2 * d * d + 2)]
+    for (i, j), v in sorted(entries.items()):
+        if v:
+            rows[i].append((j, v))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +185,16 @@ def pushforward_s_hat(d: int) -> PushforwardMatrix:
 
     The lower-left blocks are forced by self-adjointness (J M is symmetric).
     """
-    basis = divisor_basis(d)
+    return PushforwardMatrix(divisor_basis(d), _matrix(d, _s_hat(d)), "s_hat")
+
+
+def _s_hat(d: int) -> dict:
     inf0, isop0, _isom0, n = _block_ranges(d)
-    cols = []
-    cols.append(_unit(n, 0, d - 1))
-    col = [0] * n
-    col[0] = 2
-    col[1] = d - 1
+    entries = {(0, 0): d - 1, (0, 1): 2, (1, 1): d - 1}
     for j in range(inf0, isop0):
-        col[j] = -1
-    cols.append(col)
-    for j in range(inf0, isop0):
-        col = [0] * n
-        col[0] = 1
-        col[j] = -1
-        cols.append(col)
-    for j in range(isop0, n):
-        cols.append(_unit(n, j, 1))
-    return PushforwardMatrix(basis, _from_cols(cols), "s_hat")
+        entries.update({(j, 1): -1, (0, j): 1, (j, j): -1})
+    entries.update(((j, j), 1) for j in range(isop0, n))
+    return entries
 
 
 def pushforward_r_hat(d: int) -> PushforwardMatrix:
@@ -193,48 +203,29 @@ def pushforward_r_hat(d: int) -> PushforwardMatrix:
     C0 -> C0 + d(d-1) D0 - sum_j (Eiso+_j + Eiso-_j),   D0 -> D0,
     Einf_j -> Einf_j,   Eiso+-_j -> D0 - Eiso+-_j.
     """
-    basis = divisor_basis(d)
+    return PushforwardMatrix(divisor_basis(d), _matrix(d, _r_hat(d)), "r_hat")
+
+
+def _r_hat(d: int) -> dict:
     inf0, isop0, _isom0, n = _block_ranges(d)
-    cols = []
-    col = [0] * n
-    col[0] = 1
-    col[1] = d * (d - 1)
+    entries = {(0, 0): 1, (1, 0): d * (d - 1), (1, 1): 1}
+    entries.update(((j, j), 1) for j in range(inf0, isop0))
     for j in range(isop0, n):
-        col[j] = -1
-    cols.append(col)
-    cols.append(_unit(n, 1, 1))
-    for j in range(inf0, isop0):
-        cols.append(_unit(n, j, 1))
-    for j in range(isop0, n):
-        col = [0] * n
-        col[1] = 1
-        col[j] = -1
-        cols.append(col)
-    return PushforwardMatrix(basis, _from_cols(cols), "r_hat")
+        entries.update({(j, 0): -1, (1, j): 1, (j, j): -1})
+    return entries
 
 
-def _display_b_hat(d: int) -> BigIntMatrix:
+def _display_b_hat(d: int) -> dict:
     """The billiard pushforward built directly from its displayed block rules,
     independent of the matrix product (used as a cross-check)."""
     inf0, isop0, _isom0, n = _block_ranges(d)
-    rows = [[0] * n for _ in range(n)]
-    rows[0][0] = d - 1
-    rows[0][1] = 2
-    rows[1][0] = d * (d - 1) ** 2
-    rows[1][1] = (2 * d + 1) * (d - 1)
+    entries = {(0, 0): d - 1, (0, 1): 2, (1, 0): d * (d - 1) ** 2, (1, 1): (2 * d + 1) * (d - 1)}
     for j in range(inf0, isop0):
-        rows[0][j] = 1
-        rows[1][j] = d * (d - 1)
-        rows[j][1] = -1
-        rows[j][j] = -1
+        entries.update({(0, j): 1, (1, j): d * (d - 1), (j, 1): -1, (j, j): -1})
     for j in range(isop0, n):
-        rows[1][j] = 1
-        rows[j][0] = -(d - 1)
-        rows[j][1] = -2
-        for k in range(inf0, isop0):
-            rows[j][k] = -1
-        rows[j][j] = -1
-    return BigIntMatrix.from_rows(rows)
+        entries.update({(1, j): 1, (j, 0): -(d - 1), (j, 1): -2, (j, j): -1})
+        entries.update(((j, k), -1) for k in range(inf0, isop0))
+    return entries
 
 
 @functools.lru_cache(maxsize=1)
@@ -242,27 +233,28 @@ def pushforward_b_hat(d: int) -> PushforwardMatrix:
     """Billiard pushforward: the exact product r_hat * s_hat, checked entrywise
     against the independently generated block-rule matrix.
 
-    The last degree's matrix is kept (the result is immutable), so the
-    certificates, ``rho`` and ``degree_sequence`` of one degree share a build.
+    Both sides are compared as rows of nonzero entries.  The last degree's
+    matrix is kept (the result is immutable), so the certificates, ``rho``
+    and ``degree_sequence`` of one degree share a build.
     """
-    ms = pushforward_s_hat(d).matrix
-    mr = pushforward_r_hat(d).matrix
-    product = mr @ ms
+    basis = divisor_basis(d)
     display = _display_b_hat(d)
-    if product.entries != display.entries:
+    product = _sparse_product(_sparse_rows(d, _r_hat(d)), _sparse_rows(d, _s_hat(d)))
+    if product != _sparse_rows(d, display):
         raise MatrixMismatchError(f"product and display disagree at d = {d}")
-    return PushforwardMatrix(divisor_basis(d), product, "b_hat")
+    return PushforwardMatrix(basis, _matrix(d, display), "b_hat")
 
 
-def _unit(n: int, idx: int, val: int) -> list[int]:
-    col = [0] * n
-    col[idx] = val
-    return col
-
-
-def _from_cols(cols: list[list[int]]) -> BigIntMatrix:
-    n = len(cols)
-    return BigIntMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
+def _sparse_product(a: list, b: list) -> list[list[tuple[int, int]]]:
+    """The product of two matrices given as rows of (column, entry) pairs, in that form."""
+    out = []
+    for row in a:
+        acc = collections.defaultdict(int)
+        for k, x in row:
+            for j, y in b[k]:
+                acc[j] += x * y
+        out.append([(j, v) for j, v in sorted(acc.items()) if v])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +271,46 @@ def phi(d: int) -> IntPoly:
 
 def claimed_factorization(d: int) -> IntPoly:
     """Phi_d * (lambda + 1)^(2d^2 - 2) * (lambda - (d - 1)), expanded exactly."""
-    lam_plus_1 = IntPoly([1, 1])
-    return phi(d) * (lam_plus_1 ** (2 * d * d - 2)) * IntPoly([-(d - 1), 1])
+    return _times_lambda_plus_1_power(IntPoly([-(d - 1), 1]) * phi(d), 2 * d * d - 2)
+
+
+def _times_lambda_plus_1_power(p: IntPoly, e: int) -> IntPoly:
+    """p * (lambda + 1)^e, the power expanded from its binomial coefficients."""
+    binomials = [1]
+    for k in range(e):
+        binomials.append(binomials[-1] * (e - k) // (k + 1))
+    return p * IntPoly(binomials)
 
 
 def verify_factorization(d: int) -> tuple[bool, dict]:
-    """Exact comparison of char(b_hat pushforward) with the claimed product."""
-    m = pushforward_b_hat(d).matrix
-    chi = char_poly(m)
+    """Exact comparison of char(b_hat) with the claimed product, through the
+    rank-4 skeleton of B = b_hat + I.
+
+    Fraction-free elimination picks rows I and columns J with K = B[I, J]
+    nonsingular, and delta * B = C adj(K) R (delta = det K, C = B[:, J],
+    R = B[I, :]) is checked on every entry.  By Sylvester's determinant
+    identity char(b_hat)(lambda) = mu^(n-4) det(mu K - R C) / delta at
+    mu = lambda + 1, so only the quartic factor is computed; it is compared
+    with (lambda - (d-1)) Phi_d, and n - 4 with 2d^2 - 2.  A rank other than
+    4 raises MatrixMismatchError.
+    """
+    rows = pushforward_b_hat(d).matrix.to_lists()
+    for i, row in enumerate(rows):
+        row[i] += 1
+    piv_rows, piv_cols = _skeleton_pivots(rows)
+    k = [[rows[i][j] for j in piv_cols] for i in piv_rows]
+    if len(k) < 4 or not _skeleton_holds(rows, piv_rows, piv_cols, k):
+        raise MatrixMismatchError(f"b_hat + I does not have rank 4 at d = {d}")
+    c_cols = [[row[j] for row in rows] for j in piv_cols]
+    rc = [[sum(map(operator.mul, rows[i], col)) for col in c_cols] for i in piv_rows]
+    # det(mu K - R C) at mu = lambda + 1 is delta times a monic integer quartic:
+    # char(B) / mu^(n-4), so the division by its leading coefficient is exact
+    pencil = _det([[IntPoly([a - b, a]) for a, b in zip(*pair)] for pair in zip(k, rc)], IntPoly([1]))
+    quartic = IntPoly([c // pencil.coeffs[-1] for c in pencil.coeffs])
+    exponent = len(rows) - 4
+    chi = _times_lambda_plus_1_power(quartic, exponent)
     product = claimed_factorization(d)
-    ok = chi.coeffs == product.coeffs
+    ok = quartic == IntPoly([-(d - 1), 1]) * phi(d) and exponent == 2 * d * d - 2
     certificate = {
         "d": d,
         "char_poly": list(chi.coeffs),
@@ -298,18 +320,65 @@ def verify_factorization(d: int) -> tuple[bool, dict]:
     return ok, certificate
 
 
-def _psi(d: int) -> BigIntMatrix:
+def _skeleton_pivots(rows: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Rows I and columns J of a nonsingular block of side at most 4, by
+    fraction-free elimination in row order (fewer pivots: lower rank).  Each
+    reduced pivot row is zero in the earlier pivot columns, so the reduced
+    rows restricted to J are triangular with a nonzero diagonal."""
+    pivots, piv_rows = [], []
+    for i, row in enumerate(rows):
+        for col, pivot in pivots:
+            a, b = pivot[col], row[col]
+            if b:
+                row = [a * x - b * y for x, y in zip(row, pivot)]
+        if any(row):
+            pivots.append((next(j for j, x in enumerate(row) if x), row))
+            piv_rows.append(i)
+            if len(pivots) == 4:
+                break
+    return piv_rows, [col for col, _ in pivots]
+
+
+def _skeleton_holds(rows, piv_rows, piv_cols, k) -> bool:
+    """delta * B == C adj(K) R on every entry.  Row i of the right side is
+    (C_i adj K) R, so rows with equal C_i adj K share one expansion."""
+    s = range(len(k))
+    adj = [[(-1) ** (i + j) * _det([r[:i] + r[i + 1 :] for r in k[:j] + k[j + 1 :]]) for j in s]
+           for i in s]
+    delta = _det(k)
+    r_cols = list(zip(*(rows[i] for i in piv_rows)))
+    expanded = {}
+    for row in rows:
+        c_adj = tuple(sum(row[j] * adj[a][b] for a, j in enumerate(piv_cols)) for b in s)
+        if c_adj not in expanded:
+            expanded[c_adj] = [sum(map(operator.mul, c_adj, col)) for col in r_cols]
+        if expanded[c_adj] != [delta * x for x in row]:
+            return False
+    return True
+
+
+def _det(a: list, one=1):
+    """Determinant of a small square matrix by the Leibniz formula; with
+    one = IntPoly([1]) the entries may be polynomials."""
+    total = one - one
+    for perm in itertools.permutations(range(len(a))):
+        term = one
+        for i, j in enumerate(perm):
+            term = term * a[i][j]
+        odd = sum(p > q for at, p in enumerate(perm) for q in perm[at + 1 :]) % 2
+        total = total - term if odd else total + term
+    return total
+
+
+def _psi(d: int) -> dict:
     """Block-diagonal involution: identity on the fiber classes, and on each
     exceptional block the matrix with first row all ones and -1 diagonal below."""
     inf0, isop0, _isom0, n = _block_ranges(d)
-    rows = [[0] * n for _ in range(n)]
-    rows[0][0] = rows[1][1] = 1
+    entries = {(0, 0): 1, (1, 1): 1}
     for start, stop in ((inf0, isop0), (isop0, n)):
-        for j in range(start, stop):
-            rows[start][j] = 1
-        for j in range(start + 1, stop):
-            rows[j][j] = -1
-    return BigIntMatrix.from_rows(rows)
+        entries.update(((start, j), 1) for j in range(start, stop))
+        entries.update(((j, j), -1) for j in range(start + 1, stop))
+    return entries
 
 
 def _pi_permutation(d: int) -> list[int]:
@@ -343,28 +412,22 @@ def verify_conjugation(d: int) -> tuple[bool, dict]:
       (iii) the upper-left 4x4 block is the explicit matrix A;
       (iv)  char(A) = (lambda - (d - 1)) * Phi_d(lambda).
     """
-    m = pushforward_b_hat(d).matrix
-    n = m.rows
-    psi = _psi(d)
-    psi_sq_ok = (psi @ psi).entries == BigIntMatrix.identity(n).entries
+    m = _nonzero_rows(pushforward_b_hat(d).matrix)
+    n = len(m)
+    psi = _sparse_rows(d, _psi(d))
+    psi_sq_ok = _sparse_product(psi, psi) == [[(i, 1)] for i in range(n)]
 
-    conj = psi @ m @ psi  # Psi = Psi^{-1}
+    conj = _sparse_product(_sparse_product(psi, m), psi)  # Psi = Psi^{-1}
     order = _pi_permutation(d)
-    permuted = BigIntMatrix.from_rows(
-        [[conj[order[i], order[j]] for j in range(n)] for i in range(n)]
-    )
+    new_index = {old: new for new, old in enumerate(order)}
+    permuted = [sorted((new_index[j], v) for j, v in conj[old]) for old in order]
 
-    upper_right_zero = all(
-        permuted[i, j] == 0 for i in range(4) for j in range(4, n)
-    )
+    upper_right_zero = all(j < 4 for row in permuted[:4] for j, _ in row)
     lower_right_neg_identity = all(
-        permuted[i, j] == (-1 if i == j else 0)
-        for i in range(4, n)
-        for j in range(4, n)
+        [(j, v) for j, v in row if j >= 4] == [(i, -1)]
+        for i, row in enumerate(permuted[4:], start=4)
     )
-    a_block = BigIntMatrix.from_rows(
-        [[permuted[i, j] for j in range(4)] for i in range(4)]
-    )
+    a_block = BigIntMatrix.from_rows([[dict(row).get(j, 0) for j in range(4)] for row in permuted[:4]])
     a_expected = conjugation_block_a(d)
     a_ok = a_block.entries == a_expected.entries
     chi_a = char_poly(a_block)

@@ -3,6 +3,7 @@
 import json
 import pathlib
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -308,3 +309,70 @@ def test_phase_sampling_exhaustion_is_input_error(monkeypatch, tmp_path, capsys)
                 "--out", out]) == 1
     assert len(_single_error_line(capsys.readouterr().err)) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral", "--d", 23],
+    ["spectral", "--d", 12, "--m-max", 201],
+    ["spectral", "--curve", DATA / "circle.json"],
+    ["orbit", "--curve", DATA / "circle.json"],
+    ["confine", "--curve", DATA / "ellipse.json", "--samples", 0],
+    ["confine", "--curve", DATA / "ellipse.json", "--scratch-index", 99],
+    ["confine", "--curve", DATA / "ellipse.json", "--samples", 1],
+    ["confine", "--curve", DATA / "ellipse.json", "--eps", "bogus"],
+    ["confine", "--curve", DATA / "ellipse.json", "--eps", "1e-2,2e-2,3e-2"],
+    ["form-check", "--curve", DATA / "ellipse.json", "--h", 0],
+    ["form-check", "--curve", DATA / "ellipse.json", "--samples", 0],
+    ["form-check", "--curve", DATA / "circle.json", "--samples", 1],
+    ["scratch", "--curve", DATA / "circle.json"],
+], ids=lambda argv: " ".join(str(a) for a in argv[:3]))
+def test_every_refusal_prints_one_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", out]) == 1
+    assert len(_single_error_line(capsys.readouterr().err)) == 1
+    assert not out.exists()
+
+
+def test_a_census_mismatch_prints_one_error_line(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "enumerate_scratch_points", lambda curve: [])
+    assert run(["scratch", "--curve", DATA / "ellipse.json", "--out", tmp_path / "s.json"]) == 2
+    lines = _single_error_line(capsys.readouterr().err)
+    assert len(lines) == 1 and "census mismatch" in lines[0]
+
+
+def test_a_failed_certificate_is_named(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "verify_conjugation", lambda d: (False, {}))
+    out = tmp_path / "spec.json"
+    assert run(["spectral", "--d", 3, "--out", out]) == 2
+    assert json.loads(out.read_text())["char_poly_verified"] is True
+    lines = _single_error_line(capsys.readouterr().err)
+    assert lines == ["error: failed certificate: conjugation_verified"]
+
+
+def test_spectral_at_the_largest_accepted_degree(tmp_path):
+    d = cli.MAX_SPECTRAL_DEGREE
+    out = tmp_path / "spec.json"
+    assert run(["spectral", "--d", d, "--out", out]) == 0
+    data = json.loads(out.read_text())
+    assert data["char_poly_verified"] is True and data["conjugation_verified"] is True
+    lo, hi = spectral.rho_bracket(d)
+    assert lo < data["rho"] < hi
+
+
+def _failing_report(*args, **kwargs):
+    return SimpleNamespace(passed=lambda: False, to_dict=lambda: {})
+
+
+@pytest.mark.parametrize("patches,argv", [
+    ({}, ["genericity", "--curve", DATA / "circle.json"]),
+    ({"check_invariance": lambda *a, **k: SimpleNamespace(
+        residual_h=1.0, residual_h2=1.0, order_estimate=0.0)},
+     ["form-check", "--curve", DATA / "ellipse.json", "--samples", 1]),
+    ({"confinement_experiment_infinity_multi": _failing_report},
+     ["confine", "--curve", DATA / "ellipse.json", "--samples", 1, "--scratch-index", 0]),
+], ids=["genericity", "form-check", "confine"])
+def test_a_failed_gate_prints_one_error_line(monkeypatch, tmp_path, capsys, patches, argv):
+    for name, fake in patches.items():
+        monkeypatch.setattr(cli, name, fake)
+    assert run([*argv, "--out", tmp_path / "out"]) == 2
+    assert len(_single_error_line(capsys.readouterr().err)) == 1

@@ -1,0 +1,102 @@
+"""The rank-4 skeleton certificate of ``verify_factorization`` against the
+general characteristic-polynomial path, and against mutated pushforwards."""
+
+import json
+
+import pytest
+
+from algbilliards import spectral
+from algbilliards.cli import main
+from algbilliards.numerics import BigIntMatrix, char_poly, exact_rank
+from algbilliards.spectral import (
+    MatrixMismatchError,
+    PushforwardMatrix,
+    claimed_factorization,
+    divisor_basis,
+    pushforward_b_hat,
+    verify_conjugation,
+    verify_factorization,
+)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_general_char_poly_agrees_with_the_rank_4_certificate(d):
+    # the CRT Hessenberg path shares no code with the skeleton certificate
+    chi = char_poly(pushforward_b_hat(d).matrix)
+    assert chi == claimed_factorization(d)
+    ok, cert = verify_factorization(d)
+    assert ok and cert["char_poly"] == list(chi.coeffs)
+
+
+def _mutate(monkeypatch, d, changes):
+    """Make spectral.pushforward_b_hat(d) return b_hat with the {(i, j): value} entries set."""
+    rows = pushforward_b_hat(d).matrix.to_lists()
+    for (i, j), value in changes.items():
+        rows[i][j] = value
+    mutated = BigIntMatrix.from_rows(rows)
+    monkeypatch.setattr(
+        spectral, "pushforward_b_hat", lambda _d: PushforwardMatrix(divisor_basis(d), mutated, "b_hat")
+    )
+    return mutated
+
+
+def _plus_identity(m):
+    return BigIntMatrix.from_rows(
+        [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(m.to_lists())]
+    )
+
+
+def _first_iso(d):
+    return divisor_basis(d).index("Eiso+1")
+
+
+def _error_lines(err):
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+def test_an_entry_off_the_rank_4_pattern_is_a_mismatch(monkeypatch, tmp_path, capsys):
+    iso = _first_iso(4)
+    mutated = _mutate(monkeypatch, 4, {(iso + 1, iso + 2): 1})
+    assert exact_rank(_plus_identity(mutated)) == 5
+    with pytest.raises(MatrixMismatchError, match="rank 4"):
+        verify_factorization(4)
+    out = tmp_path / "spec.json"
+    assert main(["spectral", "--d", "4", "--out", str(out)]) == 2
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and "rank 4" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_a_rank_4_perturbation_of_the_quartic_fails_the_certificate(monkeypatch, d):
+    mutated = _mutate(monkeypatch, d, {(0, 0): d})  # b_hat[0][0] is d - 1
+    assert exact_rank(_plus_identity(mutated)) == 4
+    ok, cert = verify_factorization(d)
+    assert not ok
+    assert cert["char_poly"] == list(char_poly(mutated).coeffs) != cert["claimed_product"]
+
+
+def test_a_failed_char_poly_certificate_exits_2_and_says_so(monkeypatch, tmp_path, capsys):
+    # at d = 2 rho needs no power iteration, so the payload is still written
+    _mutate(monkeypatch, 2, {(0, 0): 2})
+    out = tmp_path / "spec.json"
+    assert main(["spectral", "--d", "2", "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["char_poly_verified"] is False
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and "char_poly_verified" in lines[0]
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("flag,offset,value", [
+    # Psi maps the first iso column to itself: only the upper-right block moves
+    ("upper_right_zero", (0, 1), 1),
+    # the sign of a later iso diagonal entry moves the lower-right block
+    ("lower_right_neg_identity", (1, 1), 1),
+], ids=["upper_right", "lower_right"])
+def test_an_off_block_entry_fails_the_conjugation_certificate(monkeypatch, d, flag, offset, value):
+    iso = _first_iso(d)
+    _mutate(monkeypatch, d, {(iso + offset[0], iso + offset[1]): value})
+    ok, cert = verify_conjugation(d)
+    assert not ok and cert[flag] is False
+    assert cert["a_matches_display"] and cert["chi_a_matches"] and cert["psi_involution"]
