@@ -38,6 +38,7 @@ __all__ = [
     "DegenerateSystemError",
     "DegenerateNewtonError",
     "proj_point",
+    "proj_points",
     "point_order_key",
     "proj_distance",
     "direction_distance",
@@ -110,7 +111,17 @@ def proj_point(x0, x1, x2) -> ProjPoint:
         raise ValueError("projective point cannot be the zero triple")
     idx = mags.index(big)
     pivot = v[idx]
-    return ProjPoint(tuple(z / pivot for z in v))
+    coords = [z / pivot for z in v]
+    coords[idx] = 1 + 0j  # z / z can leave imaginary noise
+    return ProjPoint(tuple(coords))
+
+
+def proj_points(v: np.ndarray) -> np.ndarray:
+    """``proj_point`` on every row of an (M, 3) stack, as a new (M, 3) array."""
+    pivots = np.abs(v).argmax(axis=1) + np.arange(0, v.size, 3)
+    out = v / v.take(pivots)[:, None]
+    out.put(pivots, 1)
+    return out
 
 
 def point_order_key(coords) -> tuple[float, float, float, float]:
@@ -120,13 +131,14 @@ def point_order_key(coords) -> tuple[float, float, float, float]:
 
 
 def proj_distance(p: ProjPoint, q: ProjPoint) -> float:
-    """Chordal (sine of Fubini-Study) distance between projective points."""
-    a = np.array(p.coords)
-    b = np.array(q.coords)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    cross = np.abs(np.outer(a, b) - np.outer(b, a))
-    return float(np.linalg.norm(cross) / (math.sqrt(2) * na * nb))
+    """Chordal (sine of Fubini-Study) distance between projective points:
+    the norm of the three 2x2 minors of (p, q) over the product of norms."""
+    a0, a1, a2 = p.coords
+    b0, b1, b2 = q.coords
+    wedge = math.hypot(abs(a0 * b1 - a1 * b0), abs(a0 * b2 - a2 * b0), abs(a1 * b2 - a2 * b1))
+    na = math.hypot(abs(a0), abs(a1), abs(a2))
+    nb = math.hypot(abs(b0), abs(b1), abs(b2))
+    return wedge / (na * nb)
 
 
 def direction_distance(u: tuple[complex, complex], v: tuple[complex, complex]) -> float:
@@ -158,9 +170,12 @@ ISOTROPIC_MINUS = normalize_pair(1, -1j)
 
 
 class _Form:
-    """Numeric homogeneous form: exponent rows and complex coefficients."""
+    """Numeric homogeneous form: exponent rows and complex coefficients, and
+    the same for (F, dF/dX0, dF/dX1, dF/dX2) over the monomials of degree d
+    and d - 1, as rows v of flat indices v * (d + 1) + e_v into a table of
+    powers."""
 
-    __slots__ = ("exps", "coeffs", "degree", "scale")
+    __slots__ = ("exps", "coeffs", "degree", "scale", "roots", "_index", "_grad_index", "_grad_coeffs")
 
     def __init__(self, terms: dict[tuple[int, int, int], complex], degree: int):
         items = sorted((e, c) for e, c in terms.items() if c != 0)
@@ -172,51 +187,43 @@ class _Form:
             self.coeffs = np.zeros(0, dtype=complex)
         self.degree = degree
         self.scale = float(np.max(np.abs(self.coeffs))) if len(items) else 0.0
+        grad: dict[tuple[int, int, int], list[complex]] = {e: [c, 0j, 0j, 0j] for e, c in items}
+        for e, c in items:
+            for var in range(3):
+                if e[var]:
+                    low = tuple(k - (v == var) for v, k in enumerate(e))
+                    grad.setdefault(low, [0j] * 4)[var + 1] += e[var] * c
+        omega = cmath.exp(2j * math.pi / (degree + 1))
+        self.roots = np.array([omega**j for j in range(degree + 1)])  # sample nodes of a line
+        offsets = np.arange(3) * (degree + 1)
+        self._index = (self.exps + offsets).T.copy()
+        self._grad_index = (np.array(list(grad), dtype=np.int64).reshape(-1, 3) + offsets).T.copy()
+        self._grad_coeffs = np.array(list(grad.values()), dtype=complex).reshape(-1, 4)
 
-    def __call__(self, x0, x1, x2) -> complex:
-        if len(self.coeffs) == 0:
-            return 0j
-        x = np.array([x0, x1, x2], dtype=complex)
-        mono = np.prod(x[None, :] ** self.exps, axis=1)
-        return complex(mono @ self.coeffs)
-
-    def partial(self, var: int) -> "_Form":
-        terms: dict[tuple[int, int, int], complex] = {}
-        for e, c in zip(self.exps, self.coeffs):
-            k = int(e[var])
-            if k == 0:
-                continue
-            ne = list(int(v) for v in e)
-            ne[var] = k - 1
-            key = tuple(ne)
-            terms[key] = terms.get(key, 0j) + k * c
-        return _Form(terms, max(self.degree - 1, 0))
-
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 0
-
-    def affine_array(self) -> np.ndarray:
-        """Coefficient array a[i, j] of F(x, y, 1) = sum a[i,j] x^i y^j."""
-        d = self.degree
-        a = np.zeros((d + 1, d + 1), dtype=complex)
-        for e, c in zip(self.exps, self.coeffs):
-            a[int(e[0]), int(e[1])] += c
-        return a
+    def values(self, points, grad: bool = False) -> np.ndarray:
+        """F at each row of an (M, 3) stack of points, shape (M,); with
+        ``grad`` the columns (F, dF/dX0, dF/dX1, dF/dX2), shape (M, 4)."""
+        x = np.asarray(points, dtype=complex).reshape(-1, 3)
+        table = (x[:, :, None] ** np.arange(self.degree + 1)).reshape(len(x), 3 * self.degree + 3)
+        index, coeffs = (self._grad_index, self._grad_coeffs) if grad else (self._index, self.coeffs)
+        mono = table.take(index[0], axis=1)
+        mono *= table.take(index[1], axis=1)
+        mono *= table.take(index[2], axis=1)
+        return mono @ coeffs
 
 
 @dataclass(frozen=True)
 class PlaneCurve:
     """Homogeneous plane curve of degree >= 2 with exact rational+i*rational coefficients.
 
-    The exact coefficients are retained verbatim; the numeric form and its
-    cached first partial derivatives are built eagerly at construction, so
-    instances are immutable and cheap to share.
+    The exact coefficients are retained verbatim; the numeric form, with the
+    table of its first partial derivatives, is built eagerly at construction,
+    so instances are immutable and cheap to share.
     """
 
     degree: int
     coeffs: dict[tuple[int, int, int], tuple[Fraction, Fraction]]
     _form: _Form = field(repr=False, compare=False)
-    _partials: tuple[_Form, _Form, _Form] = field(repr=False, compare=False)
 
     @staticmethod
     def from_coeffs(degree: int, coeffs) -> "PlaneCurve":
@@ -240,42 +247,51 @@ class PlaneCurve:
             numeric[(i, j, k)] = complex(float(re), float(im))
         if not exact:
             raise CurveError("curve form must have a nonzero coefficient")
-        form = _Form(numeric, degree)
-        partials = (form.partial(0), form.partial(1), form.partial(2))
-        return PlaneCurve(degree, exact, form, partials)
+        return PlaneCurve(degree, exact, _Form(numeric, degree))
 
     # numeric access -------------------------------------------------------
 
+    def form_values(self, points, grad: bool = False) -> np.ndarray:
+        """F, or with ``grad`` the columns (F, dF/dX0, dF/dX1, dF/dX2), at
+        each row of an (M, 3) stack of points."""
+        return self._form.values(points, grad)
+
     def form_value(self, x0, x1, x2) -> complex:
-        return self._form(x0, x1, x2)
+        return complex(self._form.values((x0, x1, x2))[0])
 
     def gradient(self, x0, x1, x2) -> tuple[complex, complex, complex]:
-        return tuple(p(x0, x1, x2) for p in self._partials)
+        return tuple(self._form.values((x0, x1, x2), grad=True)[0, 1:].tolist())
 
     def scale(self) -> float:
         return self._form.scale
 
     def restrict_to_line(self, base, direction) -> ComplexPoly:
         """Coefficients (ascending) of t -> F(base + t * direction)."""
-        d = self.degree
-        n = d + 1
-        omega = cmath.exp(2j * math.pi / n)
-        b = np.array(base, dtype=complex)
-        v = np.array(direction, dtype=complex)
-        vals = np.array(
-            [self.form_value(*(b + (omega**j) * v)) for j in range(n)], dtype=complex
-        )
-        # samples are at omega^j, so coefficient recovery is a forward DFT / n
-        coeffs = np.fft.fft(vals) / n
-        return ComplexPoly(list(coeffs))
+        return ComplexPoly(list(self.restrict_to_lines([base], [direction])[0]))
+
+    def restrict_to_lines(self, bases, directions) -> np.ndarray:
+        """Ascending coefficients of t -> F(base + t * direction) for each row
+        of two (N, 3) stacks, as an (N, d + 1) array.
+
+        The form is sampled at t = omega^j, the (d + 1)-th roots of unity,
+        all (d + 1) N points in one evaluation; the coefficients are the
+        forward DFT of each line's samples over d + 1.
+        """
+        omega = self._form.roots
+        b = np.asarray(bases, dtype=complex)
+        v = np.asarray(directions, dtype=complex)
+        samples = b[:, None, :] + omega[:, None] * v[:, None, :]
+        vals = self._form.values(samples.reshape(-1, 3)).reshape(len(b), len(omega))
+        return np.fft.fft(vals, axis=1) / len(omega)
 
     def affine_arrays(self):
         """(F, F_x, F_y) of the affine dehomogenization, as 2-d coefficient arrays."""
-        return (
-            self._form.affine_array(),
-            self._partials[0].affine_array(),
-            self._partials[1].affine_array(),
-        )
+        d = self.degree
+        out = np.zeros((3, d + 1, d + 1), dtype=complex)
+        i, j, _ = self._form._grad_index - np.arange(3)[:, None] * (d + 1)
+        for a, column in zip(out, self._form._grad_coeffs.T):
+            np.add.at(a, (i, j), column)
+        return out[0], out[1, :d, :d], out[2, :d, :d]
 
 
 def curve_from_affine(degree: int, affine_coeffs) -> PlaneCurve:

@@ -10,7 +10,6 @@ and floating point is never allowed to leak in.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +25,7 @@ __all__ = [
     "NotARootError",
     "NoSignChangeError",
     "find_roots",
+    "monic_roots",
     "deflate_root",
     "char_poly",
     "bracketed_largest_root",
@@ -34,16 +34,16 @@ __all__ = [
 
 LEADING_ZERO_TOL = 1e-12
 CLUSTER_REL_TOL = 1e-6
+COARSE_CLUSTER_REL_TOL = 1e-4
 ROOT_RESIDUAL_TOL = 1e-8
 DEFLATE_RESIDUAL_TOL = 1e-6
-MAX_ABERTH_SWEEPS = 500
 BRACKET_TOL = 1e-12
 BRACKET_SAMPLES = 64
 MAX_MATRIX_SIDE = 1000
 
 
 class NonConvergenceError(RuntimeError):
-    """Simultaneous root iteration failed to converge; input is likely ill-conditioned."""
+    """The eigenvalue iteration for roots failed to converge; input is likely ill-conditioned."""
 
 
 class NotARootError(ValueError):
@@ -131,17 +131,8 @@ def _eval_magnitude_scale(coeffs, z: complex) -> float:
     return max(1.0, s)
 
 
-def _initial_guesses(monic: tuple[complex, ...]) -> list[complex]:
-    n = len(monic) - 1
-    radius = 1.0 + max(abs(c) for c in monic[:-1]) if n > 0 else 1.0
-    r = 0.7 * radius + 0.3
-    return [
-        r * cmath.exp(2j * math.pi * (j + 0.3419) / n + 0.401j) for j in range(n)
-    ]
-
-
 def find_roots(p: ComplexPoly) -> list[RootCluster]:
-    """All roots of ``p`` with multiplicity, via Aberth simultaneous iteration.
+    """All roots of ``p`` with multiplicity, from ``monic_roots``.
 
     Approximations within ``CLUSTER_REL_TOL * (1 + max |root|)`` of each other
     are merged into one cluster; genuinely multiple roots whose approximations
@@ -150,7 +141,7 @@ def find_roots(p: ComplexPoly) -> list[RootCluster]:
     with a multiplicity-corrected Newton step and checking that the polynomial
     sits at rounding level there.
 
-    Raises NonConvergenceError after ``MAX_ABERTH_SWEEPS`` sweeps.
+    Raises NonConvergenceError if the eigenvalue iteration fails.
     """
     n = p.degree
     if n < 1:
@@ -165,42 +156,8 @@ def find_roots(p: ComplexPoly) -> list[RootCluster]:
         r = -monic[0]
         return [RootCluster(r, 1, abs(p(r)) / max(1.0, abs(lead)))]
 
-    z = _initial_guesses(monic)
     mp = ComplexPoly(monic)
-    eps = np.finfo(float).eps
-    converged = [False] * n
-    for _sweep in range(MAX_ABERTH_SWEEPS):
-        moved = 0.0
-        for j in range(n):
-            pj, dpj = mp.eval_with_derivative(z[j])
-            if abs(pj) <= 8.0 * (n + 1) * eps * _eval_magnitude_scale(monic, z[j]):
-                converged[j] = True
-                continue
-            if dpj == 0:
-                z[j] += 1e-8 * (1.0 + abs(z[j]))
-                moved = max(moved, 1.0)
-                continue
-            newton = pj / dpj
-            s = 0j
-            for k in range(n):
-                if k != j:
-                    dz = z[j] - z[k]
-                    if dz == 0:
-                        dz = 1e-12 * (1.0 + abs(z[j]))
-                    s += 1.0 / dz
-            denom = 1.0 - newton * s
-            step = newton if abs(denom) < 1e-14 else newton / denom
-            z[j] -= step
-            moved = max(moved, abs(step) / (1.0 + abs(z[j])))
-            converged[j] = False
-        if all(converged) or moved < 1e-14:
-            break
-    else:
-        raise NonConvergenceError(
-            f"Aberth iteration did not converge in {MAX_ABERTH_SWEEPS} sweeps"
-        )
-
-    clusters = _cluster_roots(mp, z)
+    clusters = _cluster_roots(mp, monic_roots(np.array([monic[:-1]]))[0].tolist())
     lead_abs = max(1.0, abs(lead))
     out = []
     for value, mult in clusters:
@@ -208,6 +165,36 @@ def find_roots(p: ComplexPoly) -> list[RootCluster]:
         out.append(RootCluster(value, mult, abs(p(value)) / lead_abs))
     out.sort(key=lambda rc: (rc.value.real, rc.value.imag))
     return out
+
+
+def monic_roots(monic: np.ndarray) -> np.ndarray:
+    """The n roots of each monic row, given as its low coefficients (N, n).
+
+    Eigenvalues of the stacked companion matrices (Edelman and Murakami,
+    Math. Comp. 1995), then one Newton step, kept only where it lowers |p|.
+    Raises NonConvergenceError if LAPACK's QR iteration fails.
+    """
+    n = monic.shape[1]
+    if n == 1:
+        return -monic
+    companion = np.zeros((len(monic), n, n), dtype=complex)
+    companion.reshape(len(monic), n * n)[:, n :: n + 1] = 1  # the subdiagonal
+    companion[:, :, -1] = -monic
+    try:
+        z = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"companion eigenvalues: {exc}") from exc
+
+    def horner(z):
+        p, dp = z + monic[:, -1:], 1.0
+        for k in range(n - 2, -1, -1):
+            dp, p = dp * z + p, p * z + monic[:, k, None]
+        return p, dp
+
+    p, dp = horner(z)
+    with np.errstate(all="ignore"):
+        z_new = z - p / dp
+    return np.where(np.abs(horner(z_new)[0]) < np.abs(p), z_new, z)
 
 
 def _cluster_roots(mp: ComplexPoly, roots: list[complex]) -> list[tuple[complex, int]]:
@@ -218,7 +205,7 @@ def _cluster_roots(mp: ComplexPoly, roots: list[complex]) -> list[tuple[complex,
     # Second pass: genuine multiple roots leave a cloud wider than tol but
     # narrower than the spacing of distinct roots.  Merge groups whose common
     # centroid evaluates to rounding noise after multiplicity-aware polishing.
-    coarse_tol = max(tol, 1e-4 * (1.0 + big))
+    coarse_tol = max(tol, COARSE_CLUSTER_REL_TOL * (1.0 + big))
     merged = True
     while merged:
         merged = False

@@ -19,8 +19,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .curve import (
     ON_CURVE_TOL,
+    SINGULAR_GRADIENT_TOL,
     CurveError,
     PlaneCurve,
     ProjPoint,
@@ -29,9 +32,11 @@ from .curve import (
     point_order_key,
     proj_distance,
     proj_point,
+    proj_points,
     tangent_at,
 )
-from .numerics import ComplexPoly, RootCluster, deflate_root, find_roots
+from .numerics import COARSE_CLUSTER_REL_TOL, LEADING_ZERO_TOL, ComplexPoly, RootCluster
+from .numerics import deflate_root, find_roots, monic_roots
 
 __all__ = [
     "DirectionPoint",
@@ -240,8 +245,22 @@ class BranchSet:
         return [b.point for b in self.images]
 
 
-def _sorted_branches(branches) -> tuple[Branch, ...]:
-    return tuple(sorted(branches, key=lambda b: point_order_key(b.point.c.coords)))
+def _stack(xs) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, 3) arrays of base points and of directions of a list of states."""
+    cq = np.array([x.c.coords + x.q.q for x in xs], dtype=complex).reshape(-1, 6)
+    return cq[:, :3], cq[:, 3:]
+
+
+def _direction(q) -> DirectionPoint:
+    """The DirectionPoint of a normalized conic point given as a coordinate list."""
+    return DirectionPoint(q=tuple(q), is_isotropic=abs(q[2]) < ISOTROPIC_Q2_TOL)
+
+
+def _one(result):
+    """The result of a one-state call of a stacked step, or raise its PhaseError."""
+    if isinstance(result, PhaseError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -252,23 +271,23 @@ def _sorted_branches(branches) -> tuple[Branch, ...]:
 def secant_scratch_proximity(curve: PlaneCurve, x: PhasePoint) -> float:
     """Distance in chart coordinates to the secant indeterminacy condition
     (base point at infinity with the line direction equal to its tangent)."""
-    return _scratch_proximity(curve, x, abs(x.c.coords[2]))
+    return _scratch_proximity(curve, x.c, x.q.slope_pair, abs(x.c.coords[2]))
 
 
 def reflect_scratch_proximity(curve: PlaneCurve, x: PhasePoint) -> float:
     """Distance to the reflection indeterminacy condition (isotropic q equal
     to the tangent direction at an isotropic tangency point)."""
-    return _scratch_proximity(curve, x, abs(x.q.q[2]))
+    return _scratch_proximity(curve, x.c, x.q.slope_pair, abs(x.q.q[2]))
 
 
-def _scratch_proximity(curve: PlaneCurve, x: PhasePoint, dist: float) -> float:
+def _scratch_proximity(curve: PlaneCurve, c: ProjPoint, slope, dist: float) -> float:
     if dist > SCRATCH_SOFT_TOL:
         return dist
     try:
-        td = tangent_at(curve, x.c)
+        td = tangent_at(curve, c)
     except CurveError:
         return dist
-    return max(dist, direction_distance(x.q.slope_pair, td.tangent))
+    return max(dist, direction_distance(slope, td.tangent))
 
 
 # ---------------------------------------------------------------------------
@@ -358,38 +377,79 @@ def secant(curve: PlaneCurve, x: PhasePoint) -> BranchSet:
     at an affine point computed from the well-conditioned line offset
     cross(q, c) / c2, and the base root is removed by cluster matching
     instead of a coefficient shift.
+
+    This is the one-state call of the stacked step ``_secant_rows``.
     """
+    images, ill = _secant_rows(curve, [x], *_stack([x]))
+    branches = tuple(Branch(PhasePoint(c=ProjPoint(p), q=x.q), m) for p, m in _one(images[0]))
+    return BranchSet(source=x, op_tag="secant", images=branches, ill_conditioned=ill[0])
+
+
+def _secant_rows(curve: PlaneCurve, xs, c: np.ndarray, q: np.ndarray) -> tuple[list, list]:
+    """Secant images of the states xs, with (N, 3) stacks c and q: per state
+    its (coords, multiplicity) pairs in point order or the PhaseError it
+    raised, and its ill_conditioned flag.  All states take the stacked path
+    (base root t = 0 dropped, the others from ``monic_roots``); a state near
+    infinity, or failing a gate of ``_line_polynomial`` or ``find_roots``'
+    coarse cluster radius, takes the per-state code ``_secant_one``."""
+    d = curve.degree
+    line = q * _DROP_Q2
+    coeffs = curve.restrict_to_lines(c, line)
+    mag = np.abs(coeffs)
+    top = mag.max(axis=1)
+    ok = (
+        (np.abs(c[:, 2]) >= _near_infinity_band(d))
+        & (top > 1e-12 * max(1.0, curve.scale()))
+        & (mag[:, 0] <= 1e-6 * top)
+        & (mag[:, -1] > np.maximum(1e-9 * top, LEADING_ZERO_TOL))
+    )
+    with np.errstate(all="ignore"):
+        t = monic_roots(np.where(ok[:, None], coeffs[:, 1:-1] / coeffs[:, -1:], 0))
+        if d > 2:
+            gap = np.abs(t[:, :, None] - t[:, None, :]) + np.diag(np.full(d - 1, np.inf))
+            ok &= gap.min(axis=(1, 2)) > COARSE_CLUSTER_REL_TOL * (1.0 + np.abs(t).max(axis=1))
+        pts = c[:, None, :] + t[:, :, None] * line[:, None, :]
+        pts[:, :, 2] = c[:, None, 2]
+        pts = proj_points(pts.reshape(-1, 3)).reshape(len(c), d - 1, 3).tolist()
+    images, ill = [], [False] * len(xs)
+    for i, clear in enumerate(ok.tolist()):
+        if clear:
+            images.append([(tuple(p), 1) for p in sorted(pts[i], key=point_order_key)])
+            continue
+        try:
+            found, ill[i] = _secant_one(curve, xs[i])
+        except PhaseError as exc:
+            found = exc
+        images.append(found)
+    return images, ill
+
+
+_DROP_Q2 = np.array([1, 1, 0])
+
+
+def _secant_one(curve: PlaneCurve, x: PhasePoint) -> tuple[list, bool]:
+    """The per-state secant: (coords, multiplicity) pairs in point order, and
+    the ill_conditioned flag."""
     prox = secant_scratch_proximity(curve, x)
     if prox < SCRATCH_HARD_TOL:
         raise ScratchPointError(
             f"secant source is a scratch point at infinity (proximity {prox:.2e})"
         )
-    ill = prox < SCRATCH_SOFT_TOL
-
     d = curve.degree
     q0, q1, _ = x.q.q
-    c2 = x.c.coords[2]
     direction = (q0, q1, 0)
-    if ISOTROPIC_Q2_TOL < abs(c2) < _near_infinity_band(d):
+    if ISOTROPIC_Q2_TOL < abs(x.c.coords[2]) < _near_infinity_band(d):
         base, roots, at_direction = _secant_roots_reanchored(curve, x)
     else:
         base = x.c.coords
         roots, at_direction = line_intersections(curve, base, direction, remove=1)
-
-    branches = [
-        Branch(PhasePoint(c=line_point(base, direction, r.value), q=x.q), r.multiplicity)
-        for r in roots
-    ]
+    images = [(line_point(base, direction, r.value).coords, r.multiplicity) for r in roots]
     if at_direction > 0:
-        branches.insert(0, Branch(PhasePoint(c=proj_point(q0, q1, 0), q=x.q), at_direction))
-    out = BranchSet(
-        source=x, op_tag="secant", images=_sorted_branches(branches), ill_conditioned=ill
-    )
-    if out.total_multiplicity() != d - 1:
-        raise PhaseError(
-            f"secant images carry multiplicity {out.total_multiplicity()}, not d - 1 = {d - 1}"
-        )
-    return out
+        images.insert(0, (proj_point(q0, q1, 0).coords, at_direction))
+    total = sum(m for _, m in images)
+    if total != d - 1:
+        raise PhaseError(f"secant images carry multiplicity {total}, not d - 1 = {d - 1}")
+    return sorted(images, key=lambda im: point_order_key(im[0])), prox < SCRATCH_SOFT_TOL
 
 
 def _secant_roots_reanchored(
@@ -457,44 +517,75 @@ def reflect(curve: PlaneCurve, x: PhasePoint) -> BranchSet:
     isotropic configurations.  Isotropic q (one null component exactly
     zero) and isotropic tangents (the image escapes to an infinity point of
     the conic) are limits of the same formula.
+
+    This is the one-state call of the stacked step ``_reflect_rows``.
     """
-    if abs(x.c.coords[2]) < ISOTROPIC_Q2_TOL:
-        raise InfinityBasePointError("reflection base point lies at infinity")
-    prox = reflect_scratch_proximity(curve, x)
-    if prox < SCRATCH_HARD_TOL:
-        raise ScratchPointError(
-            f"reflection source is an isotropic scratch point (proximity {prox:.2e})"
-        )
-    ill = prox < SCRATCH_SOFT_TOL
+    images, ill, errors = _reflect_rows(curve, *_stack([x]))
+    if errors:
+        raise errors[0]
+    image = PhasePoint(c=x.c, q=_direction(images[0].tolist()))
+    return BranchSet(source=x, op_tag="reflect", images=(Branch(image, 1),), ill_conditioned=ill[0])
 
-    td = tangent_at(curve, x.c)
-    t0, t1 = td.tangent
-    q0, q1, q2 = x.q.q
 
-    tz = t0 + 1j * t1
-    tw = t0 - 1j * t1
-    vz = q0 + 1j * q1
-    vw = q0 - 1j * q1
+# (F, T_z, T_w) from (F, dF/dX0, dF/dX1, dF/dX2), T_z, T_w the null components of
+# the tangent [dF/dX1 : -dF/dX0]; (V_z, V_w, Q2) from q; q from (R_z, R_w, Q2)
+_TANGENT_NULL = np.array([[1, 0, 0], [0, -1j, 1j], [0, 1, 1], [0, 0, 0]])
+_DIRECTION_NULL = np.array([[1, 1, 0], [1j, -1j, 0], [0, 0, 1]])
+_NULL_DIRECTION = np.array([[0.5, -0.5j, 0], [0.5, 0.5j, 0], [0, 0, 1]])
+_CONIC_SIGNS = np.array([1, 1, -1])  # Q0^2 + Q1^2 - Q2^2
+# a row takes the stacked path when magnitude * sign > bound for |c2|, |q2|,
+# |F|, |T_z|, |T_w| (over the curve scale), |T_z / T_w|, |T_w / T_z| and the
+# conic residual of its image
+_REFLECT_SIGNS = np.array([1, 1, -1, 1, 1, 1, 1, -1])
+_REFLECT_BOUNDS = np.array([ISOTROPIC_Q2_TOL, SCRATCH_SOFT_TOL, -ON_CURVE_TOL,
+                            2 * SINGULAR_GRADIENT_TOL, 2 * SINGULAR_GRADIENT_TOL,
+                            1e-15, 1e-15, -CONIC_TOL])
+
+
+def _reflect_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
+    """Reflections of the states with (M, 3) stacks c and q by the product
+    formula, all rows at once: the normalized images, the ill_conditioned
+    flags and a map from a row to the PhaseError it raised.  A row outside
+    the (conservative) bounds gets a single state's checks, in its order."""
+    f_t = curve.form_values(c, grad=True) @ (_TANGENT_NULL / max(1.0, curve.scale()))
+    v = q @ _DIRECTION_NULL
     # the smaller null component of q is recovered from the conic relation
     # V_z V_w = Q2^2, which avoids the subtractive cancellation it carries
-    if abs(vz) < 1e-3 * abs(vw):
-        vz = q2 * q2 / vw
-    elif abs(vw) < 1e-3 * abs(vz):
-        vw = q2 * q2 / vz
-
-    tscale = max(abs(tz), abs(tw))
-    if abs(tw) < 1e-15 * tscale:
-        # tangent direction [1 : -i]: image is that isotropic point
-        image_q = direction_point(1, -1j, 0)
-    elif abs(tz) < 1e-15 * tscale:
-        image_q = direction_point(1, 1j, 0)
-    else:
-        rz = vw * tz / tw
-        rw = vz * tw / tz
-        image_q = direction_point((rz + rw) / 2, (rz - rw) / 2j, q2)
-
-    branch = Branch(PhasePoint(c=x.c, q=image_q), 1)
-    return BranchSet(source=x, op_tag="reflect", images=(branch,), ill_conditioned=ill)
+    v_mag = np.abs(v[:, :2])
+    small = v_mag < 1e-3 * v_mag[:, ::-1]
+    with np.errstate(all="ignore"):
+        if small.any():
+            v[:, :2] = np.where(small, v[:, 2:] * v[:, 2:] / v[:, 1::-1], v[:, :2])
+        ratio = f_t[:, 1:] / f_t[:, :0:-1]
+        v[:, :2] = v[:, 1::-1] * ratio
+        images = proj_points(v @ _NULL_DIRECTION)
+    conic = (images * images) @ _CONIC_SIGNS
+    mags = np.abs(np.concatenate((c[:, 2:], q[:, 2:], f_t, ratio, conic[:, None]), axis=1))
+    ok = mags * _REFLECT_SIGNS > _REFLECT_BOUNDS
+    ill, errors = [False] * len(c), {}
+    if ok.all():
+        return images, ill, errors
+    for r in np.flatnonzero(~ok.all(axis=1)).tolist():
+        base = ProjPoint(tuple(c[r].tolist()))
+        q0, q1, q2 = q[r].tolist()
+        tz, tw = mags[r, 3:5].tolist()
+        try:
+            if abs(base.coords[2]) < ISOTROPIC_Q2_TOL:
+                raise InfinityBasePointError("reflection base point lies at infinity")
+            prox = _scratch_proximity(curve, base, (q0, q1), abs(q2))
+            if prox < SCRATCH_HARD_TOL:
+                raise ScratchPointError(
+                    f"reflection source is an isotropic scratch point (proximity {prox:.2e})"
+                )
+            ill[r] = prox < SCRATCH_SOFT_TOL
+            tangent_at(curve, base)
+            if min(tz, tw) < 1e-15 * max(tz, tw):
+                # tangent direction [1 : -i] (or [1 : i]): the image is that isotropic point
+                images[r] = (1, -1j, 0) if tw < tz else (1, 1j, 0)
+            images[r] = direction_point(*images[r].tolist()).q
+        except PhaseError as exc:
+            errors[r] = exc
+    return images, ill, errors
 
 
 # ---------------------------------------------------------------------------
@@ -502,37 +593,47 @@ def reflect(curve: PlaneCurve, x: PhasePoint) -> BranchSet:
 # ---------------------------------------------------------------------------
 
 
+_TERMINATIONS = {InfinityBasePointError: "image_at_infinity", ScratchPointError: "isotropic_scratch"}
+
+
 def billiard_step(curve: PlaneCurve, x: PhasePoint) -> BranchSet:
     """Secant followed by reflection on every branch.
 
     Branches whose secant image cannot be reflected (image at infinity, or
     an isotropic scratch point downstream) are returned as terminated
-    branches with a reason, so multiplicity bookkeeping stays exact.
+    branches with a reason, so multiplicity bookkeeping stays exact.  This
+    is the one-state call of the stacked step ``_billiard_rows``.
     """
-    sec = secant(curve, x)
-    images: list[Branch] = []
-    terminated: list[TerminatedBranch] = []
-    for br in sec.images:
-        try:
-            ref = reflect(curve, br.point)
-        except InfinityBasePointError:
-            terminated.append(
-                TerminatedBranch(br.point, br.multiplicity, "image_at_infinity")
-            )
+    return _one(_billiard_rows(curve, [x])[0])
+
+
+def _billiard_rows(curve: PlaneCurve, xs) -> list:
+    """Billiard steps of the states xs (each a BranchSet or the PhaseError
+    it raised): one stacked secant, one stacked reflection of all images."""
+    if not xs:
+        return []
+    c, q = _stack(xs)
+    images, ill = _secant_rows(curve, xs, c, q)
+    rows = [(i, p, m) for i, im in enumerate(images) if isinstance(im, list) for p, m in im]
+    points = np.array([p for _, p, _ in rows], dtype=complex).reshape(-1, 3)
+    directions, _, errors = _reflect_rows(curve, points, q[[i for i, _, _ in rows]])
+    steps = [im if isinstance(im, PhaseError) else ([], []) for im in images]
+    for r, ((i, p, m), direction) in enumerate(zip(rows, directions.tolist())):
+        exc = errors.get(r)
+        reason = _TERMINATIONS.get(type(exc))
+        if isinstance(steps[i], PhaseError):
             continue
-        except ScratchPointError:
-            terminated.append(
-                TerminatedBranch(br.point, br.multiplicity, "isotropic_scratch")
-            )
-            continue
-        images.append(Branch(ref.images[0].point, br.multiplicity))
-    return BranchSet(
-        source=x,
-        op_tag="billiard",
-        images=_sorted_branches(images),
-        terminated=tuple(terminated),
-        ill_conditioned=sec.ill_conditioned,
-    )
+        if exc is None:
+            steps[i][0].append(Branch(PhasePoint(ProjPoint(p), _direction(direction)), m))
+        elif reason:
+            steps[i][1].append(TerminatedBranch(PhasePoint(ProjPoint(p), xs[i].q), m, reason))
+        else:
+            steps[i] = exc
+    return [
+        step if isinstance(step, PhaseError)
+        else BranchSet(x, "billiard", tuple(step[0]), tuple(step[1]), flag)
+        for x, step, flag in zip(xs, steps, ill)
+    ]
 
 
 def real_billiard_step(curve: PlaneCurve, x: PhasePoint) -> PhasePoint:
@@ -609,16 +710,13 @@ def orbit_tree(curve: PlaneCurve, x: PhasePoint, depth: int) -> OrbitTree:
         width *= curve.degree - 1
     levels: list[tuple[OrbitNode, ...]] = [(OrbitNode(x, -1, 1),)]
     for _level in range(depth):
+        prev = levels[-1]
+        live = [idx for idx, node in enumerate(prev) if node.terminated_reason is None]
         nxt: list[OrbitNode] = []
-        for idx, node in enumerate(levels[-1]):
-            if node.terminated_reason is not None:
-                continue
-            try:
-                step = billiard_step(curve, node.point)
-            except PhaseError as exc:
-                nxt.append(
-                    OrbitNode(node.point, idx, node.multiplicity, type(exc).__name__)
-                )
+        for idx, step in zip(live, _billiard_rows(curve, [prev[idx].point for idx in live])):
+            node = prev[idx]
+            if isinstance(step, PhaseError):
+                nxt.append(OrbitNode(node.point, idx, node.multiplicity, type(step).__name__))
                 continue
             for br in step.images:
                 nxt.append(OrbitNode(br.point, idx, node.multiplicity * br.multiplicity))

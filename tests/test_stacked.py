@@ -1,0 +1,200 @@
+"""The stacked geometry kernel: normalization, the chordal distance, properties
+over random generic curves, and orbit trees against single billiard steps."""
+
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from algbilliards.curve import (
+    PlaneCurve,
+    genericity_report,
+    on_curve_residual,
+    points_at_infinity,
+    proj_distance,
+    proj_point,
+    proj_points,
+)
+from algbilliards.numerics import find_roots
+from algbilliards.phase import (
+    PhaseError,
+    _billiard_rows,
+    billiard_step,
+    conic_residual,
+    direction_from_slope,
+    orbit_tree,
+    phase_distance,
+    phase_point,
+    reflect,
+    secant,
+)
+from algbilliards.sampling import sample_phase_points
+
+GATE = 1e-7  # the acceptance suite's geometry residual gate
+SAME = 1e-13  # stacked against one-state results, relative to normalized coordinates
+
+# the cubic of test_orbit_tree_records_terminated_branches, whose aimed state
+# has a secant image on the infinity line
+TERMINATING_CUBIC = (3, {(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 1, (1, 0, 2): 1, (0, 1, 2): 1})
+
+
+# ---------------------------------------------------------------------------
+# normalization and distance
+# ---------------------------------------------------------------------------
+
+
+def test_pivot_coordinate_is_exactly_one():
+    rng = random.Random(7)
+    triples = [
+        tuple(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3))
+        for _ in range(2000)
+    ]
+    # largest magnitudes tied: the first of them is the pivot
+    triples += [(3 + 4j, 5, -5j), (1 + 2j, 2 - 1j, 0.5), (-1j, 1, 0.25 + 0.5j), (2, 2, 2)]
+    stacked = proj_points(np.array(triples))
+    for v, row in zip(triples, stacked.tolist()):
+        mags = [abs(z) for z in v]
+        k = mags.index(max(mags))
+        for pivot in (proj_point(*v).coords[k], row[k]):
+            assert (pivot.real, pivot.imag, math.copysign(1.0, pivot.imag)) == (1.0, 0.0, 1.0)
+
+
+def _numpy_chordal(p, q):
+    a, b = np.array(p.coords), np.array(q.coords)
+    cross = np.abs(np.outer(a, b) - np.outer(b, a))
+    return float(np.linalg.norm(cross) / (math.sqrt(2) * np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def test_proj_distance_matches_the_outer_product_formula():
+    rng = random.Random(11)
+    for k in range(2000):
+        v = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
+        w = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
+        if k % 2:  # nearly equal points
+            w = [z + 1e-9 * u for z, u in zip(v, w)]
+        p, q = proj_point(*v), proj_point(*w)
+        expected = _numpy_chordal(p, q)
+        assert abs(proj_distance(p, q) - expected) <= 1e-14 + 1e-9 * expected
+
+
+# ---------------------------------------------------------------------------
+# properties over random generic curves
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def integer_curves(draw):
+    """A degree 2..6 form with integer coefficients in -9..9 on every monomial."""
+    d = draw(st.integers(2, 6))
+    monomials = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+    values = draw(st.lists(st.integers(-9, 9), min_size=len(monomials), max_size=len(monomials)))
+    return d, dict(zip(monomials, values))
+
+
+def generic_curve(case):
+    d, coeffs = case
+    assume(any(coeffs.values()))
+    curve = PlaneCurve.from_coeffs(d, coeffs)
+    assume(genericity_report(curve).all_ok())
+    return curve
+
+
+def aimed_state(curve):
+    """An affine state whose direction is the slope of a point at infinity of
+    the curve, so its line meets the curve on the infinity line."""
+    inf = points_at_infinity(curve)[0][0]
+    q = direction_from_slope((inf.coords[0], inf.coords[1]), 0)
+    t = find_roots(curve.restrict_to_line((0.2, -0.3, 1.0), (1.1, 0.4, 0.0)))[0].value
+    return phase_point(curve, proj_point(0.2 + 1.1 * t, -0.3 + 0.4 * t, 1.0), q)
+
+
+def collinearity_residual(x, y):
+    # 3x3 determinant [[c0, c0', q0], [c1, c1', q1], [c2, c2', 0]]
+    c, cp, q = x.c.coords, y.c.coords, x.q.q
+    return abs(q[0] * (c[1] * cp[2] - c[2] * cp[1]) - q[1] * (c[0] * cp[2] - c[2] * cp[0]))
+
+
+def _distance(a, b) -> float:
+    return max(abs(u - v) for u, v in zip(a.c.coords + a.q.q, b.c.coords + b.q.q))
+
+
+def assert_same_branches(got, want, tol=SAME):
+    """Equal (point, multiplicity, reason) multisets, points within tol."""
+    assert len(got) == len(want)
+    left = list(want)
+    for point, mult, reason in got:
+        k = min(range(len(left)), key=lambda j: _distance(point, left[j][0]))
+        match = left.pop(k)
+        assert (mult, reason) == match[1:]
+        assert _distance(point, match[0]) <= tol
+
+
+def _branches(step, scale=1):
+    return [(b.point, scale * b.multiplicity, None) for b in step.images] + [
+        (t.point, scale * t.multiplicity, t.reason) for t in step.terminated
+    ]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(integer_curves(), st.integers(0, 2**16))
+@example(TERMINATING_CUBIC, 0)
+def test_secant_and_reflect_properties(case, seed):
+    curve = generic_curve(case)
+    for x in sample_phase_points(curve, 4, seed):
+        sec = secant(curve, x)
+        assert sec.total_multiplicity() == curve.degree - 1
+        for br in sec.images:
+            assert on_curve_residual(curve, br.point.c) < GATE
+            assert collinearity_residual(x, br.point) < GATE
+        y = reflect(curve, x).images[0].point
+        assert conic_residual(*y.q.q) < GATE
+        assert phase_distance(reflect(curve, y).images[0].point, x) < GATE
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(integer_curves(), st.integers(0, 2**16))
+@example(TERMINATING_CUBIC, 0)
+def test_stacked_step_matches_one_state_steps(case, seed):
+    curve = generic_curve(case)
+    xs = sample_phase_points(curve, 6, seed) + [aimed_state(curve)]
+    for x, stacked in zip(xs, _billiard_rows(curve, xs)):
+        try:
+            single = billiard_step(curve, x)
+        except PhaseError as exc:
+            assert type(stacked) is type(exc)
+            continue
+        assert stacked.ill_conditioned == single.ill_conditioned
+        assert_same_branches(_branches(stacked), _branches(single))
+
+
+def test_aimed_cubic_state_terminates_at_infinity():
+    curve = PlaneCurve.from_coeffs(*TERMINATING_CUBIC)
+    step = _billiard_rows(curve, [aimed_state(curve)])[0]
+    assert [t.reason for t in step.terminated] == ["image_at_infinity"]
+
+
+# ---------------------------------------------------------------------------
+# orbit trees against single steps
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, depth", [("cubic", 6), ("quartic", 4)])
+def test_orbit_tree_children_are_single_steps(request, name, depth):
+    """Every live node's children are billiard_step of that node alone."""
+    curve = request.getfixturevalue(name)
+    tree = orbit_tree(curve, sample_phase_points(curve, 1, seed=3)[0], depth)
+    for level, children in zip(tree.levels, tree.levels[1:]):
+        for idx, node in enumerate(level):
+            if node.terminated_reason is not None:
+                continue
+            kids = [(n.point, n.multiplicity, n.terminated_reason)
+                    for n in children if n.parent_index == idx]
+            try:
+                step = billiard_step(curve, node.point)
+            except PhaseError as exc:
+                assert kids == [(node.point, node.multiplicity, type(exc).__name__)]
+                continue
+            assert_same_branches(kids, _branches(step, node.multiplicity))
