@@ -32,15 +32,14 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .curve import (
-    CurveError,
     PlaneCurve,
     ProjPoint,
     curve_point_near,
     genericity_report,
-    isotropic_tangency_points,
     point_order_key,
-    points_at_infinity,
     proj_distance,
     proj_point,
     tangent_at,
@@ -54,6 +53,8 @@ from .phase import (
     DirectionPoint,
     PhaseError,
     PhasePoint,
+    TerminatedBranch,
+    billiard_steps,
     direction_from_slope,
     direction_point,
     line_intersections,
@@ -214,7 +215,7 @@ def enumerate_scratch_points(curve: PlaneCurve) -> list[ScratchPoint]:
             "curve fails genericity: " + "; ".join(report.diagnostics)
         )
     out: list[ScratchPoint] = []
-    for p, _mult in points_at_infinity(curve):
+    for p, _mult in report.infinity_points:
         td = tangent_at(curve, p)
         basic = _simple_tangency_at(curve, p)
         # pin kappa = 0 on the tangent line at the infinity point: the
@@ -237,7 +238,7 @@ def enumerate_scratch_points(curve: PlaneCurve) -> list[ScratchPoint]:
             )
     for sign, kind in ((1, "isotropic_plus"), (-1, "isotropic_minus")):
         q = direction_point(1, sign * 1j, 0)
-        for p, mult in isotropic_tangency_points(curve, sign):
+        for p, mult in report.isotropic_points[sign]:
             tau, nu = tangent_frame(curve, p)
             out.append(
                 ScratchPoint(
@@ -263,21 +264,13 @@ def _simple_tangency_at(curve: PlaneCurve, p: ProjPoint) -> bool:
     """Contact order of the tangent line at p is exactly 2."""
     g = curve.gradient(*p.coords)
     # a direction spanning the tangent line besides p itself
-    w = _cross(g, p.coords)
+    w = np.cross(g, p.coords)
     poly = curve.restrict_to_line(p.coords, w)
     scale = max(abs(c) for c in poly.coeffs)
     if scale == 0:
         return False
     coeffs = list(poly.coeffs) + [0j] * 3
     return abs(coeffs[2]) > 1e-8 * scale
-
-
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
 
 
 def _require(scratch: ScratchPoint, family: str, basic: bool = True) -> None:
@@ -526,24 +519,12 @@ def _require_approach(distances: list[float]) -> None:
         )
 
 
-def _reflected(curve: PlaneCurve, points: list[PhasePoint]) -> list[PhasePoint]:
-    """Reflections of the points that can be reflected, in order."""
-    out = []
-    for p in points:
-        try:
-            out.append(reflect(curve, p).images[0].point)
-        except (PhaseError, CurveError):
-            continue
-    return out
-
-
 def _nearest(items, distance, lost: str):
-    """(distance, item) for the item nearest by ``distance``; the first of
-    equally near items wins.  No items at all means the branch is lost."""
-    best = min(((distance(x), x) for x in items), key=lambda t: t[0], default=None)
-    if best is None:
+    """The item nearest by ``distance``; the first of equally near items
+    wins.  No items at all means the branch is lost."""
+    if not items:
         raise BranchLostError(lost)
-    return best
+    return min(items, key=distance)
 
 
 def _phase_vector(p: PhasePoint) -> tuple[complex, ...]:
@@ -633,58 +614,30 @@ def confinement_experiment_infinity_multi(
     if not starts:
         raise BlowupError("the infinity experiment needs at least one start")
     eps = default_eps_schedule() if eps_list is None else list(eps_list)
-    return _report(scratch, eps, [_follow_infinity(curve, scratch, c0, eps) for c0 in starts])
-
-
-def _follow_infinity(curve: PlaneCurve, scratch: ScratchPoint, c0: ProjPoint, eps):
-    """One start of the infinity experiment: (sample, chains, predicted limits)."""
     chart: InfinityChart = scratch.chart
-    if c0.is_at_infinity:
-        raise BoundaryPointError("start point must be affine")
-    kappa0 = chart.kappa(*c0.affine())
-    if not KAPPA_MARGIN < abs(kappa0) < 1.0 / KAPPA_MARGIN:
-        raise BoundaryPointError(
-            f"start offset kappa = {kappa0:.3g} is too close to a chart boundary"
-        )
-
-    chains: list[list[tuple[complex, ...]]] = []
-    step_distances = []
-    for e in eps:
-        x = PhasePoint(c=c0, q=rotate_direction(scratch.phase.q, e))
-        dist, y = _nearest(
-            _reflected(curve, secant(curve, x).points()),
-            lambda p: phase_distance(p, scratch.phase),
-            "all first-step branches failed to reflect",
-        )
-        step_distances.append(dist)
-        finals = [_phase_vector(p) for p in _reflected(curve, secant(curve, y).points())]
-        if not finals:
-            raise BranchLostError("all second-step branches failed to reflect")
-        if not chains:
-            finals.sort(key=lambda v: (v[0].real, v[0].imag))
-            chains = [[v] for v in finals]
-            continue
-        # continuation: match each chain to the nearest unused new value
-        for chain in chains:
-            prev = chain[-1]
-            _, v = _nearest(
-                finals,
-                lambda w: max(abs(a - b) for a, b in zip(w, prev)),
-                "branch continuation lost a chain",
+    runs = []
+    for c0 in starts:
+        if c0.is_at_infinity:
+            raise BoundaryPointError("start point must be affine")
+        kappa0 = chart.kappa(*c0.affine())
+        if not KAPPA_MARGIN < abs(kappa0) < 1.0 / KAPPA_MARGIN:
+            raise BoundaryPointError(
+                f"start offset kappa = {kappa0:.3g} is too close to a chart boundary"
             )
-            finals.remove(v)
-            chain.append(v)
-    _require_approach(step_distances)
-
-    # chart-level prediction: reflect the pencil offset, intersect, reflect
-    neg = reflect_at_infinity_limit(curve, ExceptionalParam(scratch, kappa0))
-    predicted = _reflected(curve, secant_at_infinity_limit(curve, neg).points())
-    sample = {
-        "c0": [[z.real, z.imag] for z in c0.coords],
-        "kappa": [kappa0.real, kappa0.imag],
-        "nearest_branch_distance": step_distances[-1],
-    }
-    return sample, chains, predicted
+        chains, distance = _follow(curve, scratch, PhasePoint(c=c0, q=scratch.phase.q), eps)
+        # chart-level prediction: reflect the pencil offset, intersect, reflect
+        neg = reflect_at_infinity_limit(curve, ExceptionalParam(scratch, kappa0))
+        predicted = [
+            reflect(curve, p).images[0].point
+            for p in secant_at_infinity_limit(curve, neg).points()
+        ]
+        sample = {
+            "c0": [[z.real, z.imag] for z in c0.coords],
+            "kappa": [kappa0.real, kappa0.imag],
+            "nearest_branch_distance": distance,
+        }
+        runs.append((sample, chains, predicted))
+    return _report(scratch, eps, runs)
 
 
 def confinement_experiment_isotropic(
@@ -723,27 +676,59 @@ def confinement_experiment_isotropic(
         ][:1]
     if len(starts) < MIN_ISOTROPIC_STARTS:
         raise BranchLostError("could not sample enough starts on the contracted curve")
-    return _report(scratch, eps, [_follow_isotropic(curve, scratch, x0, eps) for x0 in starts])
+    runs = []
+    for x0 in starts:
+        chains, distance = _follow(curve, scratch, x0, eps)
+        runs.append(({"start": phase_point_json(x0), "nearest_branch_distance": distance},
+                     chains, []))
+    return _report(scratch, eps, runs)
 
 
-def _follow_isotropic(curve: PlaneCurve, scratch: ScratchPoint, x0: PhasePoint, eps):
-    """One start of the isotropic experiment: (sample, [chain], no prediction)."""
-    c = scratch.phase.c
+def _follow(curve: PlaneCurve, scratch: ScratchPoint, x0: PhasePoint, eps):
+    """Drive b^2 from x0, its direction rotated by each eps in turn, through
+    two stacked billiard calls: (chains, last distance to the scratch).
 
-    def near_base(p: PhasePoint) -> float:
-        return proj_distance(p.c, c)
+    At infinity the first step follows the reflected branch nearest the
+    scratch state and the second keeps every reflected branch, continued
+    chain by chain.  At an isotropic point both steps follow the branch
+    whose base point, which reflection keeps, is nearest the tangency point;
+    if that branch could not be reflected, reflecting it alone raises.
+    """
+    infinity = scratch.kind == "infinity"
 
-    chain = []
-    approach = []
-    for e in eps:
-        x = PhasePoint(c=x0.c, q=rotate_direction(x0.q, e))
-        _, mid = _nearest(secant(curve, x).points(), near_base,
-                          "first secant produced no branches")
-        y = reflect(curve, mid).images[0].point
-        approach.append(phase_distance(y, scratch.phase))
-        _, end = _nearest(secant(curve, y).points(), near_base,
-                          "second secant produced no branches")
-        chain.append(_phase_vector(reflect(curve, end).images[0].point))
-    _require_approach(approach)
-    sample = {"start": phase_point_json(x0), "nearest_branch_distance": approach[-1]}
-    return sample, [chain], []
+    def kept(step: BranchSet | PhaseError, lost: str, every: bool) -> list[PhasePoint]:
+        """The followed state of a step, or at infinity with ``every`` all of them."""
+        if isinstance(step, PhaseError):
+            raise step
+        if infinity:
+            points = step.points()
+            if every and points:
+                return points
+            return [_nearest(points, lambda p: phase_distance(p, scratch.phase), lost)]
+        branch = _nearest([*step.images, *step.terminated],
+                          lambda b: proj_distance(b.point.c, scratch.phase.c), lost)
+        if isinstance(branch, TerminatedBranch):
+            return [reflect(curve, branch.point).images[0].point]
+        return [branch.point]
+
+    xs = [PhasePoint(c=x0.c, q=rotate_direction(x0.q, e)) for e in eps]
+    ys = [kept(step, "all first-step branches failed to reflect", False)[0]
+          for step in billiard_steps(curve, xs)]
+    chains: list[list[tuple[complex, ...]]] = []
+    for step in billiard_steps(curve, ys):
+        finals = [_phase_vector(p) for p in
+                  kept(step, "all second-step branches failed to reflect", True)]
+        if not chains:
+            finals.sort(key=lambda v: (v[0].real, v[0].imag))
+            chains = [[v] for v in finals]
+            continue
+        # continuation: match each chain to the nearest unused new value
+        for chain in chains:
+            prev = chain[-1]
+            v = _nearest(finals, lambda w: max(abs(a - b) for a, b in zip(w, prev)),
+                         "branch continuation lost a chain")
+            finals.remove(v)
+            chain.append(v)
+    distances = [phase_distance(y, scratch.phase) for y in ys]
+    _require_approach(distances)
+    return chains, distances[-1]

@@ -172,8 +172,8 @@ ISOTROPIC_MINUS = normalize_pair(1, -1j)
 class _Form:
     """Numeric homogeneous form: exponent rows and complex coefficients, and
     the same for (F, dF/dX0, dF/dX1, dF/dX2) over the monomials of degree d
-    and d - 1, as rows v of flat indices v * (d + 1) + e_v into a table of
-    powers."""
+    and d - 1 (a coefficient row per function), as rows v of flat indices
+    v * (d + 1) + e_v into a table of powers."""
 
     __slots__ = ("exps", "coeffs", "degree", "scale", "roots", "_index", "_grad_index", "_grad_coeffs")
 
@@ -198,7 +198,7 @@ class _Form:
         offsets = np.arange(3) * (degree + 1)
         self._index = (self.exps + offsets).T.copy()
         self._grad_index = (np.array(list(grad), dtype=np.int64).reshape(-1, 3) + offsets).T.copy()
-        self._grad_coeffs = np.array(list(grad.values()), dtype=complex).reshape(-1, 4)
+        self._grad_coeffs = np.array(list(grad.values()), dtype=complex).reshape(-1, 4).T.copy()
 
     def values(self, points, grad: bool = False) -> np.ndarray:
         """F at each row of an (M, 3) stack of points, shape (M,); with
@@ -209,7 +209,9 @@ class _Form:
         mono = table.take(index[0], axis=1)
         mono *= table.take(index[1], axis=1)
         mono *= table.take(index[2], axis=1)
-        return mono @ coeffs
+        # einsum sums each row on its own, so a row's value does not depend
+        # on the rows stacked with it (a BLAS product's rounding does)
+        return np.einsum("mk,...k->m...", mono, coeffs)
 
 
 @dataclass(frozen=True)
@@ -289,7 +291,7 @@ class PlaneCurve:
         d = self.degree
         out = np.zeros((3, d + 1, d + 1), dtype=complex)
         i, j, _ = self._form._grad_index - np.arange(3)[:, None] * (d + 1)
-        for a, column in zip(out, self._form._grad_coeffs.T):
+        for a, column in zip(out, self._form._grad_coeffs):
             np.add.at(a, (i, j), column)
         return out[0], out[1, :d, :d], out[2, :d, :d]
 
@@ -595,12 +597,17 @@ def isotropic_tangency_points(curve: PlaneCurve, sign: int) -> list[tuple[ProjPo
 
 @dataclass(frozen=True)
 class GenericityReport:
+    """The five checks with their diagnostics (``to_dict``), and the points at
+    infinity and isotropic tangency points per sign that the checks found."""
+
     irreducible_heuristic: bool
     smooth: bool
     distinct_infinity_points: bool
     non_isotropic_infinity_tangents: bool
     simple_isotropic_tangencies: bool
     diagnostics: tuple[str, ...] = ()
+    infinity_points: tuple[tuple[ProjPoint, int], ...] = ()
+    isotropic_points: dict[int, list[tuple[ProjPoint, int]]] = field(default_factory=dict)
 
     def all_ok(self) -> bool:
         return (
@@ -632,10 +639,14 @@ def genericity_report(curve: PlaneCurve) -> GenericityReport:
     """
     notes: list[str] = []
 
-    smooth = _check_smooth(curve, notes)
-    distinct_inf, inf_points = _check_infinity(curve, notes)
+    try:
+        inf_points = points_at_infinity(curve)
+    except ContainsInfinityLineError:
+        inf_points = None
+    smooth = _check_smooth(curve, inf_points, notes)
+    distinct_inf = _check_infinity(curve, inf_points, notes)
     non_iso_inf = True
-    for p, _m in inf_points:
+    for p, _m in inf_points or []:
         for iso in (ISOTROPIC_PLUS, ISOTROPIC_MINUS):
             if direction_distance((p.coords[0], p.coords[1]), iso) < ON_CURVE_TOL:
                 non_iso_inf = False
@@ -643,9 +654,10 @@ def genericity_report(curve: PlaneCurve) -> GenericityReport:
 
     simple_iso = True
     d = curve.degree
+    iso_points = {}
     for sign in (1, -1):
         try:
-            pts = isotropic_tangency_points(curve, sign)
+            pts = iso_points[sign] = isotropic_tangency_points(curve, sign)
         except DegenerateSystemError:
             simple_iso = False
             notes.append(f"isotropic tangency system degenerate for sign {sign:+d}")
@@ -669,10 +681,12 @@ def genericity_report(curve: PlaneCurve) -> GenericityReport:
         non_isotropic_infinity_tangents=non_iso_inf,
         simple_isotropic_tangencies=simple_iso,
         diagnostics=tuple(notes),
+        infinity_points=tuple(inf_points or ()),
+        isotropic_points=iso_points,
     )
 
 
-def _check_smooth(curve: PlaneCurve, notes: list[str]) -> bool:
+def _check_smooth(curve: PlaneCurve, inf_points, notes: list[str]) -> bool:
     f, fx, fy = curve.affine_arrays()
     scale = max(1.0, curve.scale())
     smooth = True
@@ -688,29 +702,26 @@ def _check_smooth(curve: PlaneCurve, notes: list[str]) -> bool:
         if fval / scale < 1e-7 and gnorm / scale < 1e-6:
             smooth = False
             notes.append(f"singular affine point near ({x:.6g}, {y:.6g})")
-    try:
-        for p, _m in points_at_infinity(curve):
-            g = curve.gradient(*p.coords)
-            gnorm = math.sqrt(sum(abs(v) ** 2 for v in g))
-            if gnorm / scale < 1e-8:
-                smooth = False
-                notes.append(f"singular point at infinity near {p.coords}")
-    except ContainsInfinityLineError:
-        smooth = False
+    if inf_points is None:
         notes.append("curve contains the line at infinity")
+        return False
+    for p, _m in inf_points:
+        g = curve.gradient(*p.coords)
+        gnorm = math.sqrt(sum(abs(v) ** 2 for v in g))
+        if gnorm / scale < 1e-8:
+            smooth = False
+            notes.append(f"singular point at infinity near {p.coords}")
     return smooth
 
 
-def _check_infinity(curve: PlaneCurve, notes: list[str]):
-    try:
-        pts = points_at_infinity(curve)
-    except ContainsInfinityLineError:
+def _check_infinity(curve: PlaneCurve, inf_points, notes: list[str]) -> bool:
+    if inf_points is None:
         notes.append("curve contains the line at infinity")
-        return False, []
-    distinct = all(m == 1 for _, m in pts) and sum(m for _, m in pts) == curve.degree
+        return False
+    distinct = all(m == 1 for _, m in inf_points) and sum(m for _, m in inf_points) == curve.degree
     if not distinct:
         notes.append("points at infinity are not d distinct simple points")
-    return distinct, pts
+    return distinct
 
 
 def _check_no_isotropic_line(curve: PlaneCurve, notes: list[str]) -> bool:

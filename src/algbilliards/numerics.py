@@ -35,7 +35,6 @@ __all__ = [
 LEADING_ZERO_TOL = 1e-12
 CLUSTER_REL_TOL = 1e-6
 COARSE_CLUSTER_REL_TOL = 1e-4
-ROOT_RESIDUAL_TOL = 1e-8
 DEFLATE_RESIDUAL_TOL = 1e-6
 BRACKET_TOL = 1e-12
 BRACKET_SAMPLES = 64
@@ -314,9 +313,6 @@ class IntPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return self.coeffs == (0,)
 
     def __call__(self, x):
         acc = 0

@@ -63,6 +63,7 @@ __all__ = [
     "secant",
     "reflect",
     "billiard_step",
+    "billiard_steps",
     "real_billiard_step",
     "orbit_tree",
     "orbit_tree_jsonl",
@@ -547,8 +548,10 @@ def _reflect_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
     formula, all rows at once: the normalized images, the ill_conditioned
     flags and a map from a row to the PhaseError it raised.  A row outside
     the (conservative) bounds gets a single state's checks, in its order."""
-    f_t = curve.form_values(c, grad=True) @ (_TANGENT_NULL / max(1.0, curve.scale()))
-    v = q @ _DIRECTION_NULL
+    # einsum, not BLAS products, so that no row depends on the rows stacked with it
+    f_t = np.einsum("mk,kj->mj", curve.form_values(c, grad=True),
+                    _TANGENT_NULL / max(1.0, curve.scale()))
+    v = np.einsum("mk,kj->mj", q, _DIRECTION_NULL)
     # the smaller null component of q is recovered from the conic relation
     # V_z V_w = Q2^2, which avoids the subtractive cancellation it carries
     v_mag = np.abs(v[:, :2])
@@ -558,8 +561,8 @@ def _reflect_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
             v[:, :2] = np.where(small, v[:, 2:] * v[:, 2:] / v[:, 1::-1], v[:, :2])
         ratio = f_t[:, 1:] / f_t[:, :0:-1]
         v[:, :2] = v[:, 1::-1] * ratio
-        images = proj_points(v @ _NULL_DIRECTION)
-    conic = (images * images) @ _CONIC_SIGNS
+        images = proj_points(np.einsum("mk,kj->mj", v, _NULL_DIRECTION))
+    conic = np.einsum("mk,k->m", images * images, _CONIC_SIGNS)
     mags = np.abs(np.concatenate((c[:, 2:], q[:, 2:], f_t, ratio, conic[:, None]), axis=1))
     ok = mags * _REFLECT_SIGNS > _REFLECT_BOUNDS
     ill, errors = [False] * len(c), {}
@@ -602,14 +605,15 @@ def billiard_step(curve: PlaneCurve, x: PhasePoint) -> BranchSet:
     Branches whose secant image cannot be reflected (image at infinity, or
     an isotropic scratch point downstream) are returned as terminated
     branches with a reason, so multiplicity bookkeeping stays exact.  This
-    is the one-state call of the stacked step ``_billiard_rows``.
+    is the one-state call of the stacked step ``billiard_steps``.
     """
-    return _one(_billiard_rows(curve, [x])[0])
+    return _one(billiard_steps(curve, [x])[0])
 
 
-def _billiard_rows(curve: PlaneCurve, xs) -> list:
+def billiard_steps(curve: PlaneCurve, xs) -> list:
     """Billiard steps of the states xs (each a BranchSet or the PhaseError
-    it raised): one stacked secant, one stacked reflection of all images."""
+    it raised): one stacked secant, one stacked reflection of all images.
+    Each state's step is bitwise the one ``billiard_step`` gives it alone."""
     if not xs:
         return []
     c, q = _stack(xs)
@@ -713,7 +717,7 @@ def orbit_tree(curve: PlaneCurve, x: PhasePoint, depth: int) -> OrbitTree:
         prev = levels[-1]
         live = [idx for idx, node in enumerate(prev) if node.terminated_reason is None]
         nxt: list[OrbitNode] = []
-        for idx, step in zip(live, _billiard_rows(curve, [prev[idx].point for idx in live])):
+        for idx, step in zip(live, billiard_steps(curve, [prev[idx].point for idx in live])):
             node = prev[idx]
             if isinstance(step, PhaseError):
                 nxt.append(OrbitNode(node.point, idx, node.multiplicity, type(step).__name__))

@@ -13,6 +13,7 @@ from algbilliards.blowup import (
     confinement_experiment_infinity_multi,
     confinement_experiment_isotropic,
     enumerate_scratch_points,
+    infinity_experiment_starts,
     reflect_at_infinity_limit,
     reflect_at_isotropic_limit,
     secant_at_infinity_limit,
@@ -24,7 +25,11 @@ from algbilliards.phase import (
     conic_residual,
     direction_point,
     phase_distance,
+    reflect,
+    rotate_direction,
+    secant,
 )
+from algbilliards.sampling import sample_curve_points
 
 
 def scratch_of(points, kind, predicate=None):
@@ -222,6 +227,65 @@ def test_confinement_isotropic_cubic_samples_distinct(cubic):
     assert rep.min_pairwise_limit_distance > 1e-4
 
 
+def one_state_step(curve, x):
+    """The billiard images of x, with x and each of its secant images
+    stepped alone (billiard_step reflects the images as one stack)."""
+    return [reflect(curve, p).images[0].point for p in secant(curve, x).points()]
+
+
+def one_state_follow(curve, scratch, x0, eps):
+    """The follower written as a loop over eps of one-state steps:
+    (chains, last distance to the scratch)."""
+    chains, distance = [], None
+    for e in eps:
+        x = PhasePoint(c=x0.c, q=rotate_direction(x0.q, e))
+        if scratch.kind == "infinity":
+            y = min(one_state_step(curve, x), key=lambda p: phase_distance(p, scratch.phase))
+            finals = one_state_step(curve, y)
+        else:
+            def near(p):
+                return proj_distance(p.c, scratch.phase.c)
+            y = min(one_state_step(curve, x), key=near)
+            finals = [min(one_state_step(curve, y), key=near)]
+        distance = phase_distance(y, scratch.phase)
+        vectors = [(*p.c.affine(), *p.q.affine()) for p in finals]
+        if not chains:
+            chains = [[v] for v in sorted(vectors, key=lambda v: (v[0].real, v[0].imag))]
+            continue
+        for chain in chains:
+            v = min(vectors, key=lambda w: max(abs(a - b) for a, b in zip(w, chain[-1])))
+            vectors.remove(v)
+            chain.append(v)
+    return chains, distance
+
+
+@pytest.mark.parametrize("name", ["cubic", "quartic"])
+@pytest.mark.parametrize("kind", ["infinity", "isotropic_plus"])
+def test_follower_matches_one_state_steps(request, monkeypatch, name, kind):
+    """Two stacked billiard calls per start give, bitwise, the report of
+    the same experiment stepped one eps and one state at a time."""
+    import json
+
+    import algbilliards.blowup as blowup
+
+    curve = request.getfixturevalue(name)
+    scratch = scratch_of(enumerate_scratch_points(curve), kind, lambda s: s.basic)
+
+    def report_json():
+        if kind == "infinity":
+            candidates = sample_curve_points(curve, 24, 5)
+            starts = infinity_experiment_starts(curve, scratch, candidates, 3)
+            rep = confinement_experiment_infinity_multi(curve, scratch, starts)
+        else:
+            rep = confinement_experiment_isotropic(curve, scratch, n_samples=3, seed=5)
+        assert rep.passed()
+        return json.dumps(rep.to_dict(), sort_keys=True)
+
+    stacked = report_json()
+    monkeypatch.setattr(blowup, "_follow", one_state_follow)
+    assert report_json() == stacked
+
+
 def test_confinement_report_json_roundtrip(ellipse):
     import json
 
@@ -234,7 +298,7 @@ def test_confinement_report_json_roundtrip(ellipse):
 
 
 def test_confinement_propagates_unexpected_reflect_errors(ellipse, monkeypatch):
-    # only the typed refusals of reflect skip a branch; anything else is a bug
+    # an unexpected reflection error is a bug, never a branch to drop
     import algbilliards.blowup as blowup
 
     def broken(curve, x):

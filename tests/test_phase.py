@@ -6,20 +6,29 @@ import random
 import pytest
 
 from algbilliards.curve import (
+    CurveError,
     PlaneCurve,
     on_curve_residual,
+    points_at_infinity,
     proj_distance,
     proj_point,
+    tangent_at,
 )
+from algbilliards.numerics import NotARootError, find_roots
 from algbilliards.phase import (
+    SCRATCH_HARD_TOL,
+    SCRATCH_SOFT_TOL,
     InfinityBasePointError,
     NoRealReturnError,
+    PhaseError,
     PhasePoint,
     ScratchPointError,
     billiard_step,
+    billiard_steps,
     conic_residual,
     direction_from_slope,
     direction_point,
+    line_point,
     orbit_tree,
     orbit_tree_jsonl,
     phase_distance,
@@ -28,7 +37,9 @@ from algbilliards.phase import (
     reflect,
     rotate_direction,
     secant,
+    secant_scratch_proximity,
 )
+from algbilliards.sampling import sample_phase_points
 
 S2 = math.sqrt(2)
 
@@ -174,6 +185,58 @@ def test_secant_scratch_point_rejected():
     x = PhasePoint(c=proj_point(2, 1j, 0), q=q)
     with pytest.raises(ScratchPointError):
         secant(c, x)
+
+
+def near_infinity_state(curve, c2):
+    """A state next to an infinity scratch point: its base point is the curve
+    point with X2 = c2 on a transversal through the first infinity point,
+    and its direction is the tangent there."""
+    p = points_at_infinity(curve)[0][0]
+    g = curve.gradient(*p.coords)
+    base, direction = (p.coords[0], p.coords[1], c2), (g[0].conjugate(), g[1].conjugate(), 0)
+    t = min((r.value for r in find_roots(curve.restrict_to_line(base, direction))), key=abs)
+    c = line_point(base, direction, t)
+    return PhasePoint(c=c, q=direction_from_slope(tangent_at(curve, c).tangent, 0))
+
+
+def _soft_band_defect(error):
+    # the re-anchored secant does not yet serve a tangent direction over the
+    # whole soft band: the base is a double root of its line polynomial
+    return pytest.mark.xfail(raises=error, strict=True,
+                             reason="tangent direction in the soft band off infinity")
+
+
+@pytest.mark.parametrize("name, c2", [
+    ("ellipse", 1e-7),
+    pytest.param("ellipse", 1e-6, marks=_soft_band_defect(NotARootError)),
+    pytest.param("cubic", 1e-7, marks=_soft_band_defect(CurveError)),
+    pytest.param("quartic", 1e-7, marks=_soft_band_defect(NotARootError)),
+])
+def test_secant_soft_band_off_infinity_is_ill_conditioned(request, name, c2):
+    # the stacked call must send the state to the per-state proximity check
+    # even when it shares the batch with ordinary states
+    curve = request.getfixturevalue(name)
+    x = near_infinity_state(curve, c2)
+    assert SCRATCH_HARD_TOL <= secant_scratch_proximity(curve, x) < SCRATCH_SOFT_TOL
+    assert secant(curve, x).ill_conditioned
+    assert billiard_step(curve, x).ill_conditioned
+    stacked = billiard_steps(curve, [*sample_phase_points(curve, 3, seed=2), x])
+    assert [step.ill_conditioned for step in stacked] == [False, False, False, True]
+
+
+@pytest.mark.parametrize("name", ["ellipse", "cubic", "quartic"])
+@pytest.mark.parametrize("c2", [9e-10, 1e-12])
+def test_secant_hard_band_off_infinity_is_a_scratch_point(request, name, c2):
+    curve = request.getfixturevalue(name)
+    x = near_infinity_state(curve, c2)
+    assert secant_scratch_proximity(curve, x) < SCRATCH_HARD_TOL
+    with pytest.raises(ScratchPointError):
+        secant(curve, x)
+    with pytest.raises(ScratchPointError):
+        billiard_step(curve, x)
+    stacked = billiard_steps(curve, [*sample_phase_points(curve, 3, seed=2), x])
+    assert [isinstance(step, PhaseError) for step in stacked] == [False, False, False, True]
+    assert isinstance(stacked[-1], ScratchPointError)
 
 
 def test_secant_line_in_curve_rejected():

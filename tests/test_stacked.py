@@ -21,8 +21,8 @@ from algbilliards.curve import (
 from algbilliards.numerics import find_roots
 from algbilliards.phase import (
     PhaseError,
-    _billiard_rows,
     billiard_step,
+    billiard_steps,
     conic_residual,
     direction_from_slope,
     orbit_tree,
@@ -34,7 +34,6 @@ from algbilliards.phase import (
 from algbilliards.sampling import sample_phase_points
 
 GATE = 1e-7  # the acceptance suite's geometry residual gate
-SAME = 1e-13  # stacked against one-state results, relative to normalized coordinates
 
 # the cubic of test_orbit_tree_records_terminated_branches, whose aimed state
 # has a secant image on the infinity line
@@ -117,21 +116,6 @@ def collinearity_residual(x, y):
     return abs(q[0] * (c[1] * cp[2] - c[2] * cp[1]) - q[1] * (c[0] * cp[2] - c[2] * cp[0]))
 
 
-def _distance(a, b) -> float:
-    return max(abs(u - v) for u, v in zip(a.c.coords + a.q.q, b.c.coords + b.q.q))
-
-
-def assert_same_branches(got, want, tol=SAME):
-    """Equal (point, multiplicity, reason) multisets, points within tol."""
-    assert len(got) == len(want)
-    left = list(want)
-    for point, mult, reason in got:
-        k = min(range(len(left)), key=lambda j: _distance(point, left[j][0]))
-        match = left.pop(k)
-        assert (mult, reason) == match[1:]
-        assert _distance(point, match[0]) <= tol
-
-
 def _branches(step, scale=1):
     return [(b.point, scale * b.multiplicity, None) for b in step.images] + [
         (t.point, scale * t.multiplicity, t.reason) for t in step.terminated
@@ -160,19 +144,19 @@ def test_secant_and_reflect_properties(case, seed):
 def test_stacked_step_matches_one_state_steps(case, seed):
     curve = generic_curve(case)
     xs = sample_phase_points(curve, 6, seed) + [aimed_state(curve)]
-    for x, stacked in zip(xs, _billiard_rows(curve, xs)):
+    for x, stacked in zip(xs, billiard_steps(curve, xs)):
         try:
             single = billiard_step(curve, x)
         except PhaseError as exc:
             assert type(stacked) is type(exc)
             continue
-        assert stacked.ill_conditioned == single.ill_conditioned
-        assert_same_branches(_branches(stacked), _branches(single))
+        # exact: a state's step does not depend on the states stacked with it
+        assert stacked == single
 
 
 def test_aimed_cubic_state_terminates_at_infinity():
     curve = PlaneCurve.from_coeffs(*TERMINATING_CUBIC)
-    step = _billiard_rows(curve, [aimed_state(curve)])[0]
+    step = billiard_steps(curve, [aimed_state(curve)])[0]
     assert [t.reason for t in step.terminated] == ["image_at_infinity"]
 
 
@@ -197,4 +181,4 @@ def test_orbit_tree_children_are_single_steps(request, name, depth):
             except PhaseError as exc:
                 assert kids == [(node.point, node.multiplicity, type(exc).__name__)]
                 continue
-            assert_same_branches(kids, _branches(step, node.multiplicity))
+            assert kids == _branches(step, node.multiplicity)
