@@ -38,9 +38,9 @@ from .numerics import MAX_MATRIX_SIDE, NonConvergenceError
 from .phase import (
     NoRealReturnError,
     PhaseError,
+    orbit_step_json,
     orbit_tree,
     orbit_tree_jsonl,
-    phase_point_json,
     real_billiard_step,
 )
 from .sampling import sample_curve_points, sample_phase_points, sample_real_state
@@ -167,13 +167,11 @@ def cmd_orbit(args) -> int:
     if not report.all_ok():
         return _error("curve fails genericity: " + "; ".join(report.diagnostics))
     if args.real:
-        state = sample_real_state(curve, args.seed)
+        x = sample_real_state(curve, args.seed)
         lines = []
-        x = state
         escaped = None
         for step in range(args.depth):
-            obj = {"step": step, **phase_point_json(x)}
-            lines.append(json.dumps(obj, sort_keys=True))
+            lines.append(orbit_step_json(step, x))
             try:
                 x = real_billiard_step(curve, x)
             except NoRealReturnError:
@@ -254,9 +252,7 @@ def cmd_form_check(args) -> int:
     branch_count = curve.degree - 1
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    writer.writerow(
-        ["sample_id", "op", "h", "residual_h", "residual_h2", "order_estimate"]
-    )
+    writer.writerow(["sample_id", "op", "h", "residual_h", "residual_h2", "order_estimate"])
     worst = 0.0
     skipped = 0
     for i, x in enumerate(states):
@@ -272,16 +268,7 @@ def cmd_form_check(args) -> int:
                 _log(f"sample {i} {tag} skipped: {exc}")
                 continue
             worst = max(worst, r.residual_h, r.residual_h2)
-            writer.writerow(
-                [
-                    i,
-                    tag,
-                    repr(args.h),
-                    repr(r.residual_h),
-                    repr(r.residual_h2),
-                    repr(r.order_estimate),
-                ]
-            )
+            writer.writerow([i, tag, *map(repr, (args.h, r.residual_h, r.residual_h2, r.order_estimate))])
     _emit(buf.getvalue(), args.out)
     _log(f"max residual {worst:.3e}; skipped {skipped}")
     return EXIT_OK if worst < 1e-4 else _error("max residual is not below 1e-4", EXIT_VERIFICATION)

@@ -67,6 +67,7 @@ __all__ = [
     "real_billiard_step",
     "orbit_tree",
     "orbit_tree_jsonl",
+    "orbit_step_json",
 ]
 
 CONIC_TOL = 1e-10
@@ -732,6 +733,20 @@ def orbit_tree(curve: PlaneCurve, x: PhasePoint, depth: int) -> OrbitTree:
     return OrbitTree(root=x, depth=depth, levels=tuple(levels))
 
 
+# orbit lines as json.dumps(obj, sort_keys=True) writes them: finite floats by float.__repr__
+_PAIRS = "[[{}, {}], [{}, {}], [{}, {}]]"
+_NODE_LINE = '{{"c": ' + _PAIRS + ', "level": {}, "mult": {}, "parent_index": {}, "q": ' + _PAIRS
+_STEP_LINE = '{{"c": ' + _PAIRS + ', "q": ' + _PAIRS + ', "step": {}}}'
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _coord_reprs(x: PhasePoint) -> list[str]:
+    """The real and imaginary parts of c, then of q, as json writes them."""
+    (a, b, c), (d, e, f) = x.c.coords, x.q.q
+    parts = (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag, e.real, e.imag, f.real, f.imag)
+    return [_NONFINITE.get(r, r) for r in map(float.__repr__, parts)]
+
+
 def orbit_tree_jsonl(tree: OrbitTree) -> list[str]:
     """One JSON object per node: level, parent, coordinates, multiplicity."""
     import json
@@ -739,13 +754,14 @@ def orbit_tree_jsonl(tree: OrbitTree) -> list[str]:
     lines = []
     for level, nodes in enumerate(tree.levels):
         for node in nodes:
-            obj = {
-                "level": level,
-                "parent_index": node.parent_index,
-                **phase_point_json(node.point),
-                "mult": node.multiplicity,
-            }
+            r = _coord_reprs(node.point)
+            line = _NODE_LINE.format(*r[:6], level, node.multiplicity, node.parent_index, *r[6:])
             if node.terminated_reason is not None:
-                obj["terminated_reason"] = node.terminated_reason
-            lines.append(json.dumps(obj, sort_keys=True))
+                line += ', "terminated_reason": ' + json.dumps(node.terminated_reason)
+            lines.append(line + "}")
     return lines
+
+
+def orbit_step_json(step: int, x: PhasePoint) -> str:
+    """One real-orbit line: ``json.dumps({"step": step, **phase_point_json(x)}, sort_keys=True)``."""
+    return _STEP_LINE.format(*_coord_reprs(x), step)

@@ -25,7 +25,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,6 +97,12 @@ class PushforwardMatrix:
     basis: DivisorBasis
     matrix: BigIntMatrix
     tag: str
+    # each row's nonzero (column, entry) pairs, read-only; from matrix unless given
+    _rows: list | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._rows is None:
+            object.__setattr__(self, "_rows", _nonzero_rows(self.matrix))
 
 
 def _block_ranges(d: int):
@@ -115,9 +121,11 @@ def intersection_form(d: int) -> BigIntMatrix:
     exceptional class is a (-1)-curve disjoint from the others and from the
     chosen fibers.  The matrix is an involution: J^2 = I.
     """
-    entries = {(0, 1): 1, (1, 0): 1}
-    entries.update(((i, i), -1) for i in range(2, 2 * d * d + 2))
-    return _matrix(d, entries)
+    return _matrix(d, _intersection_entries(d))
+
+
+def _intersection_entries(d: int) -> dict:
+    return {(0, 1): 1, (1, 0): 1, **{(i, i): -1 for i in range(2, 2 * d * d + 2)}}
 
 
 def _matrix(d: int, entries: dict) -> BigIntMatrix:
@@ -233,16 +241,16 @@ def pushforward_b_hat(d: int) -> PushforwardMatrix:
     """Billiard pushforward: the exact product r_hat * s_hat, checked entrywise
     against the independently generated block-rule matrix.
 
-    Both sides are compared as rows of nonzero entries.  The last degree's
-    matrix is kept (the result is immutable), so the certificates, ``rho``
-    and ``degree_sequence`` of one degree share a build.
+    Both sides are compared as rows of nonzero entries, kept with the matrix.
+    The last degree's result is kept (it is immutable), so the certificates,
+    ``rho`` and ``degree_sequence`` of one degree share a build.
     """
     basis = divisor_basis(d)
     display = _display_b_hat(d)
     product = _sparse_product(_sparse_rows(d, _r_hat(d)), _sparse_rows(d, _s_hat(d)))
     if product != _sparse_rows(d, display):
         raise MatrixMismatchError(f"product and display disagree at d = {d}")
-    return PushforwardMatrix(basis, _matrix(d, display), "b_hat")
+    return PushforwardMatrix(basis, _matrix(d, display), "b_hat", product)
 
 
 def _sparse_product(a: list, b: list) -> list[list[tuple[int, int]]]:
@@ -412,7 +420,7 @@ def verify_conjugation(d: int) -> tuple[bool, dict]:
       (iii) the upper-left 4x4 block is the explicit matrix A;
       (iv)  char(A) = (lambda - (d - 1)) * Phi_d(lambda).
     """
-    m = _nonzero_rows(pushforward_b_hat(d).matrix)
+    m = pushforward_b_hat(d)._rows
     n = len(m)
     psi = _sparse_rows(d, _psi(d))
     psi_sq_ok = _sparse_product(psi, psi) == [[(i, 1)] for i in range(n)]
@@ -511,34 +519,43 @@ MAX_SEQUENCE_INDEX = 200
 
 
 def degree_sequence(d: int, m_max: int) -> list[int]:
-    """Model degrees deg_m = (M^m Delta) . Delta for Delta = C0 + D0.
+    """Model degrees deg_m = (M^m Delta) . J Delta for Delta = C0 + D0.
 
     This iterates the pushforward matrix, i.e. it is the algebraically
     stable model of degree growth; it matches true degree growth exactly
     when no iterate drops a class into an indeterminacy point.
+
+    The classes {C0}, {D0}, {Einf_j}, {Eiso+-_j} are an equitable partition:
+    all rows of b_hat in one class have the same sums over the four classes,
+    which is checked on every row (MatrixMismatchError if not).  So M^m Delta
+    is class-constant, and its class values step under the 4x4 quotient Q.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     if m_max > MAX_SEQUENCE_INDEX:
         raise ValueError(f"m_max capped at {MAX_SEQUENCE_INDEX}")
-    m = _nonzero_rows(pushforward_b_hat(d).matrix)
-    delta = [1, 1] + [0] * (len(m) - 2)
-    pairing = _sparse_matvec(_nonzero_rows(intersection_form(d)), delta)  # J Delta
+    cls = [0, 1] + [2] * (2 * d) + [3] * (2 * d * (d - 1))  # the class of each basis index
+    q = {}
+    for i, row in enumerate(pushforward_b_hat(d)._rows):
+        sums = [0] * 4
+        for j, v in row:
+            sums[cls[j]] += v
+        if q.setdefault(cls[i], sums) != sums:
+            raise MatrixMismatchError(f"b_hat row {i} breaks the four-class quotient at d = {d}")
+    pairing = [0] * 4  # the class sums of J Delta; Delta is 1 at C0 and D0
+    for (i, j), v in _intersection_entries(d).items():
+        pairing[cls[i]] += v * (j < 2)
     out = []
-    v = delta
+    v = [1, 1, 0, 0]  # the class values of Delta
     for _ in range(m_max + 1):
-        out.append(sum(a * b for a, b in zip(v, pairing)))
-        v = _sparse_matvec(m, v)
+        out.append(sum(map(operator.mul, v, pairing)))
+        v = [sum(map(operator.mul, q[c], v)) for c in range(4)]
     return out
 
 
 def _nonzero_rows(m: BigIntMatrix) -> list[list[tuple[int, int]]]:
     """Each row of m as its (column, entry) pairs with a nonzero entry."""
     return [[(j, v) for j, v in enumerate(row) if v] for row in m.to_lists()]
-
-
-def _sparse_matvec(rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
-    return [sum(a * v[j] for j, a in row) for row in rows]
 
 
 def jordan_structure_d2() -> dict:

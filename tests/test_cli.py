@@ -115,6 +115,22 @@ def test_orbit_real_trajectory(tmp_path):
     assert len(out.read_text().splitlines()) == 50
 
 
+def test_orbit_real_lines_are_json_dumps_of_each_state(tmp_path):
+    from algbilliards.curve import curve_from_json
+    from algbilliards.phase import phase_point_json, real_billiard_step
+
+    out = tmp_path / "real.jsonl"
+    assert run(["orbit", "--curve", DATA / "ellipse.json", "--depth", 30,
+                "--seed", 2, "--real", "--out", out]) == 0
+    curve = curve_from_json((DATA / "ellipse.json").read_text())
+    x = sampling.sample_real_state(curve, 2)
+    expected = []
+    for step in range(30):
+        expected.append(json.dumps({"step": step, **phase_point_json(x)}, sort_keys=True))
+        x = real_billiard_step(curve, x)
+    assert out.read_text().splitlines() == expected
+
+
 def test_orbit_real_escape_is_graceful(tmp_path):
     # the cubic has an unbounded real branch; a ray that never returns ends
     # the trajectory without failing the command

@@ -8,6 +8,7 @@ import pytest
 from algbilliards.curve import (
     CurveError,
     PlaneCurve,
+    ProjPoint,
     on_curve_residual,
     points_at_infinity,
     proj_distance,
@@ -19,6 +20,7 @@ from algbilliards.phase import (
     SCRATCH_HARD_TOL,
     SCRATCH_SOFT_TOL,
     InfinityBasePointError,
+    DirectionPoint,
     NoRealReturnError,
     PhaseError,
     PhasePoint,
@@ -29,10 +31,12 @@ from algbilliards.phase import (
     direction_from_slope,
     direction_point,
     line_point,
+    orbit_step_json,
     orbit_tree,
     orbit_tree_jsonl,
     phase_distance,
     phase_point,
+    phase_point_json,
     real_billiard_step,
     reflect,
     rotate_direction,
@@ -463,6 +467,66 @@ def test_orbit_tree_records_terminated_branches():
     assert total == 2
     dumped = [json.loads(l) for l in orbit_tree_jsonl(tree)]
     assert any("terminated_reason" in obj for obj in dumped)
+
+
+def _tree_through_infinity(curve, depth):
+    """An orbit tree whose first secant meets the curve on the infinity line."""
+    inf_pt = points_at_infinity(curve)[0][0]
+    q = direction_from_slope((inf_pt.coords[0], inf_pt.coords[1]), 0)
+    t = find_roots(curve.restrict_to_line((0.2, -0.3, 1.0), (1.1, 0.4, 0.0)))[0].value
+    c0 = proj_point(0.2 + 1.1 * t, -0.3 + 0.4 * t, 1.0)
+    return orbit_tree(curve, phase_point(curve, c0, q), depth)
+
+
+def _node_dict(level, node):
+    obj = {"level": level, "parent_index": node.parent_index,
+           **phase_point_json(node.point), "mult": node.multiplicity}
+    if node.terminated_reason is not None:
+        obj["terminated_reason"] = node.terminated_reason
+    return obj
+
+
+@pytest.mark.parametrize("name", ["cubic", "quartic"])
+def test_orbit_tree_jsonl_is_json_dumps_of_each_node(request, name):
+    import json
+
+    tree = _tree_through_infinity(request.getfixturevalue(name), 3)
+    nodes = [(level, node) for level, row in enumerate(tree.levels) for node in row]
+    assert any(node.terminated_reason for _, node in nodes)
+    expected = [json.dumps(_node_dict(level, node), sort_keys=True) for level, node in nodes]
+    assert orbit_tree_jsonl(tree) == expected
+
+
+# extreme and integer-valued floats, and the non-finite values, which json
+# writes as NaN and Infinity; the formatter writes them the same way
+ODD_FLOATS = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -3.0, 0.0, 1e16, 2.5e-7,
+              float("nan"), float("inf"), float("-inf")]
+
+
+def _odd_states(count=8, seed=0):
+    rng = random.Random(seed)
+
+    def z():
+        return complex(rng.choice(ODD_FLOATS), rng.choice(ODD_FLOATS))
+
+    return [PhasePoint(ProjPoint((z(), z(), z())), DirectionPoint((z(), z(), z()), False))
+            for _ in range(count)]
+
+
+def test_orbit_lines_match_json_dumps_on_odd_floats():
+    import json
+
+    from algbilliards.phase import OrbitNode, OrbitTree
+
+    states = _odd_states(40)
+    nodes = tuple(OrbitNode(x, k - 1, k + 1, "scratch" if k % 3 else None)
+                  for k, x in enumerate(states))
+    tree = OrbitTree(root=states[0], depth=0, levels=(nodes,))
+    assert orbit_tree_jsonl(tree) == [json.dumps(_node_dict(0, n), sort_keys=True) for n in nodes]
+    for step, x in enumerate(states):
+        assert orbit_step_json(step, x) == json.dumps(
+            {"step": step, **phase_point_json(x)}, sort_keys=True)
+    assert any("NaN" in line or "Infinity" in line for line in orbit_tree_jsonl(tree))
 
 
 def test_real_step_long_run_stability():

@@ -12,6 +12,7 @@ from algbilliards.spectral import (
     MatrixMismatchError,
     PushforwardMatrix,
     claimed_factorization,
+    degree_sequence,
     divisor_basis,
     pushforward_b_hat,
     verify_conjugation,
@@ -100,3 +101,20 @@ def test_an_off_block_entry_fails_the_conjugation_certificate(monkeypatch, d, fl
     ok, cert = verify_conjugation(d)
     assert not ok and cert[flag] is False
     assert cert["a_matches_display"] and cert["chi_a_matches"] and cert["psi_involution"]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_a_row_off_its_class_breaks_the_degree_quotient(monkeypatch, tmp_path, capsys, d):
+    # Einf_1 -> -2 D0 - Einf_1: b_hat + I keeps rank 4, but the row no longer
+    # has the class sums of the other infinity rows, so the 4x4 quotient of
+    # degree_sequence would be wrong and must be refused
+    inf = divisor_basis(d).index("Einf1")
+    mutated = _mutate(monkeypatch, d, {(inf, 1): -2})
+    assert exact_rank(_plus_identity(mutated)) == 4
+    with pytest.raises(MatrixMismatchError, match="four-class quotient"):
+        degree_sequence(d, 5)
+    out = tmp_path / "spec.json"
+    assert main(["spectral", "--d", str(d), "--out", str(out)]) == 2
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and "four-class quotient" in lines[0]
+    assert not out.exists()

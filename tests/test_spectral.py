@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from algbilliards import numerics
+from algbilliards import numerics, spectral
+from algbilliards.cli import main
 from algbilliards.numerics import BigIntMatrix, char_poly
 from algbilliards.spectral import (
     cheap_eigenvalues,
@@ -304,18 +305,40 @@ def test_degree_sequence_d0_is_2():
         assert degree_sequence(d, 0)[0] == 2
 
 
-@pytest.mark.parametrize("d", range(2, 7))
-def test_degree_sequence_matches_dense_products(d):
+def _dense_degrees(d, m_max):
+    """(M^m Delta) . J Delta by dense products of the full pushforward matrix."""
     m = pushforward_b_hat(d).matrix.to_lists()
     j = intersection_form(d).to_lists()
     delta = [1, 1] + [0] * (len(m) - 2)
     pairing = [sum(a * b for a, b in zip(row, delta)) for row in j]
     expected = []
     v = delta
-    for _ in range(61):
+    for _ in range(m_max + 1):
         expected.append(sum(a * b for a, b in zip(v, pairing)))
         v = [sum(a * b for a, b in zip(row, v)) for row in m]
-    assert degree_sequence(d, 60) == expected
+    return expected
+
+
+@pytest.mark.parametrize("d", [*range(2, 7), 8])
+def test_degree_sequence_matches_dense_products(d):
+    assert degree_sequence(d, 60) == _dense_degrees(d, 60)
+
+
+def test_degree_sequence_matches_dense_products_to_the_cap():
+    assert degree_sequence(3, 200) == _dense_degrees(3, 200)
+
+
+def test_b_hat_is_turned_into_sparse_rows_once_per_command(monkeypatch, tmp_path):
+    # the build's checked product is b_hat's only sparse form: the conjugation
+    # certificate and the degree sequence read it instead of scanning the
+    # dense matrix again
+    pushforward_b_hat.cache_clear()
+    builds, scans = [], []
+    display, nonzero_rows = spectral._display_b_hat, spectral._nonzero_rows
+    monkeypatch.setattr(spectral, "_display_b_hat", lambda d: builds.append(d) or display(d))
+    monkeypatch.setattr(spectral, "_nonzero_rows", lambda m: scans.append(m) or nonzero_rows(m))
+    assert main(["spectral", "--d", "12", "--out", str(tmp_path / "spec.json")]) == 0
+    assert builds == [12] and scans == []
 
 
 def test_degree_sequence_d2_quadratic():
