@@ -42,7 +42,6 @@ from .numerics import (
     RootCluster,
     bracketed_largest_root,
     char_poly,
-    deflate_root,
     find_roots,
 )
 from .phase import (

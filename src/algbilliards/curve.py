@@ -703,8 +703,7 @@ def _check_smooth(curve: PlaneCurve, inf_points, notes: list[str]) -> bool:
             smooth = False
             notes.append(f"singular affine point near ({x:.6g}, {y:.6g})")
     if inf_points is None:
-        notes.append("curve contains the line at infinity")
-        return False
+        return False  # _check_infinity notes it
     for p, _m in inf_points:
         g = curve.gradient(*p.coords)
         gnorm = math.sqrt(sum(abs(v) ** 2 for v in g))

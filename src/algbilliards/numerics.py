@@ -1,7 +1,7 @@
 """Shared numerical kernels: complex polynomial roots and exact integer linear algebra.
 
 Two independent toolkits live here.  The floating-point side (ComplexPoly,
-find_roots, deflate_root) supports the geometry modules, which intersect
+find_roots, monic_roots) supports the geometry modules, which intersect
 lines with plane curves and need root multisets with multiplicities.  The
 exact side (IntPoly, BigIntMatrix, char_poly, bracketed_largest_root)
 supports the spectral module, where every statement is an integer identity
@@ -22,11 +22,9 @@ __all__ = [
     "IntPoly",
     "BigIntMatrix",
     "NonConvergenceError",
-    "NotARootError",
     "NoSignChangeError",
     "find_roots",
     "monic_roots",
-    "deflate_root",
     "char_poly",
     "bracketed_largest_root",
     "exact_rank",
@@ -35,7 +33,6 @@ __all__ = [
 LEADING_ZERO_TOL = 1e-12
 CLUSTER_REL_TOL = 1e-6
 COARSE_CLUSTER_REL_TOL = 1e-4
-DEFLATE_RESIDUAL_TOL = 1e-6
 BRACKET_TOL = 1e-12
 BRACKET_SAMPLES = 64
 MAX_MATRIX_SIDE = 1000
@@ -43,10 +40,6 @@ MAX_MATRIX_SIDE = 1000
 
 class NonConvergenceError(RuntimeError):
     """The eigenvalue iteration for roots failed to converge; input is likely ill-conditioned."""
-
-
-class NotARootError(ValueError):
-    """A claimed root does not actually annihilate the polynomial."""
 
 
 class NoSignChangeError(ValueError):
@@ -259,32 +252,6 @@ def _polish_root(mp: ComplexPoly, z: complex, mult: int) -> complex:
         else:
             break
     return best
-
-
-def deflate_root(p: ComplexPoly, r: complex, k: int = 1) -> ComplexPoly:
-    """Divide ``p`` by (t - r) exactly ``k`` times via synthetic division.
-
-    Raises NotARootError if, before any of the k divisions, the residual
-    |p(r)| exceeds ``DEFLATE_RESIDUAL_TOL`` relative to the evaluation scale.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    coeffs = list(p.coeffs)
-    for _ in range(k):
-        cur = ComplexPoly(coeffs)
-        resid = abs(cur(r)) / _eval_magnitude_scale(cur.coeffs, r)
-        if resid > DEFLATE_RESIDUAL_TOL:
-            raise NotARootError(f"residual {resid:.3e} at {r!r}; not a root")
-        if cur.degree == 0:
-            raise ValueError("cannot deflate a constant polynomial")
-        cs = cur.coeffs
-        out = [0j] * cur.degree
-        acc = cs[-1]
-        for i in range(cur.degree - 1, -1, -1):
-            out[i] = acc
-            acc = cs[i] + r * acc
-        coeffs = out
-    return ComplexPoly(coeffs)
 
 
 # ---------------------------------------------------------------------------

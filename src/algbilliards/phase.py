@@ -17,7 +17,7 @@ order.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .curve import (
     tangent_at,
 )
 from .numerics import COARSE_CLUSTER_REL_TOL, LEADING_ZERO_TOL, ComplexPoly, RootCluster
-from .numerics import deflate_root, find_roots, monic_roots
+from .numerics import find_roots, monic_roots
 
 __all__ = [
     "DirectionPoint",
@@ -297,53 +297,46 @@ def _scratch_proximity(curve: PlaneCurve, c: ProjPoint, slope, dist: float) -> f
 # ---------------------------------------------------------------------------
 
 
-def line_point(base, direction, t) -> ProjPoint:
-    """The point base + t * direction of a line whose direction lies at infinity.
+def line_point(base, e, t) -> ProjPoint:
+    """The point base + t * e of the line through base and a second point e.
 
-    The third coordinate is base[2] itself rather than base[2] + t * 0, which
-    keeps the sign of a zero coordinate.
+    When e lies at infinity (e[2] == 0) the third coordinate is base[2]
+    itself rather than base[2] + t * 0, which keeps the sign of a zero
+    coordinate.
     """
-    return proj_point(base[0] + t * direction[0], base[1] + t * direction[1], base[2])
+    third = base[2] if e[2] == 0 else base[2] + t * e[2]
+    return proj_point(base[0] + t * e[0], base[1] + t * e[1], third)
 
 
 def line_intersections(
-    curve: PlaneCurve, base, direction, *, remove: int = 0
+    curve: PlaneCurve, base, e, *, remove: int = 0
 ) -> tuple[list[RootCluster], int]:
-    """Intersections of the curve with the line base + t * (D0, D1, 0).
+    """Intersections of the curve with the line base + t * e.
 
     The restriction of the curve form is a degree-d polynomial in t.  A line
     inside the curve is refused; ``remove`` (0, 1 or 2) copies of a known
-    root at t = 0 are divided out; top coefficients below 1e-9 of the line
-    scale count as intersections at the direction point [D0 : D1 : 0].
-    Returns the remaining parameter clusters in ``find_roots`` order (map
-    them to points with ``line_point``) and the multiplicity at the
-    direction point.
+    root at t = 0 are divided out by dropping the low coefficients, which
+    must sit at the residual level of the base point; top coefficients below
+    1e-9 of the line scale count as intersections at e itself (t = infinity,
+    the direction point [D0 : D1 : 0] when e = (D0, D1, 0)).  Returns the
+    remaining parameter clusters in ``find_roots`` order (map them to points
+    with ``line_point``) and the multiplicity at e.
     """
-    body, at_direction = _line_polynomial(curve, base, direction, remove, 1e-9)
-    return _line_roots(body), at_direction
-
-
-def _line_polynomial(curve, base, direction, remove, trim):
     d = curve.degree
-    poly = curve.restrict_to_line(base, direction)
+    poly = curve.restrict_to_line(base, e)
     line_scale = max(abs(c) for c in poly.coeffs)
     if line_scale <= 1e-12 * max(1.0, curve.scale()):
         raise LineInCurveError("the line lies in the curve")
     coeffs = list(poly.coeffs) + [0j] * (d + 1 - len(poly.coeffs))
-    # a known root at t = 0 is removed by dropping the low coefficients,
-    # which must sit at the residual level of the base point
     gates = (1e-6, 1e-5)[:remove]
     if any(abs(c) > g * line_scale for c, g in zip(coeffs, gates)):
         raise PhaseError(f"the line does not meet the curve {remove} times at the base point")
     body = coeffs[remove:]
     eff = len(body)
-    while eff > 0 and abs(body[eff - 1]) <= trim * line_scale:
+    while eff > 0 and abs(body[eff - 1]) <= 1e-9 * line_scale:
         eff -= 1
-    return body[:eff], (d - remove) - max(eff - 1, 0)
-
-
-def _line_roots(coeffs) -> list[RootCluster]:
-    return find_roots(ComplexPoly(coeffs)) if len(coeffs) >= 2 else []
+    roots = find_roots(ComplexPoly(body[:eff])) if eff >= 2 else []
+    return roots, (d - remove) - max(eff - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +345,14 @@ def _line_roots(coeffs) -> list[RootCluster]:
 
 
 def _near_infinity_band(d: int) -> float:
-    """Base points with |X2| below this are parametrized from an affine anchor.
+    """Base points with |X2| below this parametrize their secant line from
+    the point of the line Hermitian-orthogonal to them.
 
-    The straightforward parametrization of a line through a base point near
-    the infinity line evaluates the curve form where it nearly vanishes as a
-    whole, which loses about eps_machine / |X2|^d of accuracy; the band is
-    sized so that error stays two orders below the 1e-8 residual gates.
+    The straightforward parametrization c + t * (Q0, Q1, 0) of a line through
+    a base point near the infinity line evaluates the curve form where it
+    nearly vanishes as a whole, which loses about eps_machine / |X2|^d of
+    accuracy; the band is sized so that error stays two orders below the
+    1e-8 residual gates.
     """
     return max(1e-2, 1e-4 ** (1.0 / d))
 
@@ -365,20 +360,18 @@ def _near_infinity_band(d: int) -> float:
 def secant(curve: PlaneCurve, x: PhasePoint) -> BranchSet:
     """The d-1 other intersections of the line through c with direction [q].
 
-    The line is parametrized as base + t * (Q0, Q1, 0); the restriction of
-    the curve form is a degree-d polynomial in t.  Exactly one copy of the
-    base-point root is removed, so a tangent line returns the base point
-    itself among the images.  Intersections at the direction point
-    [Q0 : Q1 : 0] show up as a degree drop and are restored explicitly, so
-    images may lie at infinity.
-
-    A base point close to (but not on) the infinity line would make the
-    straightforward parametrization catastrophically ill-conditioned: the
+    The line is parametrized from its base point as c + t * e, so the base
+    root is t = 0 and exactly one copy of it is removed by dropping the
+    constant coefficient; a tangent line returns the base point itself
+    among the images.  Outside the near-infinity band e is the direction
+    point D = (Q0, Q1, 0).  Inside it (X2 = 0 included) that
+    parametrization would be catastrophically ill-conditioned, since the
     restricted coefficients all shrink with the distance to infinity while
-    the evaluation noise does not.  In that band the same line is re-anchored
-    at an affine point computed from the well-conditioned line offset
-    cross(q, c) / c2, and the base root is removed by cluster matching
-    instead of a coefficient shift.
+    the evaluation noise does not; there e is the point of the same line
+    that is Hermitian-orthogonal to c, e = D (c^H c) - c (c^H D), which
+    keeps the parametrization well scaled along the whole line.
+    Intersections at e show up as a degree drop and are restored
+    explicitly, so images may lie at infinity.
 
     This is the one-state call of the stacked step ``_secant_rows``.
     """
@@ -391,16 +384,27 @@ def _secant_rows(curve: PlaneCurve, xs, c: np.ndarray, q: np.ndarray) -> tuple[l
     """Secant images of the states xs, with (N, 3) stacks c and q: per state
     its (coords, multiplicity) pairs in point order or the PhaseError it
     raised, and its ill_conditioned flag.  All states take the stacked path
-    (base root t = 0 dropped, the others from ``monic_roots``); a state near
-    infinity, or failing a gate of ``_line_polynomial`` or ``find_roots``'
-    coarse cluster radius, takes the per-state code ``_secant_one``."""
+    (base root t = 0 dropped, the others from ``monic_roots``); a state
+    with |X2| <= 1e-5, which needs the scratch-proximity check, or failing
+    a gate of ``line_intersections`` or ``find_roots``' coarse cluster
+    radius, takes the per-state code ``_secant_one``."""
     d = curve.degree
-    line = q * _DROP_Q2
+    line = q.copy()
+    line[:, 2] = 0
+    band = np.abs(c[:, 2]) < _near_infinity_band(d)
+    if band.any():
+        cb, db = c[band], line[band]
+        e = (db * np.einsum("mk,mk->m", cb.conj(), cb)[:, None]
+             - cb * np.einsum("mk,mk->m", cb.conj(), db)[:, None])
+        # an exact scratch point gives e = 0, which proximity refuses later
+        nonzero = np.abs(e).max(axis=1) > 0
+        e[nonzero] = proj_points(e[nonzero])
+        line[band] = e
     coeffs = curve.restrict_to_lines(c, line)
     mag = np.abs(coeffs)
     top = mag.max(axis=1)
     ok = (
-        (np.abs(c[:, 2]) >= _near_infinity_band(d))
+        (np.abs(c[:, 2]) > SCRATCH_SOFT_TOL)
         & (top > 1e-12 * max(1.0, curve.scale()))
         & (mag[:, 0] <= 1e-6 * top)
         & (mag[:, -1] > np.maximum(1e-9 * top, LEADING_ZERO_TOL))
@@ -411,7 +415,7 @@ def _secant_rows(curve: PlaneCurve, xs, c: np.ndarray, q: np.ndarray) -> tuple[l
             gap = np.abs(t[:, :, None] - t[:, None, :]) + np.diag(np.full(d - 1, np.inf))
             ok &= gap.min(axis=(1, 2)) > COARSE_CLUSTER_REL_TOL * (1.0 + np.abs(t).max(axis=1))
         pts = c[:, None, :] + t[:, :, None] * line[:, None, :]
-        pts[:, :, 2] = c[:, None, 2]
+        pts[:, :, 2] = np.where(line[:, None, 2] == 0, c[:, None, 2], pts[:, :, 2])
         pts = proj_points(pts.reshape(-1, 3)).reshape(len(c), d - 1, 3).tolist()
     images, ill = [], [False] * len(xs)
     for i, clear in enumerate(ok.tolist()):
@@ -419,84 +423,31 @@ def _secant_rows(curve: PlaneCurve, xs, c: np.ndarray, q: np.ndarray) -> tuple[l
             images.append([(tuple(p), 1) for p in sorted(pts[i], key=point_order_key)])
             continue
         try:
-            found, ill[i] = _secant_one(curve, xs[i])
+            found, ill[i] = _secant_one(curve, xs[i], tuple(line[i].tolist()))
         except PhaseError as exc:
             found = exc
         images.append(found)
     return images, ill
 
 
-_DROP_Q2 = np.array([1, 1, 0])
-
-
-def _secant_one(curve: PlaneCurve, x: PhasePoint) -> tuple[list, bool]:
-    """The per-state secant: (coords, multiplicity) pairs in point order, and
-    the ill_conditioned flag."""
+def _secant_one(curve: PlaneCurve, x: PhasePoint, e) -> tuple[list, bool]:
+    """The per-state secant on the line x.c + t * e: (coords, multiplicity)
+    pairs in point order, and the ill_conditioned flag."""
     prox = secant_scratch_proximity(curve, x)
     if prox < SCRATCH_HARD_TOL:
         raise ScratchPointError(
             f"secant source is a scratch point at infinity (proximity {prox:.2e})"
         )
     d = curve.degree
-    q0, q1, _ = x.q.q
-    direction = (q0, q1, 0)
-    if ISOTROPIC_Q2_TOL < abs(x.c.coords[2]) < _near_infinity_band(d):
-        base, roots, at_direction = _secant_roots_reanchored(curve, x)
-    else:
-        base = x.c.coords
-        roots, at_direction = line_intersections(curve, base, direction, remove=1)
-    images = [(line_point(base, direction, r.value).coords, r.multiplicity) for r in roots]
-    if at_direction > 0:
-        images.insert(0, (proj_point(q0, q1, 0).coords, at_direction))
+    base = x.c.coords
+    roots, at_e = line_intersections(curve, base, e, remove=1)
+    images = [(line_point(base, e, r.value).coords, r.multiplicity) for r in roots]
+    if at_e > 0:
+        images.insert(0, (proj_point(*e).coords, at_e))
     total = sum(m for _, m in images)
     if total != d - 1:
         raise PhaseError(f"secant images carry multiplicity {total}, not d - 1 = {d - 1}")
     return sorted(images, key=lambda im: point_order_key(im[0])), prox < SCRATCH_SOFT_TOL
-
-
-def _secant_roots_reanchored(
-    curve: PlaneCurve, x: PhasePoint
-) -> tuple[tuple, list[RootCluster], int]:
-    q0, q1, _ = x.q.q
-    c0, c1, c2 = x.c.coords
-    # affine equation of the line: perp . x = offset, with perp = (-q1, q0);
-    # the cross product is formed from normalized O(1) coordinates, so the
-    # offset/c2 ratio is computed without cancellation amplification
-    offset = (q0 * c1 - q1 * c0) / c2
-    norm2 = abs(q0) ** 2 + abs(q1) ** 2
-    # anchor solves perp . a = offset with minimal Hermitian norm
-    anchor = (
-        offset * (-q1).conjugate() / norm2,
-        offset * q0.conjugate() / norm2,
-        1.0,
-    )
-    direction = (q0, q1, 0)
-    # the far anchor inflates the line scale, so the trim is two orders finer
-    body, at_direction = _line_polynomial(curve, anchor, direction, 0, 1e-11)
-
-    # parameter of the base point on the re-anchored line
-    ya = (c0 / c2, c1 / c2)
-    if abs(q0) >= abs(q1):
-        t_base = (ya[0] - anchor[0]) / q0
-    else:
-        t_base = (ya[1] - anchor[1]) / q1
-
-    if abs(t_base) > 1e3:
-        # the base parameter dwarfs the other roots; a single relative
-        # cluster radius would merge them, so remove the base root first by
-        # deflating the reversed polynomial at 1/t_base (stable for large
-        # roots; the scalar factor the reversal introduces does not move
-        # the remaining roots)
-        quotient = deflate_root(ComplexPoly(body[::-1]), 1.0 / t_base, 1)
-        return anchor, _line_roots(list(quotient.coeffs)[::-1]), at_direction
-
-    roots = _line_roots(body)
-    rels = [abs(r.value - t_base) / (1.0 + abs(t_base)) for r in roots]
-    if not rels or min(rels) > 1e-3:
-        raise PhaseError("could not locate the base point on the re-anchored line")
-    i = rels.index(min(rels))
-    roots[i] = replace(roots[i], multiplicity=roots[i].multiplicity - 1)
-    return anchor, [r for r in roots if r.multiplicity > 0], at_direction
 
 
 # ---------------------------------------------------------------------------

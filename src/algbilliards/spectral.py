@@ -140,9 +140,11 @@ def _matrix(d: int, entries: dict) -> BigIntMatrix:
 def _sparse_rows(d: int, entries: dict) -> list[list[tuple[int, int]]]:
     """The same matrix as rows of (column, entry) pairs, the form of ``_nonzero_rows``."""
     rows = [[] for _ in range(2 * d * d + 2)]
-    for (i, j), v in sorted(entries.items()):
+    for (i, j), v in entries.items():
         if v:
             rows[i].append((j, v))
+    for row in rows:
+        row.sort()
     return rows
 
 

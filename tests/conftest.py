@@ -31,3 +31,8 @@ def cubic():
 @pytest.fixture(scope="session")
 def quartic():
     return load_curve("quartic")
+
+
+@pytest.fixture(scope="session")
+def sextic():
+    return load_curve("sextic")

@@ -229,6 +229,14 @@ def test_genericity_line_pair_not_smooth():
     assert not rep.smooth
 
 
+def test_genericity_infinity_line_component_noted_once():
+    # X2 * (X0 + X1 + X2) contains the line at infinity
+    c = PlaneCurve.from_coeffs(2, {(1, 0, 1): 1, (0, 1, 1): 1, (0, 0, 2): 1})
+    rep = genericity_report(c)
+    assert not rep.smooth and not rep.distinct_infinity_points
+    assert rep.diagnostics.count("curve contains the line at infinity") == 1
+
+
 def test_genericity_isotropic_line_factor_flagged():
     # (X1 - i X0 - X2) * (X0 + 2 X1 + 3 X2) contains an isotropic line
     terms = {}

@@ -5,7 +5,6 @@ Expected values are produced by small independent oracles defined here
 convolution products), never by the code paths under test.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -17,10 +16,8 @@ from algbilliards.numerics import (
     ComplexPoly,
     IntPoly,
     NoSignChangeError,
-    NotARootError,
     bracketed_largest_root,
     char_poly,
-    deflate_root,
     exact_rank,
     find_roots,
 )
@@ -155,51 +152,6 @@ def test_find_roots_multiplicities_cover_degree_random():
 def test_find_roots_rejects_constant():
     with pytest.raises(ValueError):
         find_roots(ComplexPoly([3.0]))
-
-
-# ---------------------------------------------------------------------------
-# deflate_root
-# ---------------------------------------------------------------------------
-
-
-def test_deflate_simple():
-    q = deflate_root(ComplexPoly([-1, 0, 1]), 1.0, 1)
-    assert q.degree == 1
-    assert abs(q.coeffs[0] - 1) < 1e-12 and abs(q.coeffs[1] - 1) < 1e-12
-
-
-def test_deflate_double_zero():
-    q = deflate_root(ComplexPoly([0, 0, 0, 1]), 0.0, 2)  # t^3 / t^2
-    assert q.degree == 1
-    assert abs(q.coeffs[0]) < 1e-12 and abs(q.coeffs[1] - 1) < 1e-12
-
-
-def test_deflate_ellipse_secant_polynomial():
-    # restriction of x^2/4 + y^2 - 1 to the line (2 - t/sqrt2, t/sqrt2):
-    # (5/8) t^2 - (sqrt2/2) t, with base root t = 0
-    s2 = math.sqrt(2)
-    p = ComplexPoly([0, -s2 / 2, 5 / 8])
-    q = deflate_root(p, 0.0, 1)
-    root = -q.coeffs[0] / q.coeffs[1]
-    assert abs(root - 4 * s2 / 5) < 1e-12
-
-
-def test_deflate_not_a_root():
-    with pytest.raises(NotARootError):
-        deflate_root(ComplexPoly([-1, 0, 1]), 0.5, 1)
-
-
-def test_deflate_multiply_back_roundtrip():
-    rng = random.Random(3)
-    for _ in range(20):
-        coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(5)]
-        coeffs.append(1.0 + 0j)
-        p = ComplexPoly(coeffs)
-        r = find_roots(p)[0].value
-        q = deflate_root(p, r, 1)
-        back = convolve(list(q.coeffs), [-r, 1])
-        scale = max(abs(c) for c in coeffs)
-        assert max(abs(a - b) for a, b in zip(back, coeffs)) < 1e-9 * scale
 
 
 # ---------------------------------------------------------------------------

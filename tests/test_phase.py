@@ -6,7 +6,6 @@ import random
 import pytest
 
 from algbilliards.curve import (
-    CurveError,
     PlaneCurve,
     ProjPoint,
     on_curve_residual,
@@ -15,7 +14,7 @@ from algbilliards.curve import (
     proj_point,
     tangent_at,
 )
-from algbilliards.numerics import NotARootError, find_roots
+from algbilliards.numerics import find_roots
 from algbilliards.phase import (
     SCRATCH_HARD_TOL,
     SCRATCH_SOFT_TOL,
@@ -203,19 +202,8 @@ def near_infinity_state(curve, c2):
     return PhasePoint(c=c, q=direction_from_slope(tangent_at(curve, c).tangent, 0))
 
 
-def _soft_band_defect(error):
-    # the re-anchored secant does not yet serve a tangent direction over the
-    # whole soft band: the base is a double root of its line polynomial
-    return pytest.mark.xfail(raises=error, strict=True,
-                             reason="tangent direction in the soft band off infinity")
-
-
-@pytest.mark.parametrize("name, c2", [
-    ("ellipse", 1e-7),
-    pytest.param("ellipse", 1e-6, marks=_soft_band_defect(NotARootError)),
-    pytest.param("cubic", 1e-7, marks=_soft_band_defect(CurveError)),
-    pytest.param("quartic", 1e-7, marks=_soft_band_defect(NotARootError)),
-])
+@pytest.mark.parametrize("c2", [3e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 3e-6])
+@pytest.mark.parametrize("name", ["ellipse", "cubic", "quartic"])
 def test_secant_soft_band_off_infinity_is_ill_conditioned(request, name, c2):
     # the stacked call must send the state to the per-state proximity check
     # even when it shares the batch with ordinary states
@@ -241,6 +229,62 @@ def test_secant_hard_band_off_infinity_is_a_scratch_point(request, name, c2):
     stacked = billiard_steps(curve, [*sample_phase_points(curve, 3, seed=2), x])
     assert [isinstance(step, PhaseError) for step in stacked] == [False, False, False, True]
     assert isinstance(stacked[-1], ScratchPointError)
+
+
+def off_tangent_state(curve, c2):
+    """The near-infinity state of ``near_infinity_state`` turned 0.3 off its tangent."""
+    x = near_infinity_state(curve, c2)
+    return PhasePoint(c=x.c, q=rotate_direction(x.q, 0.3))
+
+
+def perpendicular_foot_state(curve, c2):
+    """A near-infinity base point c whose secant line has direction (conj c1, -conj c0):
+    c is the foot of the perpendicular from the origin to that line."""
+    c = near_infinity_state(curve, c2).c
+    c0, c1, _ = c.coords
+    return PhasePoint(c=c, q=direction_from_slope((c1.conjugate(), -c0.conjugate()), 0))
+
+
+def reference_secant(curve, x, dps=50):
+    """The secant images of x from the roots of F(c + t * (Q0, Q1, 0)) at
+    ``dps`` digits, the root nearest 0 removed, as projective points."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        c = [mpmath.mpc(z) for z in x.c.coords]
+        direction = [mpmath.mpc(z) for z in x.q.q[:2]]
+        coeffs = [mpmath.mpc(0)] * (curve.degree + 1)
+        for (i, j, k), (re, im) in curve.coeffs.items():
+            term = [mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
+                               mpmath.mpf(im.numerator) / im.denominator) * c[2] ** k]
+            for base, step, power in ((c[0], direction[0], i), (c[1], direction[1], j)):
+                for _ in range(power):
+                    term = [a * base + b * step for a, b in zip(term + [0], [0] + term)]
+            coeffs = [a + b for a, b in zip(coeffs, term + [0] * (len(coeffs) - len(term)))]
+        roots = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=200)
+        roots.remove(min(roots, key=abs))
+        points = [(c[0] + t * direction[0], c[1] + t * direction[1], c[2]) for t in roots]
+        return [proj_point(*map(complex, p)) for p in points]
+
+
+BAND_STATES = [(off_tangent_state, c2) for c2 in (1e-7, 1e-5, 1e-3)] + [
+    (perpendicular_foot_state, c2) for c2 in (1e-7, 1e-5)]
+
+
+@pytest.mark.parametrize("make, c2", BAND_STATES)
+@pytest.mark.parametrize("name", ["ellipse", "cubic", "quartic", "sextic"])
+def test_secant_band_states_match_reference(request, name, make, c2):
+    curve = request.getfixturevalue(name)
+    x = make(curve, c2)
+    out = secant(curve, x)
+    assert out.total_multiplicity() == curve.degree - 1
+    images = [br.point.c for br in out.images for _ in range(br.multiplicity)]
+    for ref in reference_secant(curve, x):
+        nearest = min(images, key=lambda p: proj_distance(p, ref))
+        assert proj_distance(nearest, ref) < 1e-10
+        images.remove(nearest)
+    xs = [*sample_phase_points(curve, 3, seed=4), x]
+    assert billiard_steps(curve, xs) == [billiard_steps(curve, [s])[0] for s in xs]
 
 
 def test_secant_line_in_curve_rejected():
