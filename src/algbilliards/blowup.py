@@ -120,7 +120,8 @@ KAPPA_MARGIN = 0.1
 def infinity_experiment_starts(
     curve: PlaneCurve, scratch: ScratchPoint, candidates, count: int
 ):
-    """Filter candidate curve points down to admissible experiment starts."""
+    """The first ``count`` admissible starts among the candidate curve
+    points, which are drawn no further than that."""
     chart: InfinityChart = scratch.chart
     good = []
     for c in candidates:
@@ -615,7 +616,7 @@ def confinement_experiment_infinity_multi(
         raise BlowupError("the infinity experiment needs at least one start")
     eps = default_eps_schedule() if eps_list is None else list(eps_list)
     chart: InfinityChart = scratch.chart
-    runs = []
+    kappas = []
     for c0 in starts:
         if c0.is_at_infinity:
             raise BoundaryPointError("start point must be affine")
@@ -624,7 +625,10 @@ def confinement_experiment_infinity_multi(
             raise BoundaryPointError(
                 f"start offset kappa = {kappa0:.3g} is too close to a chart boundary"
             )
-        chains, distance = _follow(curve, scratch, PhasePoint(c=c0, q=scratch.phase.q), eps)
+        kappas.append(kappa0)
+    follows = _follow(curve, scratch, [PhasePoint(c=c0, q=scratch.phase.q) for c0 in starts], eps)
+    runs = []
+    for c0, kappa0, (chains, distance) in zip(starts, kappas, follows):
         # chart-level prediction: reflect the pencil offset, intersect, reflect
         neg = reflect_at_infinity_limit(curve, ExceptionalParam(scratch, kappa0))
         predicted = [
@@ -676,17 +680,17 @@ def confinement_experiment_isotropic(
         ][:1]
     if len(starts) < MIN_ISOTROPIC_STARTS:
         raise BranchLostError("could not sample enough starts on the contracted curve")
-    runs = []
-    for x0 in starts:
-        chains, distance = _follow(curve, scratch, x0, eps)
-        runs.append(({"start": phase_point_json(x0), "nearest_branch_distance": distance},
-                     chains, []))
+    runs = [
+        ({"start": phase_point_json(x0), "nearest_branch_distance": distance}, chains, [])
+        for x0, (chains, distance) in zip(starts, _follow(curve, scratch, starts, eps))
+    ]
     return _report(scratch, eps, runs)
 
 
-def _follow(curve: PlaneCurve, scratch: ScratchPoint, x0: PhasePoint, eps):
-    """Drive b^2 from x0, its direction rotated by each eps in turn, through
-    two stacked billiard calls: (chains, last distance to the scratch).
+def _follow(curve: PlaneCurve, scratch: ScratchPoint, x0s: list[PhasePoint], eps):
+    """Drive b^2 from each start of x0s, its direction rotated by each eps in
+    turn, through two stacked billiard calls for all starts: per start, in
+    start order, (chains, last distance to the scratch).
 
     At infinity the first step follows the reflected branch nearest the
     scratch state and the second keeps every reflected branch, continued
@@ -711,24 +715,28 @@ def _follow(curve: PlaneCurve, scratch: ScratchPoint, x0: PhasePoint, eps):
             return [reflect(curve, branch.point).images[0].point]
         return [branch.point]
 
-    xs = [PhasePoint(c=x0.c, q=rotate_direction(x0.q, e)) for e in eps]
+    xs = [PhasePoint(c=x0.c, q=rotate_direction(x0.q, e)) for x0 in x0s for e in eps]
     ys = [kept(step, "all first-step branches failed to reflect", False)[0]
           for step in billiard_steps(curve, xs)]
-    chains: list[list[tuple[complex, ...]]] = []
-    for step in billiard_steps(curve, ys):
-        finals = [_phase_vector(p) for p in
-                  kept(step, "all second-step branches failed to reflect", True)]
-        if not chains:
-            finals.sort(key=lambda v: (v[0].real, v[0].imag))
-            chains = [[v] for v in finals]
-            continue
-        # continuation: match each chain to the nearest unused new value
-        for chain in chains:
-            prev = chain[-1]
-            v = _nearest(finals, lambda w: max(abs(a - b) for a, b in zip(w, prev)),
-                         "branch continuation lost a chain")
-            finals.remove(v)
-            chain.append(v)
-    distances = [phase_distance(y, scratch.phase) for y in ys]
-    _require_approach(distances)
-    return chains, distances[-1]
+    second = billiard_steps(curve, ys)
+    out = []
+    for k in range(0, len(ys), len(eps)):
+        chains: list[list[tuple[complex, ...]]] = []
+        for step in second[k:k + len(eps)]:
+            finals = [_phase_vector(p) for p in
+                      kept(step, "all second-step branches failed to reflect", True)]
+            if not chains:
+                finals.sort(key=lambda v: (v[0].real, v[0].imag))
+                chains = [[v] for v in finals]
+                continue
+            # continuation: match each chain to the nearest unused new value
+            for chain in chains:
+                prev = chain[-1]
+                v = _nearest(finals, lambda w: max(abs(a - b) for a, b in zip(w, prev)),
+                             "branch continuation lost a chain")
+                finals.remove(v)
+                chain.append(v)
+        distances = [phase_distance(y, scratch.phase) for y in ys[k:k + len(eps)]]
+        _require_approach(distances)
+        out.append((chains, distances[-1]))
+    return out

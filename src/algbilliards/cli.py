@@ -24,6 +24,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 
 from . import __version__
 from .blowup import (
@@ -43,7 +44,8 @@ from .phase import (
     orbit_tree_jsonl,
     real_billiard_step,
 )
-from .sampling import sample_curve_points, sample_phase_points, sample_real_state
+from .sampling import phase_point_stream, sample_phase_points, sample_real_state
+from .sampling import sample_curve_points  # noqa: F401 -- unused; bench/bench_trace.py wraps it
 from .spectral import (
     MAX_SEQUENCE_INDEX,
     MatrixMismatchError,
@@ -162,6 +164,8 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    if args.depth < 0:
+        return _error("--depth must be at least 0")
     curve = _load_curve(args.curve)
     report = genericity_report(curve)
     if not report.all_ok():
@@ -198,6 +202,16 @@ def cmd_orbit(args) -> int:
 def cmd_confine(args) -> int:
     if args.samples < 1:
         return _error("--samples must be at least 1")
+    eps_list = None
+    if args.eps:
+        try:
+            eps_list = [float(v) for v in args.eps.split(",")]
+        except ValueError:
+            return _error("--eps expects comma-separated floats")
+        if len(eps_list) < 3 or not all(map(math.isfinite, eps_list)) or any(
+            not 0 < b < a for a, b in zip(eps_list, eps_list[1:])
+        ):
+            return _error("--eps must be at least 3 strictly decreasing positive finite values")
     curve = _load_curve(args.curve)
     scratch = enumerate_scratch_points(curve)
     selected = scratch
@@ -207,22 +221,12 @@ def cmd_confine(args) -> int:
         selected = [scratch[args.scratch_index]]
     if args.samples < MIN_ISOTROPIC_STARTS and any(sp.kind != "infinity" for sp in selected):
         return _error(f"--samples must be at least {MIN_ISOTROPIC_STARTS} at isotropic scratch points")
-    eps_list = None
-    if args.eps:
-        try:
-            eps_list = [float(v) for v in args.eps.split(",")]
-        except ValueError:
-            return _error("--eps expects comma-separated floats")
-        if len(eps_list) < 3 or any(
-            not 0 < b < a for a, b in zip(eps_list, eps_list[1:])
-        ):
-            return _error("--eps must be at least 3 strictly decreasing positive values")
     reports = []
     all_ok = True
     for idx, sp in enumerate(selected):
         if sp.kind == "infinity":
-            candidates = sample_curve_points(curve, 8 * args.samples, args.seed + idx)
-            starts = infinity_experiment_starts(curve, sp, candidates, args.samples)
+            stream = islice(phase_point_stream(curve, args.seed + idx), 8 * args.samples)
+            starts = infinity_experiment_starts(curve, sp, (x.c for x in stream), args.samples)
             rep = confinement_experiment_infinity_multi(curve, sp, starts, eps_list)
         else:
             rep = confinement_experiment_isotropic(

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
+from itertools import islice
 
 from .curve import CurveError, PlaneCurve, on_curve_residual, tangent_at
 from .numerics import NonConvergenceError
@@ -28,6 +30,7 @@ from .phase import (
 )
 
 __all__ = [
+    "phase_point_stream",
     "sample_phase_points",
     "sample_curve_points",
     "sample_real_state",
@@ -43,16 +46,11 @@ class SamplingError(ValueError):
     """No acceptable state was found within the try budget; the curve offers too few."""
 
 
-def sample_phase_points(curve: PlaneCurve, count: int, seed: int) -> list[PhasePoint]:
+def phase_point_stream(curve: PlaneCurve, seed: int) -> Iterator[PhasePoint]:
+    """The seeded stream of accepted states, drawn lazily; it ends after
+    MAX_TRIES tries."""
     rng = random.Random(seed)
-    out: list[PhasePoint] = []
-    tries = 0
-    while len(out) < count:
-        tries += 1
-        if tries > MAX_TRIES:
-            raise SamplingError(
-                f"sampling found {len(out)} of {count} generic states in {MAX_TRIES} tries"
-            )
+    for _ in range(MAX_TRIES):
         theta = rng.uniform(0, 2 * math.pi) + 1j * rng.uniform(-0.6, 0.6)
         q = rotate_direction(direction_point(1, 0, 1), theta)
         anchor = (
@@ -92,7 +90,16 @@ def sample_phase_points(curve: PlaneCurve, count: int, seed: int) -> list[PhaseP
         density = abs((t0 / tn) * (-q1) + (t1 / tn) * q0)
         if not (1e-3 < density < 1e3):
             continue
-        out.append(x)
+        yield x
+
+
+def sample_phase_points(curve: PlaneCurve, count: int, seed: int) -> list[PhasePoint]:
+    """The first ``count`` states of the seeded stream."""
+    out = list(islice(phase_point_stream(curve, seed), count))
+    if len(out) < count:
+        raise SamplingError(
+            f"sampling found {len(out)} of {count} generic states in {MAX_TRIES} tries"
+        )
     return out
 
 

@@ -233,37 +233,41 @@ def one_state_step(curve, x):
     return [reflect(curve, p).images[0].point for p in secant(curve, x).points()]
 
 
-def one_state_follow(curve, scratch, x0, eps):
-    """The follower written as a loop over eps of one-state steps:
-    (chains, last distance to the scratch)."""
-    chains, distance = [], None
-    for e in eps:
-        x = PhasePoint(c=x0.c, q=rotate_direction(x0.q, e))
-        if scratch.kind == "infinity":
-            y = min(one_state_step(curve, x), key=lambda p: phase_distance(p, scratch.phase))
-            finals = one_state_step(curve, y)
-        else:
-            def near(p):
-                return proj_distance(p.c, scratch.phase.c)
-            y = min(one_state_step(curve, x), key=near)
-            finals = [min(one_state_step(curve, y), key=near)]
-        distance = phase_distance(y, scratch.phase)
-        vectors = [(*p.c.affine(), *p.q.affine()) for p in finals]
-        if not chains:
-            chains = [[v] for v in sorted(vectors, key=lambda v: (v[0].real, v[0].imag))]
-            continue
-        for chain in chains:
-            v = min(vectors, key=lambda w: max(abs(a - b) for a, b in zip(w, chain[-1])))
-            vectors.remove(v)
-            chain.append(v)
-    return chains, distance
+def one_state_follow(curve, scratch, x0s, eps):
+    """The follower written as loops over the starts and over eps of
+    one-state steps: per start, (chains, last distance to the scratch)."""
+    out = []
+    for x0 in x0s:
+        chains, distance = [], None
+        for e in eps:
+            x = PhasePoint(c=x0.c, q=rotate_direction(x0.q, e))
+            if scratch.kind == "infinity":
+                y = min(one_state_step(curve, x), key=lambda p: phase_distance(p, scratch.phase))
+                finals = one_state_step(curve, y)
+            else:
+                def near(p):
+                    return proj_distance(p.c, scratch.phase.c)
+                y = min(one_state_step(curve, x), key=near)
+                finals = [min(one_state_step(curve, y), key=near)]
+            distance = phase_distance(y, scratch.phase)
+            vectors = [(*p.c.affine(), *p.q.affine()) for p in finals]
+            if not chains:
+                chains = [[v] for v in sorted(vectors, key=lambda v: (v[0].real, v[0].imag))]
+                continue
+            for chain in chains:
+                v = min(vectors, key=lambda w: max(abs(a - b) for a, b in zip(w, chain[-1])))
+                vectors.remove(v)
+                chain.append(v)
+        out.append((chains, distance))
+    return out
 
 
 @pytest.mark.parametrize("name", ["cubic", "quartic"])
 @pytest.mark.parametrize("kind", ["infinity", "isotropic_plus"])
 def test_follower_matches_one_state_steps(request, monkeypatch, name, kind):
-    """Two stacked billiard calls per start give, bitwise, the report of
-    the same experiment stepped one eps and one state at a time."""
+    """Two stacked billiard calls for all starts give, bitwise, the report
+    of the same experiment stepped one start, one eps and one state at a
+    time."""
     import json
 
     import algbilliards.blowup as blowup
@@ -282,8 +286,16 @@ def test_follower_matches_one_state_steps(request, monkeypatch, name, kind):
         return json.dumps(rep.to_dict(), sort_keys=True)
 
     stacked = report_json()
-    monkeypatch.setattr(blowup, "_follow", one_state_follow)
+    followed = []
+
+    def reference(curve, scratch, x0s, eps):
+        followed.append(len(x0s))
+        return one_state_follow(curve, scratch, x0s, eps)
+
+    monkeypatch.setattr(blowup, "_follow", reference)
     assert report_json() == stacked
+    # the experiment ran the reference, on all of its starts at once
+    assert followed == [3]
 
 
 def test_confinement_report_json_roundtrip(ellipse):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from algbilliards import cli, sampling, spectral
+from algbilliards import blowup, cli, sampling, spectral
 from algbilliards.cli import main
 from algbilliards.numerics import MAX_MATRIX_SIDE
 
@@ -149,6 +149,30 @@ def test_confine_ellipse_all_pass(tmp_path):
     data = json.loads(out.read_text())
     assert len(data["reports"]) == 8
     assert data["all_passed"] is True
+
+
+def test_confine_draws_and_steps_only_what_it_uses(monkeypatch, tmp_path):
+    # 8 experiments, one stacked first step and one stacked second step
+    # each; the 4 at infinity draw their 3 starts from the stream lazily
+    steps, drawn = [], []
+    billiard_steps = blowup.billiard_steps
+
+    def counted_steps(curve, xs):
+        steps.append(len(xs))
+        return billiard_steps(curve, xs)
+
+    def counted_stream(curve, seed):
+        for x in sampling.phase_point_stream(curve, seed):
+            drawn.append(seed)
+            yield x
+
+    monkeypatch.setattr(blowup, "billiard_steps", counted_steps)
+    monkeypatch.setattr(cli, "phase_point_stream", counted_stream)
+    assert run(["confine", "--curve", DATA / "ellipse.json", "--seed", 1,
+                "--samples", 3, "--out", tmp_path / "confine.json"]) == 0
+    assert len(steps) == 16
+    assert steps[:8:2] == [3 * blowup.EPS_COUNT] * 4
+    assert len(drawn) == 12
 
 
 def test_confine_rejects_circle(tmp_path):
@@ -337,6 +361,10 @@ def test_phase_sampling_exhaustion_is_input_error(monkeypatch, tmp_path, capsys)
     ["confine", "--curve", DATA / "ellipse.json", "--samples", 1],
     ["confine", "--curve", DATA / "ellipse.json", "--eps", "bogus"],
     ["confine", "--curve", DATA / "ellipse.json", "--eps", "1e-2,2e-2,3e-2"],
+    ["confine", "--curve", DATA / "ellipse.json", "--eps", "inf,0.5,0.25"],
+    ["confine", "--curve", DATA / "circle.json", "--eps", "1,nan,0.25"],
+    ["orbit", "--real", "--depth", -3, "--curve", DATA / "ellipse.json"],
+    ["orbit", "--depth", -1, "--curve", DATA / "circle.json"],
     ["form-check", "--curve", DATA / "ellipse.json", "--h", 0],
     ["form-check", "--curve", DATA / "ellipse.json", "--samples", 0],
     ["form-check", "--curve", DATA / "circle.json", "--samples", 1],
@@ -345,7 +373,10 @@ def test_phase_sampling_exhaustion_is_input_error(monkeypatch, tmp_path, capsys)
 def test_every_refusal_prints_one_error_line(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert run([*argv, "--out", out]) == 1
-    assert len(_single_error_line(capsys.readouterr().err)) == 1
+    lines = _single_error_line(capsys.readouterr().err)
+    assert len(lines) == 1
+    # a refused --eps or --depth value is named in the error line
+    assert all(flag in lines[0] for flag in ("--eps", "--depth") if flag in argv)
     assert not out.exists()
 
 
