@@ -47,6 +47,7 @@ from .numerics import (
 from .phase import (
     BranchSet,
     DirectionPoint,
+    OrbitLevel,
     OrbitTree,
     PhasePoint,
     billiard_step,

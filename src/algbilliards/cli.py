@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -175,7 +176,9 @@ def cmd_orbit(args) -> int:
         lines = []
         escaped = None
         for step in range(args.depth):
-            lines.append(orbit_step_json(step, x))
+            lines.append(orbit_step_json(step, x) + "\n")
+            if step + 1 == args.depth:
+                break
             try:
                 x = real_billiard_step(curve, x)
             except NoRealReturnError:
@@ -183,7 +186,7 @@ def cmd_orbit(args) -> int:
                 # tables a ray may never re-meet the real curve
                 escaped = step
                 break
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("".join(lines), args.out)
         if escaped is not None:
             _log(f"trajectory escaped after {escaped + 1} steps")
         else:
@@ -196,6 +199,8 @@ def cmd_orbit(args) -> int:
         f"level {k}: {tree.level_mass(k)}" for k in range(tree.depth + 1)
     )
     _log(f"orbit tree leaf counts with multiplicity: {summary}")
+    ended = Counter(reason for level in tree.levels for reason in level.reason if reason is not None)
+    _log("terminated: " + (", ".join(f"{r} {n}" for r, n in sorted(ended.items())) or "none"))
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "TerminatedBranch",
     "BranchSet",
     "OrbitNode",
+    "OrbitLevel",
     "OrbitTree",
     "PhaseError",
     "ScratchPointError",
@@ -258,13 +260,6 @@ def _direction(q) -> DirectionPoint:
     return DirectionPoint(q=tuple(q), is_isotropic=abs(q[2]) < ISOTROPIC_Q2_TOL)
 
 
-def _one(result):
-    """The result of a one-state call of a stacked step, or raise its PhaseError."""
-    if isinstance(result, PhaseError):
-        raise result
-    return result
-
-
 # ---------------------------------------------------------------------------
 # scratch proximity
 # ---------------------------------------------------------------------------
@@ -375,16 +370,20 @@ def secant(curve: PlaneCurve, x: PhasePoint) -> BranchSet:
 
     This is the one-state call of the stacked step ``_secant_rows``.
     """
-    images, ill = _secant_rows(curve, [x], *_stack([x]))
-    branches = tuple(Branch(PhasePoint(c=ProjPoint(p), q=x.q), m) for p, m in _one(images[0]))
+    _, images, mult, ill, errors = _secant_rows(curve, *_stack([x]))
+    if errors:
+        raise errors[0]
+    branches = tuple(Branch(PhasePoint(ProjPoint(tuple(p)), x.q), m)
+                     for p, m in zip(images.tolist(), mult.tolist()))
     return BranchSet(source=x, op_tag="secant", images=branches, ill_conditioned=ill[0])
 
 
-def _secant_rows(curve: PlaneCurve, xs, c: np.ndarray, q: np.ndarray) -> tuple[list, list]:
-    """Secant images of the states xs, with (N, 3) stacks c and q: per state
-    its (coords, multiplicity) pairs in point order or the PhaseError it
-    raised, and its ill_conditioned flag.  All states take the stacked path
-    (base root t = 0 dropped, the others from ``monic_roots``); a state
+def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
+    """Secant images of the states with (N, 3) stacks c and q, as arrays of
+    their images: source row, (K, 3) image points and multiplicities, each
+    state's images in point order; then the ill_conditioned flags and a map
+    from a state to the PhaseError it raised.  All states take the stacked
+    path (base root t = 0 dropped, the others from ``monic_roots``); a state
     with |X2| <= 1e-5, which needs the scratch-proximity check, or failing
     a gate of ``line_intersections`` or ``find_roots``' coarse cluster
     radius, takes the per-state code ``_secant_one``."""
@@ -416,18 +415,32 @@ def _secant_rows(curve: PlaneCurve, xs, c: np.ndarray, q: np.ndarray) -> tuple[l
             ok &= gap.min(axis=(1, 2)) > COARSE_CLUSTER_REL_TOL * (1.0 + np.abs(t).max(axis=1))
         pts = c[:, None, :] + t[:, :, None] * line[:, None, :]
         pts[:, :, 2] = np.where(line[:, None, 2] == 0, c[:, None, 2], pts[:, :, 2])
-        pts = proj_points(pts.reshape(-1, 3)).reshape(len(c), d - 1, 3).tolist()
-    images, ill = [], [False] * len(xs)
-    for i, clear in enumerate(ok.tolist()):
-        if clear:
-            images.append([(tuple(p), 1) for p in sorted(pts[i], key=point_order_key)])
-            continue
+        pts = proj_points(pts.reshape(-1, 3)).reshape(len(c), d - 1, 3)[ok]
+    if d > 2:
+        # point_order_key on each state's images: a stable sort on (re X0, im X0, re X1, im X1)
+        order = np.lexsort(np.moveaxis(pts.view(float)[:, :, 3::-1], -1, 0))
+        pts = pts[np.arange(len(pts))[:, None], order]
+    src = np.repeat(np.flatnonzero(ok), d - 1)
+    images = pts.reshape(-1, 3)
+    mult = np.ones(len(src), dtype=int)
+    ill, errors = [False] * len(c), {}
+    if ok.all():
+        return src, images, mult, ill, errors
+    rows = []
+    for i in np.flatnonzero(~ok).tolist():
+        x = PhasePoint(ProjPoint(tuple(c[i].tolist())), _direction(q[i].tolist()))
         try:
-            found, ill[i] = _secant_one(curve, xs[i], tuple(line[i].tolist()))
+            found, ill[i] = _secant_one(curve, x, tuple(line[i].tolist()))
         except PhaseError as exc:
-            found = exc
-        images.append(found)
-    return images, ill
+            errors[i] = exc
+            continue
+        rows += [(i, p, m) for p, m in found]
+    if rows:
+        i, p, m = zip(*rows)
+        src, images, mult = np.append(src, i), np.concatenate((images, p)), np.append(mult, m)
+        back = np.argsort(src, kind="stable")
+        src, images, mult = src[back], images[back], mult[back]
+    return src, images, mult, ill, errors
 
 
 def _secant_one(curve: PlaneCurve, x: PhasePoint, e) -> tuple[list, bool]:
@@ -559,37 +572,62 @@ def billiard_step(curve: PlaneCurve, x: PhasePoint) -> BranchSet:
     branches with a reason, so multiplicity bookkeeping stays exact.  This
     is the one-state call of the stacked step ``billiard_steps``.
     """
-    return _one(billiard_steps(curve, [x])[0])
+    step = billiard_steps(curve, [x])[0]
+    if isinstance(step, PhaseError):
+        raise step
+    return step
 
 
 def billiard_steps(curve: PlaneCurve, xs) -> list:
     """Billiard steps of the states xs (each a BranchSet or the PhaseError
-    it raised): one stacked secant, one stacked reflection of all images.
+    it raised), built from the arrays of the stacked step ``_step_rows``.
     Each state's step is bitwise the one ``billiard_step`` gives it alone."""
     if not xs:
         return []
-    c, q = _stack(xs)
-    images, ill = _secant_rows(curve, xs, c, q)
-    rows = [(i, p, m) for i, im in enumerate(images) if isinstance(im, list) for p, m in im]
-    points = np.array([p for _, p, _ in rows], dtype=complex).reshape(-1, 3)
-    directions, _, errors = _reflect_rows(curve, points, q[[i for i, _, _ in rows]])
-    steps = [im if isinstance(im, PhaseError) else ([], []) for im in images]
-    for r, ((i, p, m), direction) in enumerate(zip(rows, directions.tolist())):
-        exc = errors.get(r)
-        reason = _TERMINATIONS.get(type(exc))
-        if isinstance(steps[i], PhaseError):
-            continue
-        if exc is None:
-            steps[i][0].append(Branch(PhasePoint(ProjPoint(p), _direction(direction)), m))
-        elif reason:
-            steps[i][1].append(TerminatedBranch(PhasePoint(ProjPoint(p), xs[i].q), m, reason))
+    src, images, directions, mult, reasons, ill = _step_rows(curve, *_stack(xs))
+    steps = [([], []) for _ in xs]
+    for i, p, q, m, reason in zip(src.tolist(), images.tolist(), directions.tolist(),
+                                  mult.tolist(), reasons):
+        if reason is None:
+            steps[i][0].append(Branch(PhasePoint(ProjPoint(tuple(p)), _direction(q)), m))
+        elif isinstance(reason, PhaseError):
+            steps[i] = reason
         else:
-            steps[i] = exc
+            steps[i][1].append(TerminatedBranch(PhasePoint(ProjPoint(tuple(p)), xs[i].q), m, reason))
     return [
         step if isinstance(step, PhaseError)
         else BranchSet(x, "billiard", tuple(step[0]), tuple(step[1]), flag)
         for x, step, flag in zip(xs, steps, ill)
     ]
+
+
+def _step_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
+    """Billiard steps of the states with (N, 3) stacks c and q, one stacked
+    secant and one stacked reflection, as arrays of their children: source
+    row, (K, 3) points and directions, multiplicities and reasons; then the
+    ill_conditioned flags.  A state's children are its live branches (reason
+    None), then its terminated ones (reason a string, direction the
+    source's), each in point order; a state whose step raised has one child
+    instead, itself with the PhaseError as reason."""
+    src, images, mult, ill, errors = _secant_rows(curve, c, q)
+    directions, _, failed = _reflect_rows(curve, images, q[src])
+    reasons = [None] * len(src)
+    if not failed and not errors:
+        return src, images, directions, mult, reasons, ill
+    for r, exc in failed.items():
+        reasons[r] = _TERMINATIONS.get(type(exc))
+        if reasons[r] is None:
+            errors.setdefault(int(src[r]), exc)
+    ended = np.array([reason is not None for reason in reasons], dtype=bool)
+    directions[ended] = q[src[ended]]
+    keep, bad = ~np.isin(src, list(errors)), np.array(sorted(errors), dtype=int)
+    ones = np.ones(len(bad), dtype=int)
+    src = np.append(src[keep], bad)
+    order = np.lexsort((np.append(ended[keep], ones), src))
+    reasons = [r for r, k in zip(reasons, keep) if k] + [errors[i] for i in bad.tolist()]
+    return (src[order], np.concatenate((images[keep], c[bad]))[order],
+            np.concatenate((directions[keep], q[bad]))[order],
+            np.append(mult[keep], ones)[order], [reasons[r] for r in order.tolist()], ill)
 
 
 def real_billiard_step(curve: PlaneCurve, x: PhasePoint) -> PhasePoint:
@@ -634,14 +672,40 @@ class OrbitNode:
     terminated_reason: str | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class OrbitLevel:
+    """One level of an orbit tree as arrays: (N, 3) stacks of base points c
+    and directions q, parent indices into the previous level (-1 for the
+    root), multiplicities, and per node the terminated reason (None while
+    live).  Iterating it builds OrbitNodes on demand."""
+
+    c: np.ndarray
+    q: np.ndarray
+    parent: np.ndarray
+    mult: np.ndarray
+    reason: tuple[str | None, ...]
+
+    def __len__(self) -> int:
+        return len(self.reason)
+
+    def __iter__(self):
+        for c, q, parent, mult, reason in zip(self.c.tolist(), self.q.tolist(), self.parent.tolist(),
+                                              self.mult.tolist(), self.reason):
+            yield OrbitNode(PhasePoint(ProjPoint(tuple(c)), _direction(q)), parent, mult, reason)
+
+    def live(self) -> np.ndarray:
+        return np.array([reason is None for reason in self.reason], dtype=bool)
+
+
 @dataclass(frozen=True)
 class OrbitTree:
     root: PhasePoint
     depth: int
-    levels: tuple[tuple[OrbitNode, ...], ...]
+    levels: tuple[OrbitLevel, ...]
 
     def level_mass(self, k: int) -> int:
-        return sum(n.multiplicity for n in self.levels[k] if n.terminated_reason is None)
+        level = self.levels[k]
+        return int(level.mult[level.live()].sum())
 
     def leaves_with_multiplicity(self) -> int:
         return self.level_mass(self.depth)
@@ -652,9 +716,11 @@ def orbit_tree(curve: PlaneCurve, x: PhasePoint, depth: int) -> OrbitTree:
 
     Branches that hit scratch points are kept as terminated nodes with a
     reason rather than silently dropped, so the surviving mass at level k
-    plus terminated mass accounts for the full (d-1)^k count.  A tree whose
-    node bound sum_{k <= depth} (d-1)^k exceeds MAX_ORBIT_NODES is refused
-    before any step is taken.
+    plus terminated mass accounts for the full (d-1)^k count; a state whose
+    step raised is kept as one terminated node named after its error.  Each
+    level is one ``_step_rows`` call on the live nodes of the level before.
+    A tree whose node bound sum_{k <= depth} (d-1)^k exceeds MAX_ORBIT_NODES
+    is refused before any step is taken.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -664,55 +730,53 @@ def orbit_tree(curve: PlaneCurve, x: PhasePoint, depth: int) -> OrbitTree:
         if bound > MAX_ORBIT_NODES:
             raise PhaseError(f"orbit tree exceeds {MAX_ORBIT_NODES} nodes")
         width *= curve.degree - 1
-    levels: list[tuple[OrbitNode, ...]] = [(OrbitNode(x, -1, 1),)]
+    level = OrbitLevel(*_stack([x]), np.array([-1]), np.array([1]), (None,))
+    levels = [level]
     for _level in range(depth):
-        prev = levels[-1]
-        live = [idx for idx, node in enumerate(prev) if node.terminated_reason is None]
-        nxt: list[OrbitNode] = []
-        for idx, step in zip(live, billiard_steps(curve, [prev[idx].point for idx in live])):
-            node = prev[idx]
-            if isinstance(step, PhaseError):
-                nxt.append(OrbitNode(node.point, idx, node.multiplicity, type(step).__name__))
-                continue
-            for br in step.images:
-                nxt.append(OrbitNode(br.point, idx, node.multiplicity * br.multiplicity))
-            for tb in step.terminated:
-                nxt.append(
-                    OrbitNode(tb.point, idx, node.multiplicity * tb.multiplicity, tb.reason)
-                )
-        levels.append(tuple(nxt))
+        live = np.flatnonzero(level.live())
+        src, images, directions, mult, reasons, _ = _step_rows(curve, level.c[live], level.q[live])
+        reasons = [type(r).__name__ if isinstance(r, PhaseError) else r for r in reasons]
+        parent = live[src]
+        level = OrbitLevel(images, directions, parent, level.mult[parent] * mult, tuple(reasons))
+        levels.append(level)
     return OrbitTree(root=x, depth=depth, levels=tuple(levels))
 
 
 # orbit lines as json.dumps(obj, sort_keys=True) writes them: finite floats by float.__repr__
 _PAIRS = "[[{}, {}], [{}, {}], [{}, {}]]"
-_NODE_LINE = '{{"c": ' + _PAIRS + ', "level": {}, "mult": {}, "parent_index": {}, "q": ' + _PAIRS
+_NODE_LINE = '{{"c": ' + _PAIRS + ', "level": {}, "mult": {}, "parent_index": {}, "q": ' + _PAIRS + "{}"
 _STEP_LINE = '{{"c": ' + _PAIRS + ', "q": ' + _PAIRS + ', "step": {}}}'
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# nodes written per block: bounds the float strings alive at once (peak memory)
+_WRITE_ROWS = 256
 
 
-def _coord_reprs(x: PhasePoint) -> list[str]:
-    """The real and imaginary parts of c, then of q, as json writes them."""
-    (a, b, c), (d, e, f) = x.c.coords, x.q.q
-    parts = (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag, e.real, e.imag, f.real, f.imag)
-    return [_NONFINITE.get(r, r) for r in map(float.__repr__, parts)]
+def _float_reprs(values: np.ndarray) -> list[str]:
+    """The real and imaginary parts of every entry of a complex array, in
+    order, as json writes them."""
+    reprs = list(map(float.__repr__, values.view(float).ravel().tolist()))
+    return reprs if np.isfinite(values).all() else [_NONFINITE.get(r, r) for r in reprs]
 
 
 def orbit_tree_jsonl(tree: OrbitTree) -> list[str]:
-    """One JSON object per node: level, parent, coordinates, multiplicity."""
+    """One JSON object per node: level, parent, coordinates, multiplicity,
+    and the terminated reason of a terminated node; each block of a level
+    is written column by column from its arrays."""
     import json
 
     lines = []
-    for level, nodes in enumerate(tree.levels):
-        for node in nodes:
-            r = _coord_reprs(node.point)
-            line = _NODE_LINE.format(*r[:6], level, node.multiplicity, node.parent_index, *r[6:])
-            if node.terminated_reason is not None:
-                line += ', "terminated_reason": ' + json.dumps(node.terminated_reason)
-            lines.append(line + "}")
+    for k, level in enumerate(tree.levels):
+        for start in range(0, len(level), _WRITE_ROWS):
+            rows = slice(start, start + _WRITE_ROWS)
+            r = _float_reprs(np.concatenate((level.c[rows], level.q[rows]), axis=1))
+            ends = ["}" if why is None else ', "terminated_reason": ' + json.dumps(why) + "}"
+                    for why in level.reason[rows]]
+            lines += map(_NODE_LINE.format, *(r[j::12] for j in range(6)), repeat(k, len(ends)),
+                         level.mult[rows].tolist(), level.parent[rows].tolist(),
+                         *(r[j::12] for j in range(6, 12)), ends)
     return lines
 
 
 def orbit_step_json(step: int, x: PhasePoint) -> str:
     """One real-orbit line: ``json.dumps({"step": step, **phase_point_json(x)}, sort_keys=True)``."""
-    return _STEP_LINE.format(*_coord_reprs(x), step)
+    return _STEP_LINE.format(*_float_reprs(np.array(x.c.coords + x.q.q, dtype=complex)), step)

@@ -131,6 +131,62 @@ def test_orbit_real_lines_are_json_dumps_of_each_state(tmp_path):
     assert out.read_text().splitlines() == expected
 
 
+def test_orbit_real_depth_zero_writes_an_empty_file(tmp_path):
+    out = tmp_path / "real.jsonl"
+    assert run(["orbit", "--curve", DATA / "ellipse.json", "--depth", 0,
+                "--seed", 1, "--real", "--out", out]) == 0
+    assert out.read_bytes() == b""
+
+
+def test_orbit_real_takes_no_step_past_its_last_line(monkeypatch, tmp_path, capsys):
+    from algbilliards.phase import NoRealReturnError
+
+    # a map that would escape on its fifth call: five lines need only four steps
+    calls = []
+
+    def step(curve, x):
+        calls.append(x)
+        if len(calls) == 5:
+            raise NoRealReturnError("no return")
+        return x
+
+    monkeypatch.setattr(cli, "real_billiard_step", step)
+    out = tmp_path / "real.jsonl"
+    assert run(["orbit", "--curve", DATA / "ellipse.json", "--depth", 5,
+                "--seed", 1, "--real", "--out", out]) == 0
+    assert len(calls) == 4 and len(out.read_text().splitlines()) == 5
+    assert "real trajectory of 5 steps written" in capsys.readouterr().err
+
+
+def test_orbit_reports_terminated_nodes_on_stderr_only(monkeypatch, tmp_path, capsys):
+    from collections import Counter
+
+    from algbilliards.curve import curve_from_json, points_at_infinity
+    from algbilliards.numerics import find_roots
+    from algbilliards.phase import direction_from_slope, phase_point
+    from algbilliards.curve import proj_point
+
+    # the cubic state of test_orbit_tree_records_terminated_branches: its
+    # secant line meets the curve on the infinity line
+    curve = curve_from_json((DATA / "cubic.json").read_text())
+    inf = points_at_infinity(curve)[0][0]
+    t = find_roots(curve.restrict_to_line((0.2, -0.3, 1.0), (1.1, 0.4, 0.0)))[0].value
+    x = phase_point(curve, proj_point(0.2 + 1.1 * t, -0.3 + 0.4 * t, 1.0),
+                    direction_from_slope((inf.coords[0], inf.coords[1]), 0))
+    monkeypatch.setattr(cli, "sample_phase_points", lambda curve, k, seed: [x])
+    out = tmp_path / "orbit.jsonl"
+    assert run(["orbit", "--curve", DATA / "cubic.json", "--depth", 3, "--out", out]) == 0
+    nodes = [json.loads(line) for line in out.read_text().splitlines()]
+    ended = Counter(n["terminated_reason"] for n in nodes if "terminated_reason" in n)
+    assert ended["image_at_infinity"] >= 1
+    err = capsys.readouterr().err
+    assert "terminated: " + ", ".join(f"{r} {n}" for r, n in sorted(ended.items())) in err.splitlines()
+    assert "terminated:" not in out.read_text()
+    monkeypatch.undo()
+    assert run(["orbit", "--curve", DATA / "cubic.json", "--depth", 3, "--out", out]) == 0
+    assert "terminated: none" in capsys.readouterr().err.splitlines()
+
+
 def test_orbit_real_escape_is_graceful(tmp_path):
     # the cubic has an unbounded real branch; a ray that never returns ends
     # the trajectory without failing the command

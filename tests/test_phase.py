@@ -21,6 +21,7 @@ from algbilliards.phase import (
     InfinityBasePointError,
     DirectionPoint,
     NoRealReturnError,
+    OrbitNode,
     PhaseError,
     PhasePoint,
     ScratchPointError,
@@ -513,13 +514,18 @@ def test_orbit_tree_records_terminated_branches():
     assert any("terminated_reason" in obj for obj in dumped)
 
 
-def _tree_through_infinity(curve, depth):
-    """An orbit tree whose first secant meets the curve on the infinity line."""
+def _state_through_infinity(curve):
+    """A state whose first secant meets the curve on the infinity line."""
     inf_pt = points_at_infinity(curve)[0][0]
     q = direction_from_slope((inf_pt.coords[0], inf_pt.coords[1]), 0)
     t = find_roots(curve.restrict_to_line((0.2, -0.3, 1.0), (1.1, 0.4, 0.0)))[0].value
     c0 = proj_point(0.2 + 1.1 * t, -0.3 + 0.4 * t, 1.0)
-    return orbit_tree(curve, phase_point(curve, c0, q), depth)
+    return phase_point(curve, c0, q)
+
+
+def _tree_through_infinity(curve, depth):
+    """An orbit tree whose first secant meets the curve on the infinity line."""
+    return orbit_tree(curve, _state_through_infinity(curve), depth)
 
 
 def _node_dict(level, node):
@@ -541,17 +547,57 @@ def test_orbit_tree_jsonl_is_json_dumps_of_each_node(request, name):
     assert orbit_tree_jsonl(tree) == expected
 
 
+def _walk_lines(curve, x, depth):
+    """The orbit tree's JSONL from a breadth-first walk of one-state billiard_step calls."""
+    import json
+
+    lines, level = [], [OrbitNode(x, -1, 1)]
+    for k in range(depth + 1):
+        lines += [json.dumps(_node_dict(k, node), sort_keys=True) for node in level]
+        nxt = []
+        for idx, node in enumerate(level):
+            if node.terminated_reason is not None:
+                continue
+            m = node.multiplicity
+            try:
+                step = billiard_step(curve, node.point)
+            except PhaseError as exc:
+                nxt.append(OrbitNode(node.point, idx, m, type(exc).__name__))
+                continue
+            nxt += [OrbitNode(b.point, idx, m * b.multiplicity) for b in step.images]
+            nxt += [OrbitNode(t.point, idx, m * t.multiplicity, t.reason) for t in step.terminated]
+        level = nxt
+    return lines
+
+
+# the deepest levels of the cubic (512 nodes) and quartic (729) span
+# several of the writer's 256-node blocks
+@pytest.mark.parametrize("name, depth", [("ellipse", 8), ("cubic", 9), ("quartic", 6), ("sextic", 2)])
+def test_orbit_tree_jsonl_matches_a_walk_of_single_steps(request, name, depth):
+    """Every byte of the array-built tree's JSONL equals json.dumps of a
+    reference walk, on sampled starts, a start whose secant terminates at
+    infinity, and an infinity scratch point (its step raises)."""
+    curve = request.getfixturevalue(name)
+    starts = [*sample_phase_points(curve, 2, seed=5), _state_through_infinity(curve)]
+    if name == "cubic":
+        from algbilliards.blowup import enumerate_scratch_points
+
+        starts.append(next(sp.phase for sp in enumerate_scratch_points(curve) if sp.kind == "infinity"))
+    for x in starts:
+        assert orbit_tree_jsonl(orbit_tree(curve, x, depth)) == _walk_lines(curve, x, depth)
+
+
 # extreme and integer-valued floats, and the non-finite values, which json
 # writes as NaN and Infinity; the formatter writes them the same way
 ODD_FLOATS = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -3.0, 0.0, 1e16, 2.5e-7,
               float("nan"), float("inf"), float("-inf")]
 
 
-def _odd_states(count=8, seed=0):
+def _odd_states(count=8, seed=0, floats=ODD_FLOATS):
     rng = random.Random(seed)
 
     def z():
-        return complex(rng.choice(ODD_FLOATS), rng.choice(ODD_FLOATS))
+        return complex(rng.choice(floats), rng.choice(floats))
 
     return [PhasePoint(ProjPoint((z(), z(), z())), DirectionPoint((z(), z(), z()), False))
             for _ in range(count)]
@@ -560,14 +606,28 @@ def _odd_states(count=8, seed=0):
 def test_orbit_lines_match_json_dumps_on_odd_floats():
     import json
 
-    from algbilliards.phase import OrbitNode, OrbitTree
+    import numpy as np
 
-    states = _odd_states(40)
-    nodes = tuple(OrbitNode(x, k - 1, k + 1, "scratch" if k % 3 else None)
-                  for k, x in enumerate(states))
-    tree = OrbitTree(root=states[0], depth=0, levels=(nodes,))
-    assert orbit_tree_jsonl(tree) == [json.dumps(_node_dict(0, n), sort_keys=True) for n in nodes]
-    for step, x in enumerate(states):
+    from algbilliards.phase import OrbitLevel, OrbitTree
+
+    # a level of finite rows, then one whose first block of 256 rows is
+    # finite and whose second holds both finite and non-finite rows
+    finite = _odd_states(12, seed=1, floats=ODD_FLOATS[:10])
+    rows = [finite, (finite * 22)[:256] + finite[:5] + _odd_states(40) + finite[5:]]
+    nodes = [[OrbitNode(x, k - 1, k + 1, "scratch" if k % 3 else None) for k, x in enumerate(row)]
+             for row in rows]
+    levels = tuple(
+        OrbitLevel(np.array([n.point.c.coords for n in level]), np.array([n.point.q.q for n in level]),
+                   np.array([n.parent_index for n in level]), np.array([n.multiplicity for n in level]),
+                   tuple(n.terminated_reason for n in level))
+        for level in nodes)
+    tree = OrbitTree(root=finite[0], depth=1, levels=levels)
+    finite_rows = [all(math.isfinite(v) for z in x.c.coords + x.q.q for v in (z.real, z.imag))
+                   for x in rows[1]]
+    assert all(finite_rows[:256]) and any(finite_rows[256:]) and not all(finite_rows[256:])
+    expected = [json.dumps(_node_dict(k, n), sort_keys=True) for k, level in enumerate(nodes) for n in level]
+    assert orbit_tree_jsonl(tree) == expected
+    for step, x in enumerate(rows[1]):
         assert orbit_step_json(step, x) == json.dumps(
             {"step": step, **phase_point_json(x)}, sort_keys=True)
     assert any("NaN" in line or "Infinity" in line for line in orbit_tree_jsonl(tree))

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from algbilliards import phase
 from algbilliards.curve import (
     PlaneCurve,
     genericity_report,
     on_curve_residual,
+    point_order_key,
     points_at_infinity,
     proj_distance,
     proj_point,
     proj_points,
+    tangent_at,
 )
 from algbilliards.numerics import find_roots
 from algbilliards.phase import (
@@ -25,10 +28,14 @@ from algbilliards.phase import (
     billiard_steps,
     conic_residual,
     direction_from_slope,
+    direction_point,
+    line_intersections,
+    line_point,
     orbit_tree,
     phase_distance,
     phase_point,
     reflect,
+    rotate_direction,
     secant,
 )
 from algbilliards.sampling import sample_phase_points
@@ -130,6 +137,8 @@ def test_secant_and_reflect_properties(case, seed):
     for x in sample_phase_points(curve, 4, seed):
         sec = secant(curve, x)
         assert sec.total_multiplicity() == curve.degree - 1
+        keys = [point_order_key(b.point.c.coords) for b in sec.images]
+        assert keys == sorted(keys)
         for br in sec.images:
             assert on_curve_residual(curve, br.point.c) < GATE
             assert collinearity_residual(x, br.point) < GATE
@@ -158,6 +167,68 @@ def test_aimed_cubic_state_terminates_at_infinity():
     curve = PlaneCurve.from_coeffs(*TERMINATING_CUBIC)
     step = billiard_steps(curve, [aimed_state(curve)])[0]
     assert [t.reason for t in step.terminated] == ["image_at_infinity"]
+
+
+def band_state(curve, c2, turn):
+    """A state with |X2| = c2 near the first infinity point, aimed ``turn``
+    off the tangent there (turn 0 within 1e-9 of infinity: a scratch point)."""
+    p = points_at_infinity(curve)[0][0]
+    g = curve.gradient(*p.coords)
+    base, e = (p.coords[0], p.coords[1], c2), (g[0].conjugate(), g[1].conjugate(), 0)
+    t = min((r.value for r in find_roots(curve.restrict_to_line(base, e))), key=abs)
+    c = line_point(base, e, t)
+    return phase_point(curve, c, rotate_direction(direction_from_slope(tangent_at(curve, c).tangent, 0), turn))
+
+
+def tangent_state(curve, turn):
+    """A state whose secant line is turned ``turn`` off a tangent line of
+    the cubic: two of its images (nearly) coincide at the tangency point."""
+    p = sample_phase_points(curve, 1, seed=11)[0].c
+    slope = tangent_at(curve, p).tangent
+    e = (slope[0], slope[1], 0)
+    roots, _ = line_intersections(curve, p.coords, e, remove=2)
+    c = line_point(p.coords, e, roots[0].value)
+    return phase_point(curve, c, rotate_direction(direction_from_slope(slope, 0), turn))
+
+
+def _children(step):
+    """A one-state step as (c bytes, q bytes, multiplicity, reason) rows."""
+    rows = [(b.point, b.multiplicity, None) for b in step.images]
+    rows += [(t.point, t.multiplicity, t.reason) for t in step.terminated]
+    return [(np.array(x.c.coords).tobytes(), np.array(x.q.q).tobytes(), m, why) for x, m, why in rows]
+
+
+def test_mixed_stack_rows_are_isolated(monkeypatch):
+    """Clean rows stacked with rows that take the per-state code: every
+    state's children from the array step are bitwise its billiard_step."""
+    curve = PlaneCurve.from_coeffs(*TERMINATING_CUBIC)
+    clean = sample_phase_points(curve, 4, seed=5)
+    isotropic = phase_point(curve, clean[0].c, direction_point(1, 1j, 0))
+    special = [band_state(curve, 1e-6, 0.0), band_state(curve, 1e-6, 0.3), band_state(curve, 1e-12, 0.0),
+               tangent_state(curve, 0.0), tangent_state(curve, 1e-9), isotropic, aimed_state(curve)]
+    fallback, calls = [], []
+    secant_one, proximity = phase._secant_one, phase._scratch_proximity
+    monkeypatch.setattr(phase, "_secant_one", lambda *a: fallback.append(a[1]) or secant_one(*a))
+    monkeypatch.setattr(phase, "_scratch_proximity", lambda *a: calls.append(a) or proximity(*a))
+    stacks = (clean[:2] + special + clean[2:], special[::-1] + clean,
+              clean + special[::2] + special[1::2], clean + special[-1:])
+    for xs in stacks:
+        src, c, q, mult, reasons, ill = phase._step_rows(curve, *phase._stack(xs))
+        assert src.dtype.kind == mult.dtype.kind == "i" and (np.diff(src) >= 0).all()
+        for i, x in enumerate(xs):
+            rows = np.flatnonzero(src == i).tolist()
+            got = [(c[r].tobytes(), q[r].tobytes(), int(mult[r]), reasons[r]) for r in rows]
+            try:
+                step = billiard_step(curve, x)
+            except PhaseError as exc:
+                assert [row[:3] for row in got] == [(np.array(x.c.coords).tobytes(), np.array(x.q.q).tobytes(), 1)]
+                assert (type(got[0][3]), str(got[0][3])) == (type(exc), str(exc))
+                continue
+            assert got == _children(step)
+            assert ill[i] == step.ill_conditioned
+    # the band and tangent rows left the stacked secant, and reflection saw isotropic rows
+    assert {x.c for x in fallback} >= {x.c for x in special[:5]}
+    assert any(abs(q2) == 0 for _, _, _, q2 in calls)
 
 
 # ---------------------------------------------------------------------------
