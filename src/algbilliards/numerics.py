@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 LEADING_ZERO_TOL = 1e-12
-CLUSTER_REL_TOL = 1e-6
-COARSE_CLUSTER_REL_TOL = 1e-4
+CLUSTER_REL_TOL = 1e-4
 BRACKET_TOL = 1e-12
 BRACKET_SAMPLES = 64
 MAX_MATRIX_SIDE = 1000
@@ -94,11 +93,6 @@ class ComplexPoly:
             p = p * z + c
         return p, dp
 
-    def derivative(self) -> "ComplexPoly":
-        if self.degree == 0:
-            return ComplexPoly((0j,))
-        return ComplexPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
-
     def scale(self) -> float:
         return max(abs(c) for c in self.coeffs)
 
@@ -126,12 +120,12 @@ def _eval_magnitude_scale(coeffs, z: complex) -> float:
 def find_roots(p: ComplexPoly) -> list[RootCluster]:
     """All roots of ``p`` with multiplicity, from ``monic_roots``.
 
-    Approximations within ``CLUSTER_REL_TOL * (1 + max |root|)`` of each other
-    are merged into one cluster; genuinely multiple roots whose approximations
-    straddle that radius (the attainable accuracy of a root of multiplicity m
-    scales like eps**(1/m)) are detected by re-polishing the cluster centroid
-    with a multiplicity-corrected Newton step and checking that the polynomial
-    sits at rounding level there.
+    One rule merges approximations into clusters: two groups a and b merge
+    when |a - b| <= ``CLUSTER_REL_TOL * (1 + max(|a|, |b|))``, on the pair's
+    own scale, and their centroid, polished by a Newton step corrected for
+    the summed multiplicity, evaluates to rounding noise there.  No merge is
+    made without that residual check, so a huge root does not widen the
+    radius of the others.
 
     Raises NonConvergenceError if the eigenvalue iteration fails.
     """
@@ -190,26 +184,20 @@ def monic_roots(monic: np.ndarray) -> np.ndarray:
 
 
 def _cluster_roots(mp: ComplexPoly, roots: list[complex]) -> list[tuple[complex, int]]:
-    big = max(abs(r) for r in roots)
-    tol = CLUSTER_REL_TOL * (1.0 + big)
-    groups = _agglomerate(roots, tol)
-
-    # Second pass: genuine multiple roots leave a cloud wider than tol but
-    # narrower than the spacing of distinct roots.  Merge groups whose common
-    # centroid evaluates to rounding noise after multiplicity-aware polishing.
-    coarse_tol = max(tol, COARSE_CLUSTER_REL_TOL * (1.0 + big))
+    # every approximation starts as its own group; a root of multiplicity m
+    # leaves a cloud about eps**(1/m) wide, which the merge rule gathers
+    noise = 64.0 * (mp.degree + 1) * np.finfo(float).eps
+    groups = [(r, 1) for r in roots]
     merged = True
     while merged:
         merged = False
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
                 (vi, mi), (vj, mj) = groups[i], groups[j]
-                if abs(vi - vj) > coarse_tol:
+                if abs(vi - vj) > CLUSTER_REL_TOL * (1.0 + max(abs(vi), abs(vj))):
                     continue
                 m = mi + mj
-                center = (vi * mi + vj * mj) / m
-                center = _polish_root(mp, center, m)
-                noise = 64.0 * (mp.degree + 1) * np.finfo(float).eps
+                center = _polish_root(mp, (vi * mi + vj * mj) / m, m)
                 if abs(mp(center)) <= noise * _eval_magnitude_scale(mp.coeffs, center):
                     groups[i] = (center, m)
                     del groups[j]
@@ -217,24 +205,6 @@ def _cluster_roots(mp: ComplexPoly, roots: list[complex]) -> list[tuple[complex,
                     break
             if merged:
                 break
-    return groups
-
-
-def _agglomerate(points: list[complex], tol: float) -> list[tuple[complex, int]]:
-    remaining = list(points)
-    groups: list[tuple[complex, int]] = []
-    while remaining:
-        seed = remaining.pop()
-        members = [seed]
-        changed = True
-        while changed:
-            changed = False
-            for k in range(len(remaining) - 1, -1, -1):
-                if any(abs(remaining[k] - m) <= tol for m in members):
-                    members.append(remaining.pop(k))
-                    changed = True
-        center = sum(members) / len(members)
-        groups.append((center, len(members)))
     return groups
 
 

@@ -36,7 +36,7 @@ from .curve import (
     proj_points,
     tangent_at,
 )
-from .numerics import COARSE_CLUSTER_REL_TOL, LEADING_ZERO_TOL, ComplexPoly, RootCluster
+from .numerics import CLUSTER_REL_TOL, LEADING_ZERO_TOL, ComplexPoly, RootCluster
 from .numerics import find_roots, monic_roots
 
 __all__ = [
@@ -385,8 +385,9 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
     from a state to the PhaseError it raised.  All states take the stacked
     path (base root t = 0 dropped, the others from ``monic_roots``); a state
     with |X2| <= 1e-5, which needs the scratch-proximity check, or failing
-    a gate of ``line_intersections`` or ``find_roots``' coarse cluster
-    radius, takes the per-state code ``_secant_one``."""
+    a gate of ``line_intersections``, or holding two roots closer than
+    ``CLUSTER_REL_TOL * (1 + max |t|)``, takes the per-state code
+    ``_secant_one``."""
     d = curve.degree
     line = q.copy()
     line[:, 2] = 0
@@ -412,7 +413,8 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
         t = monic_roots(np.where(ok[:, None], coeffs[:, 1:-1] / coeffs[:, -1:], 0))
         if d > 2:
             gap = np.abs(t[:, :, None] - t[:, None, :]) + np.diag(np.full(d - 1, np.inf))
-            ok &= gap.min(axis=(1, 2)) > COARSE_CLUSTER_REL_TOL * (1.0 + np.abs(t).max(axis=1))
+            # the global scale covers each pair's own, so kept rows hold no pair find_roots merges
+            ok &= gap.min(axis=(1, 2)) > CLUSTER_REL_TOL * (1.0 + np.abs(t).max(axis=1))
         pts = c[:, None, :] + t[:, :, None] * line[:, None, :]
         pts[:, :, 2] = np.where(line[:, None, 2] == 0, c[:, None, 2], pts[:, :, 2])
         pts = proj_points(pts.reshape(-1, 3)).reshape(len(c), d - 1, 3)[ok]

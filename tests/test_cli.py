@@ -197,13 +197,17 @@ def test_orbit_real_escape_is_graceful(tmp_path):
     assert 1 <= len(out.read_text().splitlines()) <= 500
 
 
-def test_confine_ellipse_all_pass(tmp_path):
+# quartic seed 14 passes only when find_roots keeps two close secant roots
+# apart beside a root near an asymptote; merged, the image leaves the curve
+@pytest.mark.parametrize("curve,seed,reports", [("ellipse", 1, 8), ("quartic", 14, 32)],
+                         ids=["ellipse-seed1", "quartic-seed14"])
+def test_confine_all_pass(tmp_path, curve, seed, reports):
     out = tmp_path / "confine.json"
-    code = run(["confine", "--curve", DATA / "ellipse.json", "--seed", 1,
+    code = run(["confine", "--curve", DATA / f"{curve}.json", "--seed", seed,
                 "--samples", 3, "--out", out])
     assert code == 0
     data = json.loads(out.read_text())
-    assert len(data["reports"]) == 8
+    assert len(data["reports"]) == reports
     assert data["all_passed"] is True
 
 

@@ -5,6 +5,8 @@ Expected values are produced by small independent oracles defined here
 convolution products), never by the code paths under test.
 """
 
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -134,19 +136,39 @@ def test_find_roots_phi3_largest_root_bracket():
 
 
 def test_find_roots_multiplicities_cover_degree_random():
+    # each planted set runs once more with a root of modulus 1e3..1e6 (a
+    # direction near an asymptote), which must not widen the others' radius
     rng = random.Random(7)
     for _ in range(25):
         simple = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
         double = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        coeffs = [1]
-        for r in simple + [double, double]:
-            coeffs = convolve(coeffs, [-r, 1])
-        clusters = find_roots(ComplexPoly(coeffs))
-        assert sum(c.multiplicity for c in clusters) == 5
-        for r in simple:
-            assert min(abs(c.value - r) for c in clusters) < 1e-7
-        near_double = min(clusters, key=lambda c: abs(c.value - double))
-        assert abs(near_double.value - double) < 1e-6
+        huge = cmath.rect(10 ** rng.uniform(3, 6), rng.uniform(-math.pi, math.pi))
+        for planted in (simple, simple + [huge]):
+            coeffs = [1]
+            for r in planted + [double, double]:
+                coeffs = convolve(coeffs, [-r, 1])
+            clusters = find_roots(ComplexPoly(coeffs))
+            assert sum(c.multiplicity for c in clusters) == len(planted) + 2
+            for r in planted:
+                nearest = min(clusters, key=lambda c: abs(c.value - r))
+                assert nearest.multiplicity == 1
+                assert abs(nearest.value - r) < 1e-7 * max(1.0, abs(r))
+            near_double = min(clusters, key=lambda c: abs(c.value - double))
+            assert abs(near_double.value - double) < 1e-6
+
+
+def test_find_roots_keeps_close_roots_beside_a_huge_one():
+    # roots of a quartic secant line near an asymptote direction: the huge
+    # root must not set the radius for the two small roots, 0.35 apart, or
+    # they merge into one double root 1.125+0.505i with residual 1.3e4
+    planted = [1.29 + 0.57j, 0.96 + 0.44j, 1.0e5 - 4.1e5j]
+    coeffs = [1]
+    for r in planted:
+        coeffs = convolve(coeffs, [-r, 1])
+    clusters = find_roots(ComplexPoly(coeffs))
+    assert [c.multiplicity for c in clusters] == [1, 1, 1]
+    for r in planted:
+        assert min(abs(c.value - r) for c in clusters) < 1e-9 * abs(r)
 
 
 def test_find_roots_rejects_constant():
