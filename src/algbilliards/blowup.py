@@ -45,16 +45,19 @@ from .curve import (
     tangent_at,
     tangent_frame,
 )
-from .numerics import NonConvergenceError
 from .numerics import find_roots  # noqa: F401 -- unused; bench/bench_trace.py wraps it
 from .phase import (
+    _ROW_ERRORS,
     Branch,
     BranchSet,
     DirectionPoint,
     PhaseError,
     PhasePoint,
-    TerminatedBranch,
-    billiard_steps,
+    _direction,
+    _reflect_rows,
+    _secant_rows,
+    _stack,
+    _step_rows,
     direction_from_slope,
     direction_point,
     line_intersections,
@@ -63,8 +66,8 @@ from .phase import (
     phase_point_json,
     reflect,
     rotate_direction,
-    secant,
 )
+from .phase import secant  # noqa: F401 -- unused; bench/bench_trace.py wraps it
 
 __all__ = [
     "ScratchPoint",
@@ -81,6 +84,10 @@ __all__ = [
     "reflect_at_isotropic_limit",
     "confinement_experiment_infinity_multi",
     "confinement_experiment_isotropic",
+    "confinement_reports",
+    "Experiment",
+    "infinity_experiment",
+    "isotropic_experiment",
     "ConfinementReport",
     "default_eps_schedule",
 ]
@@ -506,32 +513,18 @@ class ConfinementReport:
         }
 
 
-def _require_approach(distances: list[float]) -> None:
-    """Refuse a followed branch that did not demonstrably converge toward
-    the scratch point.
-
-    The distance scales linearly in eps with a geometry-dependent constant,
-    so for far-out scratch points an absolute bound misfires; accept either
-    a small final distance or a 50-fold contraction across the schedule.
-    """
-    if not (distances[-1] < 1e-3 or distances[-1] < distances[0] / 50.0):
-        raise BranchLostError(
-            f"nearest branch stayed {distances[-1]:.2e} from the scratch point"
-        )
-
-
 def _nearest(items, distance, lost: str):
-    """The item nearest by ``distance``; the first of equally near items
-    wins.  No items at all means the branch is lost."""
+    """The item nearest by ``distance`` (a lone item without evaluating
+    it); the first of equally near items wins.  No items at all means the
+    branch is lost."""
     if not items:
         raise BranchLostError(lost)
-    return min(items, key=distance)
+    return items[0] if len(items) == 1 else min(items, key=distance)
 
 
-def _phase_vector(p: PhasePoint) -> tuple[complex, ...]:
-    x0, x1 = p.c.affine()
-    q0, q1 = p.q.affine()
-    return (x0, x1, q0, q1)
+def _state(c, q) -> PhasePoint:
+    """The state of normalized coordinate lists c and q."""
+    return PhasePoint(ProjPoint(tuple(c)), _direction(q))
 
 
 def _vector_to_phase(v: tuple[complex, ...]) -> PhasePoint:
@@ -591,12 +584,20 @@ def _report(scratch: ScratchPoint, eps: list[float], runs) -> ConfinementReport:
     )
 
 
-def confinement_experiment_infinity_multi(
-    curve: PlaneCurve,
-    scratch: ScratchPoint,
-    starts: list[ProjPoint],
-    eps_list: list[float] | None = None,
-) -> ConfinementReport:
+@dataclass(frozen=True)
+class Experiment:
+    """A checked confinement experiment: at a scratch point at infinity its
+    affine starts c0 with their pencil offsets kappa(c0), at an isotropic
+    one the sampled directions of the secants through it that give its
+    starts."""
+
+    scratch: ScratchPoint
+    starts: tuple[ProjPoint, ...] = ()
+    kappas: tuple[complex, ...] = ()
+    directions: tuple[DirectionPoint, ...] = ()
+
+
+def infinity_experiment(scratch: ScratchPoint, starts: list[ProjPoint]) -> Experiment:
     """Drive b^2 through a scratch point at infinity from each start (c0, q).
 
     For each eps the direction is rotated off the scratch direction by eps;
@@ -614,7 +615,6 @@ def confinement_experiment_infinity_multi(
     _require(scratch, "infinity", basic=False)
     if not starts:
         raise BlowupError("the infinity experiment needs at least one start")
-    eps = default_eps_schedule() if eps_list is None else list(eps_list)
     chart: InfinityChart = scratch.chart
     kappas = []
     for c0 in starts:
@@ -626,71 +626,122 @@ def confinement_experiment_infinity_multi(
                 f"start offset kappa = {kappa0:.3g} is too close to a chart boundary"
             )
         kappas.append(kappa0)
-    follows = _follow(curve, scratch, [PhasePoint(c=c0, q=scratch.phase.q) for c0 in starts], eps)
-    runs = []
-    for c0, kappa0, (chains, distance) in zip(starts, kappas, follows):
-        # chart-level prediction: reflect the pencil offset, intersect, reflect
-        neg = reflect_at_infinity_limit(curve, ExceptionalParam(scratch, kappa0))
-        predicted = [
-            reflect(curve, p).images[0].point
-            for p in secant_at_infinity_limit(curve, neg).points()
-        ]
-        sample = {
-            "c0": [[z.real, z.imag] for z in c0.coords],
-            "kappa": [kappa0.real, kappa0.imag],
-            "nearest_branch_distance": distance,
-        }
-        runs.append((sample, chains, predicted))
-    return _report(scratch, eps, runs)
+    return Experiment(scratch, starts=tuple(starts), kappas=tuple(kappas))
 
 
-def confinement_experiment_isotropic(
-    curve: PlaneCurve,
-    scratch: ScratchPoint,
-    n_samples: int = 5,
-    seed: int = 0,
-    eps_list: list[float] | None = None,
-) -> ConfinementReport:
+def isotropic_experiment(scratch: ScratchPoint, n_samples: int = 5, seed: int = 0) -> Experiment:
     """Drive b^2 through an isotropic scratch point from sampled starts.
 
     Starts lie on the contracted curve: secant images of the tangency point's
-    direction fiber.  Each start is perturbed by rotating the direction, the
-    near-scratch branch is followed through both steps, and the extrapolated
-    limits must lie on the direction fiber over the tangency point and vary
-    with the start.
+    direction fiber, along directions drawn from the seed.  Each start is
+    perturbed by rotating the direction, the near-scratch branch is followed
+    through both steps, and the extrapolated limits must lie on the
+    direction fiber over the tangency point and vary with the start.
     """
     _require(scratch, "isotropic", basic=False)
     if n_samples < MIN_ISOTROPIC_STARTS:
         raise BlowupError(f"the isotropic experiment needs at least {MIN_ISOTROPIC_STARTS} starts")
     rng = random.Random(seed)
+    thetas = [rng.uniform(0, 2 * math.pi) + 1j * rng.uniform(-0.5, 0.5) for _ in range(n_samples)]
+    return Experiment(scratch, directions=tuple(rotate_direction(direction_point(1, 0, 1), t) for t in thetas))
+
+
+def confinement_experiment_infinity_multi(
+    curve: PlaneCurve, scratch: ScratchPoint, starts: list[ProjPoint], eps_list: list[float] | None = None
+) -> ConfinementReport:
+    """The report of ``infinity_experiment(scratch, starts)`` run alone."""
+    return confinement_reports(curve, [infinity_experiment(scratch, starts)], eps_list)[0]
+
+
+def confinement_experiment_isotropic(
+    curve: PlaneCurve, scratch: ScratchPoint, n_samples: int = 5, seed: int = 0,
+    eps_list: list[float] | None = None,
+) -> ConfinementReport:
+    """The report of ``isotropic_experiment(scratch, n_samples, seed)`` run alone."""
+    return confinement_reports(curve, [isotropic_experiment(scratch, n_samples, seed)], eps_list)[0]
+
+
+# what fails one experiment once its input is checked, the others still running
+_FOLLOW_ERRORS = (BlowupError, *_ROW_ERRORS)
+
+
+def confinement_reports(
+    curve: PlaneCurve, experiments: list[Experiment], eps_list: list[float] | None = None
+) -> list[ConfinementReport]:
+    """The reports of several experiments, stepped as one: the isotropic
+    start secants, the two billiard steps of ``_follow`` and the
+    reflections of the chart predictions each run as one stack for all of
+    them.  A state's step does not depend on the states stacked with it, so
+    each report is the one its experiment gives alone; the first experiment
+    in order that failed raises its error."""
     eps = default_eps_schedule() if eps_list is None else list(eps_list)
-    c = scratch.phase.c
+    x0s = _follower_starts(curve, experiments)
+    outcomes = _follow(curve, [(ex.scratch, xs) for ex, xs in zip(experiments, x0s)], eps)
+    predicted = _predictions(curve, experiments, outcomes)
+    reports = []
+    for k, (ex, outcome) in enumerate(zip(experiments, outcomes)):
+        if not isinstance(outcome, list):
+            raise outcome
+        if ex.kappas:
+            samples = [{"c0": [[z.real, z.imag] for z in c0.coords], "kappa": [kappa0.real, kappa0.imag]}
+                       for c0, kappa0 in zip(ex.starts, ex.kappas)]
+        else:
+            samples = [{"start": phase_point_json(x0)} for x0 in x0s[k]]
+        reports.append(_report(ex.scratch, eps, [
+            ({**sample, "nearest_branch_distance": distance}, chains, predicted.get((k, j), []))
+            for j, (sample, (chains, distance)) in enumerate(zip(samples, outcome))]))
+    return reports
 
-    starts: list[PhasePoint] = []
-    for _ in range(n_samples):
-        theta = rng.uniform(0, 2 * math.pi) + 1j * rng.uniform(-0.5, 0.5)
-        q_dir = rotate_direction(direction_point(1, 0, 1), theta)
-        try:
-            sec = secant(curve, PhasePoint(c=c, q=q_dir))
-        except (PhaseError, NonConvergenceError):
-            continue
-        starts += [
-            p for p in sec.points()
-            if not p.c.is_at_infinity and proj_distance(p.c, c) > 1e-3
-        ][:1]
-    if len(starts) < MIN_ISOTROPIC_STARTS:
-        raise BranchLostError("could not sample enough starts on the contracted curve")
-    runs = [
-        ({"start": phase_point_json(x0), "nearest_branch_distance": distance}, chains, [])
-        for x0, (chains, distance) in zip(starts, _follow(curve, scratch, starts, eps))
+
+def _follower_starts(curve: PlaneCurve, experiments: list[Experiment]) -> list:
+    """Per experiment the states its follower starts from, or the
+    BranchLostError of too few: at infinity (c0, scratch direction) for
+    each start c0; at an isotropic point, for each sampled direction, the
+    first affine image away from the tangency point of the secant through
+    it (one stacked call for all; a secant that raised gives none)."""
+    rows = [(k, PhasePoint(ex.scratch.phase.c, q)) for k, ex in enumerate(experiments) for q in ex.directions]
+    starts = [[PhasePoint(c=c0, q=ex.scratch.phase.q) for c0 in ex.starts] for ex in experiments]
+    taken = set()
+    if rows:
+        src, images, _, _, _ = _secant_rows(curve, *_stack([x for _, x in rows]))
+        for i, p in zip(src.tolist(), images.tolist()):
+            (k, x), c = rows[i], ProjPoint(tuple(p))
+            if i not in taken and not c.is_at_infinity and proj_distance(c, x.c) > 1e-3:
+                taken.add(i)
+                starts[k].append(PhasePoint(c, x.q))
+    return [
+        BranchLostError("could not sample enough starts on the contracted curve")
+        if ex.directions and len(xs) < MIN_ISOTROPIC_STARTS else xs
+        for ex, xs in zip(experiments, starts)
     ]
-    return _report(scratch, eps, runs)
 
 
-def _follow(curve: PlaneCurve, scratch: ScratchPoint, x0s: list[PhasePoint], eps):
-    """Drive b^2 from each start of x0s, its direction rotated by each eps in
-    turn, through two stacked billiard calls for all starts: per start, in
-    start order, (chains, last distance to the scratch).
+def _predictions(curve: PlaneCurve, experiments: list[Experiment], outcomes: list) -> dict:
+    """The chart predictions per (experiment, start) of the infinity
+    experiments before the first that failed: the secant limit of the
+    negated pencil offset, every point reflected in one stack."""
+    points = []
+    for k, (ex, outcome) in enumerate(zip(experiments, outcomes)):
+        if not isinstance(outcome, list):
+            break
+        for j, kappa0 in enumerate(ex.kappas):
+            neg = reflect_at_infinity_limit(curve, ExceptionalParam(ex.scratch, kappa0))
+            points += [((k, j), p) for p in secant_at_infinity_limit(curve, neg).points()]
+    predicted: dict = {}
+    if points:
+        images, _, failed = _reflect_rows(curve, *_stack([p for _, p in points]))
+        if failed:
+            raise failed[min(failed)]
+        for (key, p), q in zip(points, images.tolist()):
+            predicted.setdefault(key, []).append(PhasePoint(p.c, _direction(q)))
+    return predicted
+
+
+def _follow(curve: PlaneCurve, runs, eps) -> list:
+    """Drive b^2 from each start of each run (scratch, x0s), its direction
+    rotated by each eps in turn, through two stacked billiard steps for all
+    of them: per run, per start in start order (chains, last distance to
+    the scratch), or the error it raised or was given in place of x0s.
 
     At infinity the first step follows the reflected branch nearest the
     scratch state and the second keeps every reflected branch, continued
@@ -698,45 +749,83 @@ def _follow(curve: PlaneCurve, scratch: ScratchPoint, x0s: list[PhasePoint], eps
     whose base point, which reflection keeps, is nearest the tangency point;
     if that branch could not be reflected, reflecting it alone raises.
     """
-    infinity = scratch.kind == "infinity"
-
-    def kept(step: BranchSet | PhaseError, lost: str, every: bool) -> list[PhasePoint]:
-        """The followed state of a step, or at infinity with ``every`` all of them."""
-        if isinstance(step, PhaseError):
-            raise step
-        if infinity:
-            points = step.points()
-            if every and points:
-                return points
-            return [_nearest(points, lambda p: phase_distance(p, scratch.phase), lost)]
-        branch = _nearest([*step.images, *step.terminated],
-                          lambda b: proj_distance(b.point.c, scratch.phase.c), lost)
-        if isinstance(branch, TerminatedBranch):
-            return [reflect(curve, branch.point).images[0].point]
-        return [branch.point]
-
-    xs = [PhasePoint(c=x0.c, q=rotate_direction(x0.q, e)) for x0 in x0s for e in eps]
-    ys = [kept(step, "all first-step branches failed to reflect", False)[0]
-          for step in billiard_steps(curve, xs)]
-    second = billiard_steps(curve, ys)
-    out = []
-    for k in range(0, len(ys), len(eps)):
-        chains: list[list[tuple[complex, ...]]] = []
-        for step in second[k:k + len(eps)]:
-            finals = [_phase_vector(p) for p in
-                      kept(step, "all second-step branches failed to reflect", True)]
-            if not chains:
-                finals.sort(key=lambda v: (v[0].real, v[0].imag))
-                chains = [[v] for v in finals]
-                continue
-            # continuation: match each chain to the nearest unused new value
-            for chain in chains:
-                prev = chain[-1]
-                v = _nearest(finals, lambda w: max(abs(a - b) for a, b in zip(w, prev)),
-                             "branch continuation lost a chain")
-                finals.remove(v)
-                chain.append(v)
-        distances = [phase_distance(y, scratch.phase) for y in ys[k:k + len(eps)]]
-        _require_approach(distances)
-        out.append((chains, distances[-1]))
+    n, out = len(eps), [x0s for _, x0s in runs]
+    kids = _steps(curve, [x0.c.coords + rotate_direction(x0.q, e).q
+                          for x0s in out if isinstance(x0s, list) for x0 in x0s for e in eps])
+    row = 0
+    for k, (scratch, x0s) in enumerate(runs):
+        if isinstance(x0s, list):
+            steps, row = kids[row:row + n * len(x0s)], row + n * len(x0s)
+            try:
+                out[k] = [_kept(curve, scratch, step, False, "all first-step branches failed to reflect")[0]
+                          for step in steps]
+            except _FOLLOW_ERRORS as exc:
+                out[k] = exc
+    kids = _steps(curve, [c + q for picks in out if isinstance(picks, list) for c, q in picks])
+    row = 0
+    for k, (scratch, _) in enumerate(runs):
+        picks = out[k]
+        if isinstance(picks, list):
+            steps, row = kids[row:row + len(picks)], row + len(picks)
+            try:
+                out[k] = [_chains(curve, scratch, picks[j:j + n], steps[j:j + n]) for j in range(0, len(picks), n)]
+            except _FOLLOW_ERRORS as exc:
+                out[k] = exc
     return out
+
+
+def _steps(curve: PlaneCurve, states: list) -> list[list]:
+    """The billiard steps of states given as coordinate rows c + q, in one
+    ``_step_rows`` call: per state, its children's (c, q, reason) rows."""
+    kids = [[] for _ in states]
+    if states:
+        cq = np.array(states, dtype=complex)
+        src, images, directions, _, reasons, _ = _step_rows(curve, cq[:, :3], cq[:, 3:])
+        for i, c, q, why in zip(src.tolist(), images.tolist(), directions.tolist(), reasons):
+            kids[i].append((c, q, why))
+    return kids
+
+
+def _kept(curve: PlaneCurve, scratch: ScratchPoint, kids, every: bool, lost: str) -> list:
+    """The followed (c, q) of a step given as its children's (c, q, reason)
+    rows, or at infinity with ``every`` all live ones.  A step that raised
+    raises its error again."""
+    if isinstance(kids[0][2], _ROW_ERRORS):
+        raise kids[0][2]
+    if scratch.kind == "infinity":
+        live = [(c, q) for c, q, why in kids if why is None]
+        if every and live:
+            return live
+        return [_nearest(live, lambda k: phase_distance(_state(*k), scratch.phase), lost)]
+    c, q, why = _nearest(kids, lambda k: proj_distance(ProjPoint(tuple(k[0])), scratch.phase.c), lost)
+    if why is not None:
+        q = list(reflect(curve, _state(c, q)).images[0].point.q.q)
+    return [(c, q)]
+
+
+def _chains(curve: PlaneCurve, scratch: ScratchPoint, picks, kids) -> tuple[list, float]:
+    """One start's chains of second-step images over the eps schedule, from
+    its first-step picks and their steps' children, and its last distance
+    to the scratch."""
+    chains: list[list[tuple[complex, ...]]] = []
+    for step in kids:
+        finals = [(c[0] / c[2], c[1] / c[2], q[0] / q[2], q[1] / q[2])
+                  for c, q in _kept(curve, scratch, step, True, "all second-step branches failed to reflect")]
+        if not chains:
+            finals.sort(key=lambda v: (v[0].real, v[0].imag))
+            chains = [[v] for v in finals]
+            continue
+        # continuation: match each chain to the nearest unused new value
+        for chain in chains:
+            prev = chain[-1]
+            v = _nearest(finals, lambda w: max(abs(a - b) for a, b in zip(w, prev)),
+                         "branch continuation lost a chain")
+            finals.remove(v)
+            chain.append(v)
+    # the distance scales linearly in eps with a geometry-dependent constant,
+    # so for far-out scratch points an absolute bound misfires: accept a small
+    # final distance or a 50-fold contraction across the schedule
+    first, last = (phase_distance(_state(*y), scratch.phase) for y in (picks[0], picks[-1]))
+    if not (last < 1e-3 or last < first / 50.0):
+        raise BranchLostError(f"nearest branch stayed {last:.2e} from the scratch point")
+    return chains, last

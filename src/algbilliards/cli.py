@@ -30,15 +30,19 @@ from itertools import islice
 from . import __version__
 from .blowup import (
     MIN_ISOTROPIC_STARTS,
-    confinement_experiment_infinity_multi,
-    confinement_experiment_isotropic,
+    confinement_reports,
     enumerate_scratch_points,
+    infinity_experiment,
     infinity_experiment_starts,
+    isotropic_experiment,
 )
+from .blowup import confinement_experiment_infinity_multi  # noqa: F401 -- unused; bench/bench_trace.py wraps it
+from .blowup import confinement_experiment_isotropic  # noqa: F401 -- unused; bench/bench_trace.py wraps it
 from .curve import CurveError, curve_from_json, genericity_report
 from .numerics import MAX_MATRIX_SIDE, NonConvergenceError
 from .phase import (
     NoRealReturnError,
+    OffCurveError,
     PhaseError,
     orbit_step_json,
     orbit_tree,
@@ -64,8 +68,9 @@ EXIT_INPUT = 1
 EXIT_VERIFICATION = 2
 
 # errors that mean a mathematical verification failed (exit 2); every other
-# error the package raises is a ValueError (exit 1)
-VERIFICATION_ERRORS = (NonConvergenceError, MatrixMismatchError, ArithmeticError)
+# error the package raises is a ValueError (exit 1).  OffCurveError is a
+# ValueError too, so main tests these first
+VERIFICATION_ERRORS = (NonConvergenceError, MatrixMismatchError, ArithmeticError, OffCurveError)
 
 # the largest degree whose lattice rank 2d^2 + 2 stays within MAX_MATRIX_SIDE, so
 # the general char_poly remains an independent check over the accepted range
@@ -226,18 +231,17 @@ def cmd_confine(args) -> int:
         selected = [scratch[args.scratch_index]]
     if args.samples < MIN_ISOTROPIC_STARTS and any(sp.kind != "infinity" for sp in selected):
         return _error(f"--samples must be at least {MIN_ISOTROPIC_STARTS} at isotropic scratch points")
-    reports = []
-    all_ok = True
+    experiments = []
     for idx, sp in enumerate(selected):
         if sp.kind == "infinity":
             stream = islice(phase_point_stream(curve, args.seed + idx), 8 * args.samples)
             starts = infinity_experiment_starts(curve, sp, (x.c for x in stream), args.samples)
-            rep = confinement_experiment_infinity_multi(curve, sp, starts, eps_list)
+            experiments.append(infinity_experiment(sp, starts))
         else:
-            rep = confinement_experiment_isotropic(
-                curve, sp, n_samples=args.samples, seed=args.seed + idx,
-                eps_list=eps_list,
-            )
+            experiments.append(isotropic_experiment(sp, args.samples, args.seed + idx))
+    reports = []
+    all_ok = True
+    for rep in confinement_reports(curve, experiments, eps_list):
         ok = rep.passed()
         all_ok = all_ok and ok
         entry = rep.to_dict()
@@ -395,10 +399,10 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code = args.func(args)
-    except ValueError as exc:
-        code = _error(str(exc))
     except VERIFICATION_ERRORS as exc:
         code = _error(str(exc), EXIT_VERIFICATION)
+    except ValueError as exc:
+        code = _error(str(exc))
     _log(f"[{args.command}] version {__version__}, wall time {time.monotonic() - started:.3f}s")
     return code
 

@@ -37,7 +37,7 @@ from .curve import (
     tangent_at,
 )
 from .numerics import CLUSTER_REL_TOL, LEADING_ZERO_TOL, ComplexPoly, RootCluster
-from .numerics import find_roots, monic_roots
+from .numerics import NonConvergenceError, find_roots, monic_roots
 
 __all__ = [
     "DirectionPoint",
@@ -52,6 +52,7 @@ __all__ = [
     "ScratchPointError",
     "InfinityBasePointError",
     "LineInCurveError",
+    "OffCurveError",
     "NoRealReturnError",
     "direction_point",
     "direction_from_slope",
@@ -97,6 +98,15 @@ class LineInCurveError(PhaseError):
 
 class NoRealReturnError(PhaseError):
     """The real ray never re-meets the real curve."""
+
+
+class OffCurveError(PhaseError):
+    """A reflection's base point is off the curve or singular: the step
+    that produced it lost the curve (a numerical failure, not bad input)."""
+
+
+# the errors a stacked step records as one state's own
+_ROW_ERRORS = (PhaseError, NonConvergenceError)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +392,12 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
     """Secant images of the states with (N, 3) stacks c and q, as arrays of
     their images: source row, (K, 3) image points and multiplicities, each
     state's images in point order; then the ill_conditioned flags and a map
-    from a state to the PhaseError it raised.  All states take the stacked
-    path (base root t = 0 dropped, the others from ``monic_roots``); a state
-    with |X2| <= 1e-5, which needs the scratch-proximity check, or failing
-    a gate of ``line_intersections``, or holding two roots closer than
-    ``CLUSTER_REL_TOL * (1 + max |t|)``, takes the per-state code
-    ``_secant_one``."""
+    from a state to the PhaseError or NonConvergenceError it raised.  All
+    states take the stacked path (base root t = 0 dropped, the others from
+    ``monic_roots``); a state with |X2| <= 1e-5, which needs the
+    scratch-proximity check, or failing a gate of ``line_intersections``, or
+    holding two roots closer than ``CLUSTER_REL_TOL * (1 + max |t|)``, takes
+    the per-state code ``_secant_one``."""
     d = curve.degree
     line = q.copy()
     line[:, 2] = 0
@@ -433,7 +443,7 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
         x = PhasePoint(ProjPoint(tuple(c[i].tolist())), _direction(q[i].tolist()))
         try:
             found, ill[i] = _secant_one(curve, x, tuple(line[i].tolist()))
-        except PhaseError as exc:
+        except _ROW_ERRORS as exc:
             errors[i] = exc
             continue
         rows += [(i, p, m) for p, m in found]
@@ -514,7 +524,8 @@ def _reflect_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
     """Reflections of the states with (M, 3) stacks c and q by the product
     formula, all rows at once: the normalized images, the ill_conditioned
     flags and a map from a row to the PhaseError it raised.  A row outside
-    the (conservative) bounds gets a single state's checks, in its order."""
+    the (conservative) bounds gets a single state's checks, in its order; a
+    base point off the curve or singular is that row's OffCurveError."""
     # einsum, not BLAS products, so that no row depends on the rows stacked with it
     f_t = np.einsum("mk,kj->mj", curve.form_values(c, grad=True),
                     _TANGENT_NULL / max(1.0, curve.scale()))
@@ -548,7 +559,10 @@ def _reflect_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
                     f"reflection source is an isotropic scratch point (proximity {prox:.2e})"
                 )
             ill[r] = prox < SCRATCH_SOFT_TOL
-            tangent_at(curve, base)
+            try:
+                tangent_at(curve, base)
+            except CurveError as exc:
+                raise OffCurveError(str(exc)) from exc
             if min(tz, tw) < 1e-15 * max(tz, tw):
                 # tangent direction [1 : -i] (or [1 : i]): the image is that isotropic point
                 images[r] = (1, -1j, 0) if tw < tz else (1, 1j, 0)
@@ -575,15 +589,16 @@ def billiard_step(curve: PlaneCurve, x: PhasePoint) -> BranchSet:
     is the one-state call of the stacked step ``billiard_steps``.
     """
     step = billiard_steps(curve, [x])[0]
-    if isinstance(step, PhaseError):
+    if isinstance(step, _ROW_ERRORS):
         raise step
     return step
 
 
 def billiard_steps(curve: PlaneCurve, xs) -> list:
     """Billiard steps of the states xs (each a BranchSet or the PhaseError
-    it raised), built from the arrays of the stacked step ``_step_rows``.
-    Each state's step is bitwise the one ``billiard_step`` gives it alone."""
+    or NonConvergenceError it raised), built from the arrays of the stacked
+    step ``_step_rows``.  Each state's step is bitwise the one
+    ``billiard_step`` gives it alone."""
     if not xs:
         return []
     src, images, directions, mult, reasons, ill = _step_rows(curve, *_stack(xs))
@@ -592,12 +607,12 @@ def billiard_steps(curve: PlaneCurve, xs) -> list:
                                   mult.tolist(), reasons):
         if reason is None:
             steps[i][0].append(Branch(PhasePoint(ProjPoint(tuple(p)), _direction(q)), m))
-        elif isinstance(reason, PhaseError):
+        elif isinstance(reason, _ROW_ERRORS):
             steps[i] = reason
         else:
             steps[i][1].append(TerminatedBranch(PhasePoint(ProjPoint(tuple(p)), xs[i].q), m, reason))
     return [
-        step if isinstance(step, PhaseError)
+        step if isinstance(step, _ROW_ERRORS)
         else BranchSet(x, "billiard", tuple(step[0]), tuple(step[1]), flag)
         for x, step, flag in zip(xs, steps, ill)
     ]
@@ -610,7 +625,7 @@ def _step_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
     ill_conditioned flags.  A state's children are its live branches (reason
     None), then its terminated ones (reason a string, direction the
     source's), each in point order; a state whose step raised has one child
-    instead, itself with the PhaseError as reason."""
+    instead, itself with the error as reason."""
     src, images, mult, ill, errors = _secant_rows(curve, c, q)
     directions, _, failed = _reflect_rows(curve, images, q[src])
     reasons = [None] * len(src)
@@ -737,7 +752,7 @@ def orbit_tree(curve: PlaneCurve, x: PhasePoint, depth: int) -> OrbitTree:
     for _level in range(depth):
         live = np.flatnonzero(level.live())
         src, images, directions, mult, reasons, _ = _step_rows(curve, level.c[live], level.q[live])
-        reasons = [type(r).__name__ if isinstance(r, PhaseError) else r for r in reasons]
+        reasons = [type(r).__name__ if isinstance(r, _ROW_ERRORS) else r for r in reasons]
         parent = live[src]
         level = OrbitLevel(images, directions, parent, level.mult[parent] * mult, tuple(reasons))
         levels.append(level)

@@ -12,8 +12,11 @@ from algbilliards.blowup import (
     GenericityFailureError,
     confinement_experiment_infinity_multi,
     confinement_experiment_isotropic,
+    confinement_reports,
     enumerate_scratch_points,
+    infinity_experiment,
     infinity_experiment_starts,
+    isotropic_experiment,
     reflect_at_infinity_limit,
     reflect_at_isotropic_limit,
     secant_at_infinity_limit,
@@ -265,37 +268,75 @@ def one_state_follow(curve, scratch, x0s, eps):
 @pytest.mark.parametrize("name", ["cubic", "quartic"])
 @pytest.mark.parametrize("kind", ["infinity", "isotropic_plus"])
 def test_follower_matches_one_state_steps(request, monkeypatch, name, kind):
-    """Two stacked billiard calls for all starts give, bitwise, the report
-    of the same experiment stepped one start, one eps and one state at a
-    time."""
+    """Two stacked billiard calls for all starts of three experiments give,
+    bitwise, the reports of the same experiments stepped one experiment,
+    one start, one eps and one state at a time.  The experiment of ``kind``
+    is stacked between two of the other kind, with 3, 2 and 4 starts."""
     import json
 
     import algbilliards.blowup as blowup
 
     curve = request.getfixturevalue(name)
-    scratch = scratch_of(enumerate_scratch_points(curve), kind, lambda s: s.basic)
+    points = enumerate_scratch_points(curve)
 
-    def report_json():
+    def experiment(kind, count):
+        scratch = [s for s in points if s.kind == kind and s.basic][count % 2]
         if kind == "infinity":
-            candidates = sample_curve_points(curve, 24, 5)
-            starts = infinity_experiment_starts(curve, scratch, candidates, 3)
-            rep = confinement_experiment_infinity_multi(curve, scratch, starts)
-        else:
-            rep = confinement_experiment_isotropic(curve, scratch, n_samples=3, seed=5)
-        assert rep.passed()
-        return json.dumps(rep.to_dict(), sort_keys=True)
+            candidates = sample_curve_points(curve, 8 * count, 5 + count)
+            return infinity_experiment(scratch, infinity_experiment_starts(curve, scratch, candidates, count))
+        return isotropic_experiment(scratch, count, 5 + count)
 
-    stacked = report_json()
+    other = "isotropic_plus" if kind == "infinity" else "infinity"
+    experiments = [experiment(other, 3), experiment(kind, 2), experiment(other, 4)]
+
+    def reports_json():
+        reports = confinement_reports(curve, experiments)
+        assert all(rep.passed() for rep in reports)
+        return json.dumps([rep.to_dict() for rep in reports], sort_keys=True)
+
+    stacked = reports_json()
     followed = []
 
-    def reference(curve, scratch, x0s, eps):
-        followed.append(len(x0s))
-        return one_state_follow(curve, scratch, x0s, eps)
+    def reference(curve, runs, eps):
+        followed.append([len(x0s) for _, x0s in runs])
+        return [one_state_follow(curve, scratch, x0s, eps) for scratch, x0s in runs]
 
     monkeypatch.setattr(blowup, "_follow", reference)
-    assert report_json() == stacked
-    # the experiment ran the reference, on all of its starts at once
-    assert followed == [3]
+    assert reports_json() == stacked
+    # the reference ran once, on all starts of all experiments
+    assert followed == [[3, 2, 4]]
+
+
+def test_the_first_failed_experiment_raises(ellipse, monkeypatch):
+    """A step error recorded in the first stacked step fails only the
+    experiment of its state; of several failed experiments the first in
+    order raises, a NonConvergenceError exactly as a PhaseError."""
+    import algbilliards.blowup as blowup
+    from algbilliards.numerics import NonConvergenceError
+    from algbilliards.phase import ScratchPointError
+
+    s = _ellipse_infinity_scratch(ellipse)
+    iso = scratch_of(enumerate_scratch_points(ellipse), "isotropic_plus")
+    experiments = [infinity_experiment(s, [proj_point(0, -1, 1)]), infinity_experiment(s, [proj_point(0, 1, 1)]),
+                   isotropic_experiment(iso, 3, 11)]
+    n = blowup.EPS_COUNT
+    step_rows, injected = blowup._step_rows, {}
+
+    def failing(curve, c, q):
+        src, images, directions, mult, reasons, ill = step_rows(curve, c, q)
+        if len(c) == 5 * n:  # the first step: an ellipse state has one child
+            for row, error in injected.items():
+                reasons[row] = error
+        return src, images, directions, mult, reasons, ill
+
+    monkeypatch.setattr(blowup, "_step_rows", failing)
+    injected[5 * n - 1] = ScratchPointError("injected into the isotropic experiment")
+    with pytest.raises(ScratchPointError):
+        confinement_reports(ellipse, experiments)
+    injected[n] = NonConvergenceError("injected into the second experiment")
+    with pytest.raises(NonConvergenceError):
+        confinement_reports(ellipse, experiments)
+    assert confinement_reports(ellipse, experiments[:1])[0].passed()
 
 
 def test_confinement_report_json_roundtrip(ellipse):
@@ -313,11 +354,11 @@ def test_confinement_propagates_unexpected_reflect_errors(ellipse, monkeypatch):
     # an unexpected reflection error is a bug, never a branch to drop
     import algbilliards.blowup as blowup
 
-    def broken(curve, x):
+    def broken(curve, c, q):
         raise ZeroDivisionError("injected")
 
     s = _ellipse_infinity_scratch(ellipse)
-    monkeypatch.setattr(blowup, "reflect", broken)
+    monkeypatch.setattr(blowup, "_reflect_rows", broken)
     with pytest.raises(ZeroDivisionError):
         confinement_experiment_infinity_multi(ellipse, s, [proj_point(0, -1, 1)])
 
@@ -333,10 +374,10 @@ def test_confinement_isotropic_refuses_one_start_before_sampling(ellipse, monkey
     # the limits must be seen to vary with the start, so one start cannot pass
     import algbilliards.blowup as blowup
 
-    def unreachable(curve, x):
+    def unreachable(curve, c, q):
         raise ZeroDivisionError("sampled a start")
 
     iso = scratch_of(enumerate_scratch_points(ellipse), "isotropic_plus")
-    monkeypatch.setattr(blowup, "secant", unreachable)
+    monkeypatch.setattr(blowup, "_secant_rows", unreachable)
     with pytest.raises(BlowupError, match=f"at least {blowup.MIN_ISOTROPIC_STARTS}"):
         confinement_experiment_isotropic(ellipse, iso, n_samples=1)

@@ -212,27 +212,49 @@ def test_confine_all_pass(tmp_path, curve, seed, reports):
 
 
 def test_confine_draws_and_steps_only_what_it_uses(monkeypatch, tmp_path):
-    # 8 experiments, one stacked first step and one stacked second step
-    # each; the 4 at infinity draw their 3 starts from the stream lazily
-    steps, drawn = [], []
-    billiard_steps = blowup.billiard_steps
+    # 8 experiments of 3 starts: one stacked first step and one stacked
+    # second step for all of them, one stacked secant for the 12 isotropic
+    # start samples and one stacked reflection for the 12 predicted limits
+    # at infinity; the 4 at infinity draw their 3 starts from the stream lazily
+    calls, drawn = {}, []
 
-    def counted_steps(curve, xs):
-        steps.append(len(xs))
-        return billiard_steps(curve, xs)
+    def counted(name):
+        kernel = getattr(blowup, name)
+
+        def wrapper(curve, *args):
+            calls.setdefault(name, []).append(len(args[0]) if args else 1)
+            return kernel(curve, *args)
+
+        monkeypatch.setattr(blowup, name, wrapper)
 
     def counted_stream(curve, seed):
         for x in sampling.phase_point_stream(curve, seed):
             drawn.append(seed)
             yield x
 
-    monkeypatch.setattr(blowup, "billiard_steps", counted_steps)
+    for name in ("_step_rows", "_secant_rows", "_reflect_rows", "reflect", "secant"):
+        counted(name)
     monkeypatch.setattr(cli, "phase_point_stream", counted_stream)
     assert run(["confine", "--curve", DATA / "ellipse.json", "--seed", 1,
                 "--samples", 3, "--out", tmp_path / "confine.json"]) == 0
-    assert len(steps) == 16
-    assert steps[:8:2] == [3 * blowup.EPS_COUNT] * 4
+    assert calls == {"_step_rows": [8 * 3 * blowup.EPS_COUNT] * 2,
+                     "_secant_rows": [4 * 3], "_reflect_rows": [4 * 3]}
     assert len(drawn) == 12
+
+
+@pytest.mark.parametrize("curve,count", [("ellipse", 8), ("cubic", 18)])
+def test_confine_reports_do_not_depend_on_the_scratch_points_run_with_them(tmp_path, curve, count):
+    # scratch point k of a full run at seed s is stepped with seed s + k, so its
+    # report is the one of its own run; stacking the scratch points must not couple them
+    def reports(*argv):
+        out = tmp_path / "confine.json"
+        assert run(["confine", "--curve", DATA / f"{curve}.json", "--samples", 3, *argv, "--out", out]) == 0
+        return json.loads(out.read_text())["reports"]
+
+    full = reports("--seed", 11)
+    assert len(full) == count
+    for k, report in enumerate(full):
+        assert reports("--scratch-index", k, "--seed", 11 + k) == [report]
 
 
 def test_confine_rejects_circle(tmp_path):
@@ -475,7 +497,7 @@ def _failing_report(*args, **kwargs):
     ({"check_invariance": lambda *a, **k: SimpleNamespace(
         residual_h=1.0, residual_h2=1.0, order_estimate=0.0)},
      ["form-check", "--curve", DATA / "ellipse.json", "--samples", 1]),
-    ({"confinement_experiment_infinity_multi": _failing_report},
+    ({"confinement_reports": lambda *a, **k: [_failing_report()]},
      ["confine", "--curve", DATA / "ellipse.json", "--samples", 1, "--scratch-index", 0]),
 ], ids=["genericity", "form-check", "confine"])
 def test_a_failed_gate_prints_one_error_line(monkeypatch, tmp_path, capsys, patches, argv):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from algbilliards import phase
 from algbilliards.curve import (
+    CurveError,
     PlaneCurve,
     genericity_report,
     on_curve_residual,
@@ -21,8 +22,9 @@ from algbilliards.curve import (
     proj_points,
     tangent_at,
 )
-from algbilliards.numerics import find_roots
+from algbilliards.numerics import NonConvergenceError, find_roots
 from algbilliards.phase import (
+    OffCurveError,
     PhaseError,
     billiard_step,
     billiard_steps,
@@ -229,6 +231,41 @@ def test_mixed_stack_rows_are_isolated(monkeypatch):
     # the band and tangent rows left the stacked secant, and reflection saw isotropic rows
     assert {x.c for x in fallback} >= {x.c for x in special[:5]}
     assert any(abs(q2) == 0 for _, _, _, q2 in calls)
+
+
+def test_a_failing_row_is_that_states_error(monkeypatch):
+    """A state whose secant images are off the curve, or whose root finder
+    does not converge, gets that error as its own step: an OffCurveError
+    chained from the CurveError of the tangent check, or the
+    NonConvergenceError.  Every other state of the stack keeps bitwise its
+    one-state step, and an orbit tree keeps the state as a node named after
+    its error.  Both failures are injected into the per-state secant of two
+    band states (|X2| = 1e-6 with q on the tangent, and turned off it)."""
+    curve = PlaneCurve.from_coeffs(*TERMINATING_CUBIC)
+    off, stuck = band_state(curve, 1e-6, 0.0), band_state(curve, 1e-6, 0.3)
+    secant_one = phase._secant_one
+
+    def faulty(curve, x, e):
+        if x == stuck:
+            raise NonConvergenceError("injected")
+        found, ill = secant_one(curve, x, e)
+        if x == off:  # move every image off the curve
+            found = [((p[0], p[1] * (1 + 1e-3), p[2]), m) for p, m in found]
+        return found, ill
+
+    monkeypatch.setattr(phase, "_secant_one", faulty)
+    clean = sample_phase_points(curve, 4, seed=5)
+    xs = clean[:2] + [off] + clean[2:3] + [stuck] + clean[3:] + [band_state(curve, 1e-6, 0.1)]
+    steps = billiard_steps(curve, xs)
+    assert isinstance(steps[2], OffCurveError) and isinstance(steps[2].__cause__, CurveError)
+    assert isinstance(steps[4], NonConvergenceError)
+    for k in (2, 4):
+        with pytest.raises(type(steps[k])):
+            billiard_step(curve, xs[k])
+    assert [step for k, step in enumerate(steps) if k not in (2, 4)] == [
+        billiard_step(curve, x) for k, x in enumerate(xs) if k not in (2, 4)]
+    for x, name in ((off, "OffCurveError"), (stuck, "NonConvergenceError")):
+        assert orbit_tree(curve, x, 1).levels[1].reason == (name,)
 
 
 # ---------------------------------------------------------------------------
