@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import (
+    GenericityReport,
     PlaneCurve,
     ProjPoint,
     curve_point_near,
@@ -78,6 +79,7 @@ __all__ = [
     "BranchLostError",
     "ExtrapolationError",
     "enumerate_scratch_points",
+    "require_generic",
     "secant_at_infinity_limit",
     "reflect_at_infinity_limit",
     "secant_at_isotropic_limit",
@@ -102,7 +104,16 @@ class BlowupError(ValueError):
 
 
 class GenericityFailureError(BlowupError):
-    """The curve fails a genericity condition required for the blowup census."""
+    """The curve fails a genericity condition the billiard machinery needs."""
+
+
+def require_generic(curve: PlaneCurve) -> GenericityReport:
+    """The curve's genericity report; raises GenericityFailureError, with
+    every diagnostic, unless all its checks pass."""
+    report = genericity_report(curve)
+    if not report.all_ok():
+        raise GenericityFailureError("curve fails genericity: " + "; ".join(report.diagnostics))
+    return report
 
 
 class BoundaryPointError(BlowupError):
@@ -217,11 +228,7 @@ def enumerate_scratch_points(curve: PlaneCurve) -> list[ScratchPoint]:
     above its tangent slope; each isotropic tangency point (d(d-1) per sign)
     carries the isotropic direction it is tangent to.
     """
-    report = genericity_report(curve)
-    if not report.all_ok():
-        raise GenericityFailureError(
-            "curve fails genericity: " + "; ".join(report.diagnostics)
-        )
+    report = require_generic(curve)
     out: list[ScratchPoint] = []
     for p, _mult in report.infinity_points:
         td = tangent_at(curve, p)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -35,11 +36,12 @@ from .blowup import (
     infinity_experiment,
     infinity_experiment_starts,
     isotropic_experiment,
+    require_generic,
 )
 from .blowup import confinement_experiment_infinity_multi  # noqa: F401 -- unused; bench/bench_trace.py wraps it
 from .blowup import confinement_experiment_isotropic  # noqa: F401 -- unused; bench/bench_trace.py wraps it
-from .curve import CurveError, curve_from_json, genericity_report
-from .numerics import MAX_MATRIX_SIDE, NonConvergenceError
+from .curve import MAX_SPECTRAL_DEGREE, CurveError, curve_from_json, genericity_report
+from .numerics import NonConvergenceError
 from .phase import (
     NoRealReturnError,
     OffCurveError,
@@ -72,10 +74,6 @@ EXIT_VERIFICATION = 2
 # ValueError too, so main tests these first
 VERIFICATION_ERRORS = (NonConvergenceError, MatrixMismatchError, ArithmeticError, OffCurveError)
 
-# the largest degree whose lattice rank 2d^2 + 2 stays within MAX_MATRIX_SIDE, so
-# the general char_poly remains an independent check over the accepted range
-MAX_SPECTRAL_DEGREE = math.isqrt((MAX_MATRIX_SIDE - 2) // 2)
-
 JSON_INT_LIMIT = 2**53
 
 
@@ -85,11 +83,7 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, int):
         return obj if abs(obj) < JSON_INT_LIMIT else str(obj)
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, str):
+    if isinstance(obj, (float, str)):
         return obj
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -106,9 +100,19 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _meta(args) -> dict:
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    return {"version": __version__, "config": _jsonable(config)}
+def _write_json(args, fields: dict):
+    """Write ``fields`` with the run's ``meta`` (version and configuration) as
+    indented, key-sorted JSON to --out or stdout."""
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    payload = {"meta": {"version": __version__, "config": config}, **fields}
+    _emit(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", args.out)
+
+
+def _write_csv(out_path: str | None, rows):
+    """Write rows, the header first, as CSV to --out or stdout."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _emit(buf.getvalue(), out_path)
 
 
 def _log(message: str):
@@ -137,14 +141,11 @@ def _load_curve(path: str):
 def cmd_spectral(args) -> int:
     if not 0 <= args.m_max <= MAX_SEQUENCE_INDEX:
         return _error(f"--m-max must be in 0..{MAX_SEQUENCE_INDEX}")
+    d = args.d
     if args.curve:
         curve = _load_curve(args.curve)
+        require_generic(curve)
         d = curve.degree
-        report = genericity_report(curve)
-        if not report.all_ok():
-            return _error("curve fails genericity; the spectral data assumes general position")
-    else:
-        d = args.d
     if d is None or not 2 <= d <= MAX_SPECTRAL_DEGREE:
         return _error(f"spectral needs --d N with 2 <= N <= {MAX_SPECTRAL_DEGREE} (or a generic --curve)")
 
@@ -154,7 +155,6 @@ def cmd_spectral(args) -> int:
     # the terms overflow float long before m_max = 200; divide exactly
     ratios = [float(Fraction(seq[i + 1], seq[i])) for i in range(len(seq) - 1)]
     payload = {
-        "meta": _meta(args),
         "d": d,
         "phi_coeffs": list(phi(d).coeffs),
         "rho": rho(d),
@@ -164,7 +164,7 @@ def cmd_spectral(args) -> int:
         "degree_sequence": seq,
         "ratios": ratios,
     }
-    _emit(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", args.out)
+    _write_json(args, payload)
     failed = [key for key in ("char_poly_verified", "conjugation_verified") if not payload[key]]
     return _error("failed certificate: " + ", ".join(failed), EXIT_VERIFICATION) if failed else EXIT_OK
 
@@ -173,9 +173,7 @@ def cmd_orbit(args) -> int:
     if args.depth < 0:
         return _error("--depth must be at least 0")
     curve = _load_curve(args.curve)
-    report = genericity_report(curve)
-    if not report.all_ok():
-        return _error("curve fails genericity: " + "; ".join(report.diagnostics))
+    require_generic(curve)
     if args.real:
         x = sample_real_state(curve, args.seed)
         lines = []
@@ -239,16 +237,9 @@ def cmd_confine(args) -> int:
             experiments.append(infinity_experiment(sp, starts))
         else:
             experiments.append(isotropic_experiment(sp, args.samples, args.seed + idx))
-    reports = []
-    all_ok = True
-    for rep in confinement_reports(curve, experiments, eps_list):
-        ok = rep.passed()
-        all_ok = all_ok and ok
-        entry = rep.to_dict()
-        entry["passed"] = ok
-        reports.append(entry)
-    payload = {"meta": _meta(args), "reports": reports, "all_passed": all_ok}
-    _emit(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", args.out)
+    reports = [{**rep.to_dict(), "passed": rep.passed()} for rep in confinement_reports(curve, experiments, eps_list)]
+    all_ok = all(entry["passed"] for entry in reports)
+    _write_json(args, {"reports": reports, "all_passed": all_ok})
     return EXIT_OK if all_ok else _error("a confinement report failed", EXIT_VERIFICATION)
 
 
@@ -258,14 +249,10 @@ def cmd_form_check(args) -> int:
     if args.samples < 1:
         return _error("--samples must be at least 1")
     curve = _load_curve(args.curve)
-    report = genericity_report(curve)
-    if not report.all_ok():
-        return _error("curve fails genericity: " + "; ".join(report.diagnostics))
+    require_generic(curve)
     states = sample_phase_points(curve, args.samples, args.seed)
     branch_count = curve.degree - 1
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    writer.writerow(["sample_id", "op", "h", "residual_h", "residual_h2", "order_estimate"])
+    rows = [["sample_id", "op", "h", "residual_h", "residual_h2", "order_estimate"]]
     worst = 0.0
     skipped = 0
     for i, x in enumerate(states):
@@ -281,8 +268,8 @@ def cmd_form_check(args) -> int:
                 _log(f"sample {i} {tag} skipped: {exc}")
                 continue
             worst = max(worst, r.residual_h, r.residual_h2)
-            writer.writerow([i, tag, *map(repr, (args.h, r.residual_h, r.residual_h2, r.order_estimate))])
-    _emit(buf.getvalue(), args.out)
+            rows.append([i, tag, *map(repr, (args.h, r.residual_h, r.residual_h2, r.order_estimate))])
+    _write_csv(args.out, rows)
     _log(f"max residual {worst:.3e}; skipped {skipped}")
     return EXIT_OK if worst < 1e-4 else _error("max residual is not below 1e-4", EXIT_VERIFICATION)
 
@@ -292,33 +279,18 @@ def cmd_scratch(args) -> int:
     # the census raises GenericityFailureError unless the curve is generic
     points = enumerate_scratch_points(curve)
     expected = 2 * curve.degree**2
-    rows = [sp.describe() for sp in points]
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        writer.writerow(
-            ["kind", "basic"]
-            + [f"c{i}_{p}" for i in range(3) for p in ("re", "im")]
-            + [f"q{i}_{p}" for i in range(3) for p in ("re", "im")]
-        )
-        for sp in points:
-            c = sp.phase.c.coords
-            q = sp.phase.q.q
-            writer.writerow(
-                [sp.kind, sp.basic]
-                + [repr(v) for z in c for v in (z.real, z.imag)]
-                + [repr(v) for z in q for v in (z.real, z.imag)]
-            )
-        _emit(buf.getvalue(), args.out)
+        header = ["kind", "basic"] + [f"{v}{i}_{p}" for v in "cq" for i in range(3) for p in ("re", "im")]
+        _write_csv(args.out, [header] + [
+            [sp.kind, sp.basic] + [repr(v) for z in sp.phase.c.coords + sp.phase.q.q for v in (z.real, z.imag)]
+            for sp in points])
     else:
-        payload = {
-            "meta": _meta(args),
+        _write_json(args, {
             "count": len(points),
             "expected": expected,
             "genericity_ok": True,
-            "scratch_points": rows,
-        }
-        _emit(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", args.out)
+            "scratch_points": [sp.describe() for sp in points],
+        })
     if len(points) != expected:
         return _error(f"census mismatch: {len(points)} != {expected}", EXIT_VERIFICATION)
     return EXIT_OK
@@ -327,8 +299,7 @@ def cmd_scratch(args) -> int:
 def cmd_genericity(args) -> int:
     curve = _load_curve(args.curve)
     report = genericity_report(curve)
-    payload = {"meta": _meta(args), "report": report.to_dict(), "all_ok": report.all_ok()}
-    _emit(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", args.out)
+    _write_json(args, {"report": report.to_dict(), "all_ok": report.all_ok()})
     return EXIT_OK if report.all_ok() else _error("curve fails genericity", EXIT_VERIFICATION)
 
 
@@ -337,7 +308,9 @@ def cmd_genericity(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="algbilliards",
         description="billiard correspondences on plane algebraic curves",

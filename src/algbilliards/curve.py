@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import ComplexPoly, find_roots
+from .numerics import MAX_MATRIX_SIDE, ComplexPoly, find_roots
 
 __all__ = [
     "PlaneCurve",
@@ -58,6 +58,11 @@ __all__ = [
 ON_CURVE_TOL = 1e-8
 SINGULAR_GRADIENT_TOL = 1e-10
 NEWTON_2D_TOL = 1e-10
+
+# the largest degree whose lattice rank 2d^2 + 2 stays within MAX_MATRIX_SIDE, so
+# the general char_poly remains an independent check over the accepted range;
+# a curve file of higher degree is refused
+MAX_SPECTRAL_DEGREE = math.isqrt((MAX_MATRIX_SIDE - 2) // 2)
 
 
 class CurveError(ValueError):
@@ -246,7 +251,10 @@ class PlaneCurve:
             if re == 0 and im == 0:
                 continue
             exact[(i, j, k)] = (re, im)
-            numeric[(i, j, k)] = complex(float(re), float(im))
+            try:
+                numeric[(i, j, k)] = complex(float(re), float(im))
+            except OverflowError as exc:
+                raise CurveError(f"coefficient of {key} overflows a float") from exc
         if not exact:
             raise CurveError("curve form must have a nonzero coefficient")
         return PlaneCurve(degree, exact, _Form(numeric, degree))
@@ -633,9 +641,12 @@ def genericity_report(curve: PlaneCurve) -> GenericityReport:
     """Check the five positions a curve must be in general position for.
 
     The report is always produced; failures are recorded as diagnostics.
-    Irreducibility is only checked heuristically: the test looks for a line
-    factor through [1 : i : 0] or [1 : -i : 0] (an isotropic line), which is
-    the failure mode the rest of the machinery cannot tolerate.
+    Irreducibility is only checked heuristically, for the failure mode the
+    rest of the machinery cannot tolerate: an isotropic line factor.  A
+    common factor K of F and F_x + sign*i*F_y divides F twice or divides
+    K_x + sign*i*K_y, which has lower degree and so vanishes: K is then a
+    function of x + sign*i*y, a product of isotropic lines.  Either way that
+    sign's isotropic system is degenerate, and exactly then it is flagged.
     """
     notes: list[str] = []
 
@@ -652,14 +663,14 @@ def genericity_report(curve: PlaneCurve) -> GenericityReport:
                 non_iso_inf = False
                 notes.append(f"infinity point {p.coords} is an isotropic direction")
 
-    simple_iso = True
+    simple_iso = irred = True
     d = curve.degree
     iso_points = {}
     for sign in (1, -1):
         try:
             pts = iso_points[sign] = isotropic_tangency_points(curve, sign)
         except DegenerateSystemError:
-            simple_iso = False
+            simple_iso = irred = False
             notes.append(f"isotropic tangency system degenerate for sign {sign:+d}")
             continue
         total = sum(m for _, m in pts)
@@ -671,8 +682,6 @@ def genericity_report(curve: PlaneCurve) -> GenericityReport:
         if any(m != 1 for _, m in pts):
             simple_iso = False
             notes.append(f"multiple isotropic tangency for sign {sign:+d}")
-
-    irred = _check_no_isotropic_line(curve, notes)
 
     return GenericityReport(
         irreducible_heuristic=irred,
@@ -723,44 +732,6 @@ def _check_infinity(curve: PlaneCurve, inf_points, notes: list[str]) -> bool:
     return distinct
 
 
-def _check_no_isotropic_line(curve: PlaneCurve, notes: list[str]) -> bool:
-    """Detect a line factor X1 = sign*i*X0 + c*X2 by a common-root test in c."""
-    ok = True
-    for sign in (1, -1):
-        phis = _pencil_coefficient_polys(curve, sign)
-        candidates = [p for p in phis if p.degree >= 1]
-        if not candidates:
-            continue
-        pivot = min(candidates, key=lambda p: p.degree)
-        scale = max(p.scale() for p in phis)
-        for rc in find_roots(pivot):
-            c = rc.value
-            worst = max(
-                abs(p(c)) / max(1.0, scale * (1 + abs(c)) ** max(1, p.degree))
-                for p in phis
-            )
-            if worst < 1e-8:
-                ok = False
-                notes.append(
-                    f"isotropic line factor through [1:{sign:+d}i:0] at offset c = {c:.6g}"
-                )
-    return ok
-
-
-def _pencil_coefficient_polys(curve: PlaneCurve, sign: int) -> list[ComplexPoly]:
-    """Coefficients of F(X0, sign*i*X0 + c*X2, X2) as polynomials in c."""
-    d = curve.degree
-    # coeffs_in_c[l][a] = coefficient of c^l * X0^a * X2^(d - a)
-    table = np.zeros((d + 1, d + 1), dtype=complex)
-    iu = 1j * sign
-    for e, coef in zip(curve._form.exps, curve._form.coeffs):
-        i, j, k = (int(v) for v in e)
-        for l in range(j + 1):
-            binom = math.comb(j, l)
-            table[l, i + j - l] += coef * binom * (iu ** (j - l))
-    return [ComplexPoly(list(table[:, a])) for a in range(d + 1)]
-
-
 # ---------------------------------------------------------------------------
 # JSON curve files
 # ---------------------------------------------------------------------------
@@ -784,9 +755,9 @@ def curve_from_json(text: str) -> PlaneCurve:
         raise CurveError(f"unknown top-level fields: {sorted(unknown)}")
     if "degree" not in data or "coeffs" not in data:
         raise CurveError("curve file needs 'degree' and 'coeffs'")
-    degree = data["degree"]
-    if not isinstance(degree, int):
-        raise CurveError("'degree' must be an integer")
+    degree = _json_int(data["degree"], "'degree'")
+    if degree > MAX_SPECTRAL_DEGREE:
+        raise CurveError(f"curve degree {degree} exceeds the largest supported, {MAX_SPECTRAL_DEGREE}")
     if not isinstance(data["coeffs"], list):
         raise CurveError("'coeffs' must be a list")
     coeffs = {}
@@ -797,15 +768,25 @@ def curve_from_json(text: str) -> PlaneCurve:
         if unknown:
             raise CurveError(f"unknown coefficient fields: {sorted(unknown)}")
         try:
-            key = (int(entry["i"]), int(entry["j"]), int(entry["k"]))
+            key = tuple(_json_int(entry[e], f"exponent '{e}'") for e in "ijk")
         except KeyError as exc:
             raise CurveError(f"coefficient missing exponent {exc}") from exc
-        re = Fraction(str(entry.get("re", "0")))
-        im = Fraction(str(entry.get("im", "0")))
+        try:
+            re = Fraction(str(entry.get("re", "0")))
+            im = Fraction(str(entry.get("im", "0")))
+        except ZeroDivisionError as exc:
+            raise CurveError(f"coefficient of {key} has a zero denominator") from exc
         if key in coeffs:
             raise CurveError(f"duplicate exponent triple {key}")
         coeffs[key] = (re, im)
     return PlaneCurve.from_coeffs(degree, coeffs)
+
+
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass, but true is no exponent or degree
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CurveError(f"{what} must be a JSON integer")
+    return value
 
 
 def curve_to_json(curve: PlaneCurve) -> str:

@@ -339,6 +339,91 @@ def test_the_first_failed_experiment_raises(ellipse, monkeypatch):
     assert confinement_reports(ellipse, experiments[:1])[0].passed()
 
 
+def _with_step_rows(monkeypatch, edit):
+    """Route ``blowup._step_rows`` through ``edit(call, c, q, rows)``, which
+    may change the rows of the k-th call (0 the first step, 1 the second)
+    in place; the calls are counted per ``_follow``."""
+    import algbilliards.blowup as blowup
+
+    step_rows, follow, calls = blowup._step_rows, blowup._follow, []
+
+    def edited(curve, c, q):
+        rows = step_rows(curve, c, q)
+        edit(len(calls), c, q, rows)
+        calls.append(len(c))
+        return rows
+
+    def counted(*args):
+        calls.clear()
+        return follow(*args)
+
+    monkeypatch.setattr(blowup, "_step_rows", edited)
+    monkeypatch.setattr(blowup, "_follow", counted)
+
+
+def test_a_terminated_isotropic_pick_is_reflected_alone(ellipse, monkeypatch):
+    """A followed first-step child of an isotropic experiment that ended
+    in termination is reflected on its own.  That reflection is bitwise the
+    stacked one, so the report is unchanged; a pick that cannot be reflected
+    fails the experiment with the reflection's error."""
+    import json
+
+    from algbilliards.phase import ScratchPointError
+
+    iso = scratch_of(enumerate_scratch_points(ellipse), "isotropic_plus")
+    experiments = [isotropic_experiment(iso, 3, 11)]
+
+    def reports_json():
+        return json.dumps([rep.to_dict() for rep in confinement_reports(ellipse, experiments)], sort_keys=True)
+
+    expected, at_scratch = reports_json(), False
+
+    def terminate(call, c, q, rows):
+        src, images, directions, _, reasons, _ = rows
+        if call == 0:  # an ellipse state has one child, so child row = state row
+            for r in range(len(src)):
+                reasons[r] = "isotropic_scratch"
+                directions[r] = q[src[r]]
+                if at_scratch:
+                    images[r], directions[r] = iso.phase.c.coords, iso.phase.q.q
+
+    _with_step_rows(monkeypatch, terminate)
+    assert reports_json() == expected
+    at_scratch = True
+    with pytest.raises(ScratchPointError):
+        confinement_reports(ellipse, experiments)
+
+
+def test_a_second_step_error_fails_only_its_experiment(ellipse, monkeypatch):
+    """An error recorded in the second stacked step fails only the
+    experiment of its state; the first failed experiment in order raises."""
+    import algbilliards.blowup as blowup
+    from algbilliards.numerics import NonConvergenceError
+    from algbilliards.phase import ScratchPointError
+
+    s = _ellipse_infinity_scratch(ellipse)
+    iso = scratch_of(enumerate_scratch_points(ellipse), "isotropic_plus")
+    experiments = [infinity_experiment(s, [proj_point(0, -1, 1)]), infinity_experiment(s, [proj_point(0, 1, 1)]),
+                   isotropic_experiment(iso, 3, 11)]
+    n, injected = blowup.EPS_COUNT, {}
+
+    def inject(call, c, q, rows):
+        if call == 1:
+            for row, error in injected.items():
+                rows[4][row] = error
+
+    _with_step_rows(monkeypatch, inject)
+    injected[5 * n - 1] = ScratchPointError("injected into the isotropic experiment")
+    runs = [(ex.scratch, xs) for ex, xs in zip(experiments, blowup._follower_starts(ellipse, experiments))]
+    outcomes = blowup._follow(ellipse, runs, blowup.default_eps_schedule())
+    assert [type(o) for o in outcomes] == [list, list, ScratchPointError]
+    with pytest.raises(ScratchPointError):
+        confinement_reports(ellipse, experiments)
+    injected[n] = NonConvergenceError("injected into the second experiment")
+    with pytest.raises(NonConvergenceError):
+        confinement_reports(ellipse, experiments)
+
+
 def test_confinement_report_json_roundtrip(ellipse):
     import json
 

@@ -462,6 +462,59 @@ def test_every_refusal_prints_one_error_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def _curve_file(degree, **entry):
+    coeffs = [{"i": 2, "j": 0, "k": 0, "re": "1"}, {"i": 0, "j": 2, "k": 0, "re": "4"},
+              {"i": 0, "j": 0, "k": 2, "re": "-1"}]
+    coeffs[0].update(entry)
+    return json.dumps({"degree": degree, "coeffs": coeffs})
+
+
+def _fermat_file(degree):
+    return json.dumps({"degree": degree, "coeffs": [
+        {"i": degree * (v == 0), "j": degree * (v == 1), "k": degree * (v == 2), "re": "1"} for v in range(3)]})
+
+
+@pytest.mark.parametrize("text", [
+    _curve_file(2, i=[2]),
+    _curve_file(2, i=None),
+    _curve_file(2, i=2.7),
+    _curve_file(2, i="2"),
+    _curve_file(2, i=True, j=1),
+    _curve_file(True),
+    _curve_file(2, re="1e400"),
+    _curve_file(2, im="-1e400"),
+    _curve_file(2, re="1/0"),
+    _fermat_file(200000),
+    _fermat_file(cli.MAX_SPECTRAL_DEGREE + 1),
+    _fermat_file(40),
+], ids=["i-list", "i-null", "i-float", "i-string", "i-bool", "degree-bool", "re-overflow",
+        "im-overflow", "re-zero-denominator", "degree-200000", "degree-23", "degree-40"])
+def test_a_malformed_curve_file_is_an_input_error(tmp_path, capsys, text):
+    curve = tmp_path / "curve.json"
+    curve.write_text(text)
+    out = tmp_path / "out.json"
+    started = time.monotonic()
+    assert run(["genericity", "--curve", curve, "--out", out]) == 1
+    assert time.monotonic() - started < 1
+    assert len(_single_error_line(capsys.readouterr().err)) == 1
+    assert not out.exists()
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "algbilliards":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+    assert run(["spectral", "--d", 2]) == 0
+    assert run(["spectral", "--d", 3, "--m-max", 5]) == 0
+    assert len(built) <= 1
+
+
 def test_a_census_mismatch_prints_one_error_line(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "enumerate_scratch_points", lambda curve: [])
     assert run(["scratch", "--curve", DATA / "ellipse.json", "--out", tmp_path / "s.json"]) == 2

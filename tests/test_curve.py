@@ -256,6 +256,18 @@ def test_genericity_isotropic_line_factor_flagged():
     assert not rep.irreducible_heuristic
 
 
+def test_genericity_double_line_is_not_irreducible():
+    # (X0 + 2 X1 + 3 X2)^2 divides F twice, so both isotropic systems degenerate
+    line = {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3}
+    terms = {}
+    for e1, c1 in line.items():
+        for e2, c2 in line.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    rep = genericity_report(PlaneCurve.from_coeffs(2, terms))
+    assert not rep.irreducible_heuristic and not rep.all_ok()
+
+
 # ---------------------------------------------------------------------------
 # JSON format
 # ---------------------------------------------------------------------------

@@ -225,6 +225,17 @@ def test_char_poly_entries_beyond_int64():
     assert_char_poly_matches_elimination(rows)
 
 
+def test_big_int_matmul_beyond_int64_matches_a_triple_loop():
+    # entries near 2^40 put the product bound 3 * 2^80 past the int64 path's 2^62
+    rng = random.Random(40)
+    a, b = ([[rng.choice((-1, 1)) * (2**40 - rng.randrange(1000)) for _ in range(3)] for _ in range(3)]
+            for _ in range(2))
+    product = BigIntMatrix.from_rows(a) @ BigIntMatrix.from_rows(b)
+    assert product.max_abs() >= 2**63
+    assert product.to_lists() == [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
+                                  for i in range(3)]
+
+
 def test_exact_det_and_rank():
     # det M = (-1)^n char_poly(M)(0), checked against the cofactor oracle
     m = BigIntMatrix.from_rows([[2, 4], [1, 2]])

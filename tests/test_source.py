@@ -3,6 +3,7 @@ every error maps to an exit code, and every demo runs."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -79,6 +80,18 @@ def test_no_generic_raises_in_library_code():
         if isinstance(node, ast.Raise) and raised_name(node) in ("RuntimeError", "Exception")
     ]
     assert found == []
+
+
+def test_every_traced_name_resolves():
+    # bench/bench_trace.py wraps each (owner, attribute) where its callers look
+    # it up; a refactor that drops one would fail only inside a traced run
+    spec = importlib.util.spec_from_file_location("bench_trace", ROOT / "bench" / "bench_trace.py")
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    missing = [f"{owner}.{attr}" for owner, attr, _name, _extra in trace.PATCHES
+               if attr not in vars(trace._resolve(owner))]
+    assert trace.PATCHES
+    assert missing == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
