@@ -3,7 +3,8 @@
 A curve is a homogeneous form F(X0, X1, X2) of degree d >= 2 with exact
 Gaussian-rational coefficients.  Exactness is kept at the ingestion layer
 only; all geometric evaluation (points, tangents, intersections) is complex
-floating point, with residual tolerances scaled by the largest coefficient.
+floating point on F / top, top its largest coefficient part (divided exactly
+at load), so every tolerance reads one frame and cF gives what F gives.
 
 Conventions:
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -180,7 +182,7 @@ class _Form:
     and d - 1 (a coefficient row per function), as rows v of flat indices
     v * (d + 1) + e_v into a table of powers."""
 
-    __slots__ = ("exps", "coeffs", "degree", "scale", "roots", "_index", "_grad_index", "_grad_coeffs")
+    __slots__ = ("exps", "coeffs", "degree", "roots", "_index", "_grad_index", "_grad_coeffs")
 
     def __init__(self, terms: dict[tuple[int, int, int], complex], degree: int):
         items = sorted((e, c) for e, c in terms.items() if c != 0)
@@ -191,7 +193,6 @@ class _Form:
             self.exps = np.zeros((0, 3), dtype=np.int64)
             self.coeffs = np.zeros(0, dtype=complex)
         self.degree = degree
-        self.scale = float(np.max(np.abs(self.coeffs))) if len(items) else 0.0
         grad: dict[tuple[int, int, int], list[complex]] = {e: [c, 0j, 0j, 0j] for e, c in items}
         for e, c in items:
             for var in range(3):
@@ -225,7 +226,9 @@ class PlaneCurve:
 
     The exact coefficients are retained verbatim; the numeric form, with the
     table of its first partial derivatives, is built eagerly at construction,
-    so instances are immutable and cheap to share.
+    so instances are immutable and cheap to share.  Every numeric value
+    (``form_value(s)``, ``gradient``, ``restrict_to_line(s)``,
+    ``affine_arrays``) is that of F / top (see ``from_coeffs``).
     """
 
     degree: int
@@ -251,12 +254,16 @@ class PlaneCurve:
             if re == 0 and im == 0:
                 continue
             exact[(i, j, k)] = (re, im)
-            try:
-                numeric[(i, j, k)] = complex(float(re), float(im))
-            except OverflowError as exc:
-                raise CurveError(f"coefficient of {key} overflows a float") from exc
         if not exact:
             raise CurveError("curve form must have a nonzero coefficient")
+        # top: the real or imaginary part of largest magnitude, on a tie the last
+        # triple's, re first; F / top is bitwise that of cF for every rational c
+        top = max((abs(v), e, -part, v) for e, pair in exact.items() for part, v in enumerate(pair))[3]
+        for e, pair in exact.items():
+            quotients = [float(v / top) for v in pair]  # exact division, then one rounding
+            if any(v and abs(q) < sys.float_info.min for v, q in zip(pair, quotients)):
+                raise CurveError(f"coefficient of {e} is below the float range of the largest")
+            numeric[e] = complex(*quotients)
         return PlaneCurve(degree, exact, _Form(numeric, degree))
 
     # numeric access -------------------------------------------------------
@@ -271,9 +278,6 @@ class PlaneCurve:
 
     def gradient(self, x0, x1, x2) -> tuple[complex, complex, complex]:
         return tuple(self._form.values((x0, x1, x2), grad=True)[0, 1:].tolist())
-
-    def scale(self) -> float:
-        return self._form.scale
 
     def restrict_to_line(self, base, direction) -> ComplexPoly:
         """Coefficients (ascending) of t -> F(base + t * direction)."""
@@ -324,7 +328,7 @@ def evaluate(curve: PlaneCurve, p: ProjPoint) -> complex:
 
 
 def on_curve_residual(curve: PlaneCurve, p: ProjPoint) -> float:
-    return abs(evaluate(curve, p)) / max(1.0, curve.scale())
+    return abs(evaluate(curve, p))
 
 
 def points_at_infinity(curve: PlaneCurve) -> list[tuple[ProjPoint, int]]:
@@ -335,8 +339,7 @@ def points_at_infinity(curve: PlaneCurve) -> list[tuple[ProjPoint, int]]:
     for e, c in zip(curve._form.exps, curve._form.coeffs):
         if int(e[2]) == 0:
             coeffs[int(e[1])] += complex(c)
-    scale = max(1.0, curve.scale())
-    if all(abs(c) <= 1e-12 * scale for c in coeffs):
+    if all(abs(c) <= 1e-12 for c in coeffs):
         raise ContainsInfinityLineError("form vanishes on the line at infinity")
     poly = ComplexPoly(coeffs)
     out: list[tuple[ProjPoint, int]] = []
@@ -367,11 +370,9 @@ def tangent_at(curve: PlaneCurve, p: ProjPoint) -> TangentData:
     if on_curve_residual(curve, p) > ON_CURVE_TOL:
         raise CurveError(f"point {p.coords} is not on the curve")
     g = curve.gradient(*p.coords)
-    scale = max(1.0, curve.scale())
-    gnorm = math.sqrt(sum(abs(v) ** 2 for v in g))
-    if gnorm / scale < SINGULAR_GRADIENT_TOL:
+    if math.hypot(*map(abs, g)) < SINGULAR_GRADIENT_TOL:
         raise SingularPointError(f"gradient vanishes at {p.coords}")
-    if max(abs(g[0]), abs(g[1])) / scale < SINGULAR_GRADIENT_TOL:
+    if max(abs(g[0]), abs(g[1])) < SINGULAR_GRADIENT_TOL:
         raise SingularPointError(
             f"tangent at {p.coords} is the line at infinity; direction undefined"
         )
@@ -399,16 +400,15 @@ def curve_point_near(curve: PlaneCurve, base, tau, nu, a: complex) -> ProjPoint:
     x0 = base[0] + a * tau[0]
     x1 = base[1] + a * tau[1]
     mu = 0j
-    scale = max(1.0, curve.scale())
     for _ in range(60):
         px = x0 + mu * nu[0]
         py = x1 + mu * nu[1]
         f = curve.form_value(px, py, 1.0)
-        if abs(f) < 1e-15 * scale:
+        if abs(f) < 1e-15:
             break
         g = curve.gradient(px, py, 1.0)
         deriv = g[0] * nu[0] + g[1] * nu[1]
-        if abs(deriv) < 1e-14 * scale:
+        if abs(deriv) < 1e-14:
             raise DegenerateNewtonError("Newton correction onto the curve is degenerate")
         mu -= f / deriv
     return proj_point(x0 + mu * nu[0], x1 + mu * nu[1], 1.0)
@@ -537,8 +537,8 @@ def _common_affine_roots(a: np.ndarray, b: np.ndarray) -> list[tuple[complex, co
         polished = []
         for y0 in ycands:
             x1, y1 = _newton_2d(a, ax, ay, b, bx, by, xr, y0)
-            fa = abs(_poly2_value(a, x1, y1)) / max(1.0, scale_a)
-            fb = abs(_poly2_value(b, x1, y1)) / max(1.0, scale_b)
+            fa = abs(_poly2_value(a, x1, y1)) / scale_a
+            fb = abs(_poly2_value(b, x1, y1)) / scale_b
             if fa < 1e-8 and fb < 1e-8:
                 polished.append((x1, y1))
         if not polished:
@@ -566,18 +566,16 @@ def _y_candidates(a, b, xr, scale_a, scale_b) -> list[complex]:
     poly_a = ComplexPoly(list(pa))
     if poly_a.degree >= 1:
         for rc in find_roots(poly_a):
-            resid_b = abs(ComplexPoly(list(pb))(rc.value)) / max(
-                1.0, scale_b * (1 + abs(rc.value)) ** max(1, len(pb) - 1)
-            )
+            resid_b = abs(ComplexPoly(list(pb))(rc.value)) / (
+                scale_b * (1 + abs(rc.value)) ** max(1, len(pb) - 1))
             if resid_b < 1e-5:
                 cand.append(rc.value)
     if not cand:
         poly_b = ComplexPoly(list(pb))
         if poly_b.degree >= 1:
             for rc in find_roots(poly_b):
-                resid_a = abs(poly_a(rc.value)) / max(
-                    1.0, scale_a * (1 + abs(rc.value)) ** max(1, poly_a.degree)
-                )
+                resid_a = abs(poly_a(rc.value)) / (
+                    scale_a * (1 + abs(rc.value)) ** max(1, poly_a.degree))
                 if resid_a < 1e-5:
                     cand.append(rc.value)
     return cand
@@ -696,8 +694,7 @@ def genericity_report(curve: PlaneCurve) -> GenericityReport:
 
 
 def _check_smooth(curve: PlaneCurve, inf_points, notes: list[str]) -> bool:
-    f, fx, fy = curve.affine_arrays()
-    scale = max(1.0, curve.scale())
+    _, fx, fy = curve.affine_arrays()
     smooth = True
     try:
         candidates = _common_affine_roots(fx, fy)
@@ -705,18 +702,13 @@ def _check_smooth(curve: PlaneCurve, inf_points, notes: list[str]) -> bool:
         notes.append("gradient components share a factor; curve is singular or non-reduced")
         return False
     for x, y, _m in candidates:
-        gx0, gx1, gx2 = curve.gradient(x, y, 1)
-        fval = abs(curve.form_value(x, y, 1))
-        gnorm = math.sqrt(abs(gx0) ** 2 + abs(gx1) ** 2 + abs(gx2) ** 2)
-        if fval / scale < 1e-7 and gnorm / scale < 1e-6:
+        if abs(curve.form_value(x, y, 1)) < 1e-7 and math.hypot(*map(abs, curve.gradient(x, y, 1))) < 1e-6:
             smooth = False
             notes.append(f"singular affine point near ({x:.6g}, {y:.6g})")
     if inf_points is None:
         return False  # _check_infinity notes it
     for p, _m in inf_points:
-        g = curve.gradient(*p.coords)
-        gnorm = math.sqrt(sum(abs(v) ** 2 for v in g))
-        if gnorm / scale < 1e-8:
+        if math.hypot(*map(abs, curve.gradient(*p.coords))) < 1e-8:
             smooth = False
             notes.append(f"singular point at infinity near {p.coords}")
     return smooth
@@ -771,15 +763,28 @@ def curve_from_json(text: str) -> PlaneCurve:
             key = tuple(_json_int(entry[e], f"exponent '{e}'") for e in "ijk")
         except KeyError as exc:
             raise CurveError(f"coefficient missing exponent {exc}") from exc
-        try:
-            re = Fraction(str(entry.get("re", "0")))
-            im = Fraction(str(entry.get("im", "0")))
-        except ZeroDivisionError as exc:
-            raise CurveError(f"coefficient of {key} has a zero denominator") from exc
+        re, im = (_json_rational(entry.get(part, "0"), key) for part in ("re", "im"))
         if key in coeffs:
             raise CurveError(f"duplicate exponent triple {key}")
         coeffs[key] = (re, im)
     return PlaneCurve.from_coeffs(degree, coeffs)
+
+
+def _json_rational(value, key) -> Fraction:
+    text = str(value)
+    # Fraction expands a decimal exponent into a power of ten: bound it as int() bounds digits
+    limit = sys.get_int_max_str_digits() or math.inf
+    _, e, exponent = text.lower().rpartition("e")
+    try:
+        too_big = bool(e) and abs(int(exponent)) > limit
+    except ValueError:  # not a decimal exponent: Fraction names the literal
+        too_big = False
+    if too_big:
+        raise CurveError(f"coefficient of {key} has a decimal exponent beyond {limit} in magnitude")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise CurveError(f"coefficient of {key} has a zero denominator") from exc
 
 
 def _json_int(value, what: str) -> int:

@@ -93,9 +93,6 @@ class ComplexPoly:
             p = p * z + c
         return p, dp
 
-    def scale(self) -> float:
-        return max(abs(c) for c in self.coeffs)
-
 
 @dataclass(frozen=True)
 class RootCluster:

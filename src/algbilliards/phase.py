@@ -330,7 +330,7 @@ def line_intersections(
     d = curve.degree
     poly = curve.restrict_to_line(base, e)
     line_scale = max(abs(c) for c in poly.coeffs)
-    if line_scale <= 1e-12 * max(1.0, curve.scale()):
+    if line_scale <= 1e-12:
         raise LineInCurveError("the line lies in the curve")
     coeffs = list(poly.coeffs) + [0j] * (d + 1 - len(poly.coeffs))
     gates = (1e-6, 1e-5)[:remove]
@@ -415,7 +415,7 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
     top = mag.max(axis=1)
     ok = (
         (np.abs(c[:, 2]) > SCRATCH_SOFT_TOL)
-        & (top > 1e-12 * max(1.0, curve.scale()))
+        & (top > 1e-12)
         & (mag[:, 0] <= 1e-6 * top)
         & (mag[:, -1] > np.maximum(1e-9 * top, LEADING_ZERO_TOL))
     )
@@ -512,8 +512,7 @@ _DIRECTION_NULL = np.array([[1, 1, 0], [1j, -1j, 0], [0, 0, 1]])
 _NULL_DIRECTION = np.array([[0.5, -0.5j, 0], [0.5, 0.5j, 0], [0, 0, 1]])
 _CONIC_SIGNS = np.array([1, 1, -1])  # Q0^2 + Q1^2 - Q2^2
 # a row takes the stacked path when magnitude * sign > bound for |c2|, |q2|,
-# |F|, |T_z|, |T_w| (over the curve scale), |T_z / T_w|, |T_w / T_z| and the
-# conic residual of its image
+# |F|, |T_z|, |T_w|, |T_z / T_w|, |T_w / T_z| and the conic residual of its image
 _REFLECT_SIGNS = np.array([1, 1, -1, 1, 1, 1, 1, -1])
 _REFLECT_BOUNDS = np.array([ISOTROPIC_Q2_TOL, SCRATCH_SOFT_TOL, -ON_CURVE_TOL,
                             2 * SINGULAR_GRADIENT_TOL, 2 * SINGULAR_GRADIENT_TOL,
@@ -527,8 +526,7 @@ def _reflect_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
     the (conservative) bounds gets a single state's checks, in its order; a
     base point off the curve or singular is that row's OffCurveError."""
     # einsum, not BLAS products, so that no row depends on the rows stacked with it
-    f_t = np.einsum("mk,kj->mj", curve.form_values(c, grad=True),
-                    _TANGENT_NULL / max(1.0, curve.scale()))
+    f_t = np.einsum("mk,kj->mj", curve.form_values(c, grad=True), _TANGENT_NULL)
     v = np.einsum("mk,kj->mj", q, _DIRECTION_NULL)
     # the smaller null component of q is recovered from the conic relation
     # V_z V_w = Q2^2, which avoids the subtractive cancellation it carries

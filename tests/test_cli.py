@@ -484,11 +484,12 @@ def _fermat_file(degree):
     _curve_file(2, re="1e400"),
     _curve_file(2, im="-1e400"),
     _curve_file(2, re="1/0"),
+    _curve_file(2, re="1e10000000"),
     _fermat_file(200000),
     _fermat_file(cli.MAX_SPECTRAL_DEGREE + 1),
     _fermat_file(40),
 ], ids=["i-list", "i-null", "i-float", "i-string", "i-bool", "degree-bool", "re-overflow",
-        "im-overflow", "re-zero-denominator", "degree-200000", "degree-23", "degree-40"])
+        "im-overflow", "re-zero-denominator", "re-exponent-1e10000000", "degree-200000", "degree-23", "degree-40"])
 def test_a_malformed_curve_file_is_an_input_error(tmp_path, capsys, text):
     curve = tmp_path / "curve.json"
     curve.write_text(text)

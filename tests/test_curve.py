@@ -72,7 +72,8 @@ def test_evaluate_on_curve():
 
 def test_evaluate_off_curve_value():
     c = ellipse()
-    assert abs(evaluate(c, proj_point(0, 0, 1)) + 4) < 1e-14
+    # the numeric form is F / 4, 4 its largest coefficient
+    assert abs(evaluate(c, proj_point(0, 0, 1)) + 1) < 1e-14
 
 
 def test_evaluate_point_at_infinity():

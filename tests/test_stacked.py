@@ -6,14 +6,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from algbilliards import phase
+from algbilliards.blowup import GenericityFailureError, enumerate_scratch_points
 from algbilliards.curve import (
     CurveError,
     PlaneCurve,
-    genericity_report,
     on_curve_residual,
     point_order_key,
     points_at_infinity,
@@ -103,11 +103,15 @@ def integer_curves(draw):
 
 
 def generic_curve(case):
+    """The drawn curve and its scratch census; a draw that fails the
+    genericity report is rejected."""
     d, coeffs = case
     assume(any(coeffs.values()))
     curve = PlaneCurve.from_coeffs(d, coeffs)
-    assume(genericity_report(curve).all_ok())
-    return curve
+    try:
+        return curve, enumerate_scratch_points(curve)
+    except GenericityFailureError:
+        reject()
 
 
 def aimed_state(curve):
@@ -135,7 +139,8 @@ def _branches(step, scale=1):
 @given(integer_curves(), st.integers(0, 2**16))
 @example(TERMINATING_CUBIC, 0)
 def test_secant_and_reflect_properties(case, seed):
-    curve = generic_curve(case)
+    curve, census = generic_curve(case)
+    assert len(census) == 2 * curve.degree**2
     for x in sample_phase_points(curve, 4, seed):
         sec = secant(curve, x)
         assert sec.total_multiplicity() == curve.degree - 1
@@ -147,13 +152,17 @@ def test_secant_and_reflect_properties(case, seed):
         y = reflect(curve, x).images[0].point
         assert conic_residual(*y.q.q) < GATE
         assert phase_distance(reflect(curve, y).images[0].point, x) < GATE
+        # the billiard map inverted: reflect back, and the secant returns to x
+        for br in billiard_step(curve, x).images:
+            back = secant(curve, reflect(curve, br.point).images[0].point)
+            assert min(phase_distance(b.point, x) for b in back.images) < GATE
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(integer_curves(), st.integers(0, 2**16))
 @example(TERMINATING_CUBIC, 0)
 def test_stacked_step_matches_one_state_steps(case, seed):
-    curve = generic_curve(case)
+    curve, _ = generic_curve(case)
     xs = sample_phase_points(curve, 6, seed) + [aimed_state(curve)]
     for x, stacked in zip(xs, billiard_steps(curve, xs)):
         try:

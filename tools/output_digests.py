@@ -1,0 +1,130 @@
+"""Print ``name exit sha256`` for a fixed set of CLI runs, one line each.
+
+    python3 tools/output_digests.py > new.txt
+    python3 tools/output_digests.py --root ../parent > old.txt
+    diff old.txt new.txt                     # byte identity across two checkouts
+    python3 tools/output_digests.py --seeds --scale 3/7 > scaled.txt
+    diff <(python3 tools/output_digests.py --seeds) scaled.txt   # F -> cF, fixtures only
+
+Two sets of runs, each through ``algbilliards.cli.main`` in-process with the
+library imported from ``<root>/src``:
+
+* ``bench/<seed>/<job>``: the benchmark's job lists at every ``--seeds``
+  value (none with a bare ``--seeds``), built by ``bench/bench_jobs.py``
+  (imported read-only);
+* ``fixture/<curve>/<command>``: eight commands on each curve of
+  ``tests/data``, and ``confine --samples 3`` at seeds 1..30 on the
+  ellipse, cubic and quartic.  With ``--scale c`` every coefficient of the
+  curve is first multiplied exactly by the rational c.
+
+Every run writes its ``--out`` to the same path under ``--work`` and every
+fixture curve is written to the same path there, so the outputs' ``meta``
+blocks agree across checkouts and scales.  A missing output digests as
+``-``; a run that raised prints the exception's type as its exit; a run
+that issued a RuntimeWarning gets a fourth field, ``RuntimeWarning``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import traceback
+import warnings
+from fractions import Fraction
+from pathlib import Path
+
+FIXTURES = ("circle", "ellipse", "cubic", "quartic", "sextic")
+FIXTURE_COMMANDS = {
+    "genericity": ("genericity",),
+    "scratch-json": ("scratch",),
+    "scratch-csv": ("scratch", "--format", "csv"),
+    "orbit": ("orbit", "--depth", "3"),
+    "orbit-real": ("orbit", "--real", "--depth", "20"),
+    "confine": ("confine", "--samples", "2"),
+    "form-check": ("form-check", "--samples", "3"),
+    "spectral": ("spectral",),
+}
+CONFINE_CURVES = ("ellipse", "cubic", "quartic")
+CONFINE_SEEDS = range(1, 31)
+
+
+def scaled_curve_text(path: Path, c: Fraction) -> str:
+    data = json.loads(path.read_text())
+    for entry in data["coeffs"]:
+        for part in ("re", "im"):
+            if part in entry:
+                entry[part] = str(Fraction(entry[part]) * c)
+    return json.dumps(data)
+
+
+def digest(main, name: str, argv, out: Path) -> str:
+    out.unlink(missing_ok=True)
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(io.StringIO()), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        try:
+            code = str(main([*argv, "--out", str(out)]))
+        except Exception as exc:  # a traceback is a finding, not a crash of this script
+            traceback.print_exc(file=sys.__stderr__)
+            code = type(exc).__name__
+    sha = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
+    warned = any(issubclass(w.category, RuntimeWarning) for w in caught)
+    return f"{name} {code} {sha}" + (" RuntimeWarning" if warned else "")
+
+
+def bench_lines(main, root: Path, seeds, out_dir: Path):
+    sys.path.insert(0, str(root / "bench"))
+    from bench_jobs import WORKLOADS, build_jobs
+
+    for seed in seeds:
+        for workload in WORKLOADS:
+            for job in build_jobs(workload, seed):
+                yield digest(main, f"bench/{seed}/{job.name}", job.argv, out_dir / f"out.{job.suffix}")
+
+
+def fixture_lines(main, root: Path, scale: Fraction, out_dir: Path):
+    curve = out_dir / "curve.json"
+    runs = [(name, cmd, args) for name in FIXTURES for cmd, args in FIXTURE_COMMANDS.items()]
+    runs += [(name, f"confine-seed{s}", ("confine", "--samples", "3", "--seed", str(s)))
+             for name in CONFINE_CURVES for s in CONFINE_SEEDS]
+    for name, cmd, args in runs:
+        curve.write_text(scaled_curve_text(root / "tests" / "data" / f"{name}.json", scale))
+        argv = (*args, "--curve", str(curve)) + (() if "--seed" in args else ("--seed", "1"))
+        yield digest(main, f"fixture/{name}/{cmd}", argv, out_dir / "out")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout to run (default: this script's)")
+    parser.add_argument("--seeds", type=int, nargs="*", default=[1, 20261017],
+                        help="benchmark workload seeds (none: skip the benchmark jobs)")
+    parser.add_argument("--scale", type=Fraction, default=Fraction(1),
+                        help="exact factor for every fixture coefficient, e.g. 3/7, 1e-8 or =-3/7")
+    parser.add_argument("--work", type=Path, default=Path(tempfile.gettempdir()) / "algbilliards-digests",
+                        help="directory for the curve file and --out (keep it the same across runs)")
+    args = parser.parse_args(argv)
+    if args.scale == 0:
+        parser.error("--scale must be nonzero")
+    root, work = args.root.resolve(), args.work.resolve()
+    work.mkdir(parents=True, exist_ok=True)
+    sys.dont_write_bytecode = True  # leave the checkout as it is
+    sys.path.insert(0, str(root / "src"))
+    from algbilliards.cli import main as cli_main
+
+    os.chdir(root)  # the benchmark's jobs name curves relative to the checkout
+    for line in fixture_lines(cli_main, root, args.scale, work):
+        print(line, flush=True)
+    for line in bench_lines(cli_main, root, args.seeds, work):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
