@@ -25,7 +25,6 @@ import math
 import sys
 import time
 from collections import Counter
-from fractions import Fraction
 from itertools import islice
 
 from . import __version__
@@ -152,8 +151,9 @@ def cmd_spectral(args) -> int:
     fact_ok, _fact_cert = verify_factorization(d)
     conj_ok, _conj_cert = verify_conjugation(d)
     seq = degree_sequence(d, args.m_max)
-    # the terms overflow float long before m_max = 200; divide exactly
-    ratios = [float(Fraction(seq[i + 1], seq[i])) for i in range(len(seq) - 1)]
+    # the terms overflow float long before m_max = 200; int / int rounds the
+    # exact quotient once, as float(Fraction) would
+    ratios = [seq[i + 1] / seq[i] for i in range(len(seq) - 1)]
     payload = {
         "d": d,
         "phi_coeffs": list(phi(d).coeffs),

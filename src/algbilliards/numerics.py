@@ -3,13 +3,15 @@
 Two independent toolkits live here.  The floating-point side (ComplexPoly,
 find_roots, monic_roots) supports the geometry modules, which intersect
 lines with plane curves and need root multisets with multiplicities.  The
-exact side (IntPoly, BigIntMatrix, char_poly, bracketed_largest_root)
-supports the spectral module, where every statement is an integer identity
-and floating point is never allowed to leak in.
+exact side (IntPoly, bracketed_largest_root by integer signs, and the dense
+BigIntMatrix with char_poly and exact_rank for small blocks and the tests'
+oracles) supports the spectral module, where every statement is an integer
+identity and floating point is never allowed to leak in.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -304,67 +306,85 @@ class IntPoly:
         return (v > 0) - (v < 0)
 
 
+def _scaled_value(p: IntPoly, num: int, den: int) -> int:
+    """den**degree * p(num / den) for den > 0, exactly, by integer Horner: its
+    sign is the sign of p there, and its quotient by den**degree the value."""
+    cs = p.coeffs
+    acc, scale = cs[-1], 1
+    for c in reversed(cs[:-1]):
+        scale *= den
+        acc = acc * num + c * scale
+    return acc
+
+
 def bracketed_largest_root(p: IntPoly, lo, hi) -> float:
     """The unique root of ``p`` in (lo, hi), to absolute tolerance BRACKET_TOL.
 
-    The bracket is validated with exact sign evaluation at rational points:
+    ``lo`` and ``hi`` are exact rationals (int, Fraction or float).  The
+    bracket is validated with exact sign evaluation at rational points:
     p(lo) * p(hi) < 0, and uniqueness is verified by checking the sign
     sequence at BRACKET_SAMPLES equispaced interior rational points for exactly
     one change.  Refinement is bisection (with exact signs) followed by a
-    floating-point Newton polish.
+    floating-point Newton polish.  Points are integer numerators over positive
+    denominators, evaluated by ``_scaled_value``; a float is taken only by
+    one correctly rounded integer division.
     """
-    flo, fhi = Fraction(lo), Fraction(hi)
-    if not flo < fhi:
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    an, bn, den = ln * hd, hn * ld, ld * hd  # lo and hi over one denominator
+    if not an < bn:
         raise ValueError("need lo < hi")
-    slo, shi = p.sign_at(flo), p.sign_at(fhi)
+
+    def sign(num, den):
+        v = _scaled_value(p, num, den)
+        return (v > 0) - (v < 0)
+
+    slo, shi = sign(an, den), sign(bn, den)
     if slo == 0 or shi == 0 or slo == shi:
         raise NoSignChangeError(f"no sign change of p on [{lo}, {hi}]")
 
+    # sample j is lo + j (hi - lo) / (BRACKET_SAMPLES + 1)
     signs = [slo]
-    step = (fhi - flo) / (BRACKET_SAMPLES + 1)
+    steps = BRACKET_SAMPLES + 1
     for j in range(1, BRACKET_SAMPLES + 1):
-        signs.append(p.sign_at(flo + j * step))
+        signs.append(sign(an * steps + j * (bn - an), den * steps))
     signs.append(shi)
-    zeros = sum(1 for s in signs[1:-1] if s == 0)
-    changes = 0
-    prev = signs[0]
-    for s in signs[1:]:
-        if s == 0:
-            continue
-        if s != prev:
-            changes += 1
-        prev = s
+    zeros = signs.count(0)  # the ends are nonzero
+    nonzero = [s for s in signs if s]
+    changes = sum(a != b for a, b in zip(nonzero, nonzero[1:]))
     if zeros + changes != 1:
         raise ValueError(
             f"bracket ({lo}, {hi}) does not isolate a unique root "
             f"({changes} sign changes, {zeros} exact zeros at samples)"
         )
 
-    a, b, sa = flo, fhi, slo
-    while float(b - a) > BRACKET_TOL / 4:
-        mid = (a + b) / 2
-        sm = p.sign_at(mid)
+    while (bn - an) / den > BRACKET_TOL / 4:
+        mid, an, bn, den = an + bn, 2 * an, 2 * bn, 2 * den  # mid / den is (a + b) / 2
+        sm = sign(mid, den)
         if sm == 0:
-            return float(mid)
-        if sm == sa:
-            a = mid
+            return mid / den
+        if sm == slo:
+            an = mid
         else:
-            b = mid
-    root = float((a + b) / 2)
+            bn = mid
+    root = (an + bn) / (2 * den)
+
+    def value(q: IntPoly, x: float) -> float:
+        num, den = x.as_integer_ratio()
+        return _scaled_value(q, num, den) / den**q.degree
 
     dp = p.derivative()
-    best, best_val = root, abs(float(p.eval_fraction(Fraction(root))))
+    best, best_val = root, abs(value(p, root))
     x = root
     for _ in range(40):
-        fx = float(p.eval_fraction(Fraction(x)))
-        dfx = float(dp.eval_fraction(Fraction(x)))
+        fx = value(p, x)
+        dfx = value(dp, x)
         if dfx == 0:
             break
         step_f = fx / dfx
         x -= step_f
-        if not (float(a) - BRACKET_TOL <= x <= float(b) + BRACKET_TOL):
+        if not (an / den - BRACKET_TOL <= x <= bn / den + BRACKET_TOL):
             break
-        val = abs(float(p.eval_fraction(Fraction(x))))
+        val = abs(value(p, x))
         if val < best_val:
             best, best_val = x, val
         if abs(step_f) < BRACKET_TOL / 8:
@@ -551,6 +571,7 @@ def _primes_for_crt(need: int) -> list[int]:
     return primes
 
 
+@functools.lru_cache(maxsize=4096)  # every prime batch walks down from the same candidate
 def _is_prime(v: int) -> bool:
     if v < 2:
         return False

@@ -15,17 +15,20 @@ their characteristic polynomial factors as
 with Phi_d a cubic whose largest root rho_d in (2d^2 - d - 5, 2d^2 - d - 3)
 bounds the exponential degree growth.  All claims are verified here by exact
 integer computation, never floating point; floats appear only in the
-power-iteration cross-check and the bracketed root refinement.
+power-iteration cross-check and the bracketed root refinement.  Every
+lattice matrix is kept in one sparse form (``Nonzeros``) from its block rules
+to every certificate, and multiplied by one int64 kernel whose exactness
+bound is checked on each product.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +43,7 @@ from .numerics import (
 
 __all__ = [
     "DivisorBasis",
+    "Nonzeros",
     "PushforwardMatrix",
     "divisor_basis",
     "intersection_form",
@@ -92,26 +96,100 @@ def divisor_basis(d: int) -> DivisorBasis:
     return DivisorBasis(d=d, labels=tuple(labels))
 
 
-@dataclass(frozen=True)
+class Nonzeros(NamedTuple):
+    """A sparse integer matrix in its one form: the shape, and the row, column
+    and value (int64, below 2**62 in magnitude) of every nonzero entry, sorted
+    by (row, column)."""
+
+    shape: tuple[int, int]
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+
+    def same(self, other: "Nonzeros") -> bool:
+        return self.shape == other.shape and all(map(np.array_equal, self[1:], other[1:]))
+
+
 class PushforwardMatrix:
-    basis: DivisorBasis
-    matrix: BigIntMatrix
-    tag: str
-    # each row's nonzero (column, entry) pairs, read-only; from matrix unless given
-    _rows: list | None = field(default=None, repr=False, compare=False)
+    """A pushforward on the divisor basis, kept as its nonzeros (taken from
+    ``matrix`` when given).  ``matrix``, the dense BigIntMatrix, is built on
+    first read."""
 
-    def __post_init__(self):
-        if self._rows is None:
-            object.__setattr__(self, "_rows", _nonzero_rows(self.matrix))
+    def __init__(self, basis: DivisorBasis, matrix: BigIntMatrix | None = None, tag: str = "",
+                 *, nonzeros: Nonzeros | None = None):
+        self.basis, self.tag = basis, tag
+        self.nonzeros = _from_dense(matrix) if nonzeros is None else nonzeros
+        for a in self.nonzeros[1:]:
+            a.flags.writeable = False  # shared by every reader of the cached build
+
+    @functools.cached_property
+    def matrix(self) -> BigIntMatrix:
+        return _dense(self.nonzeros)
 
 
-def _block_ranges(d: int):
-    ninf = 2 * d
-    niso = d * (d - 1)
-    inf0 = 2
-    isop0 = 2 + ninf
-    isom0 = isop0 + niso
-    return inf0, isop0, isom0, 2 + ninf + 2 * niso
+def _dense(m: Nonzeros) -> BigIntMatrix:
+    rows, cols = m.shape
+    flat = np.zeros(rows * cols, dtype=np.int64)
+    flat[m.row * cols + m.col] = m.val
+    return BigIntMatrix(rows, cols, tuple(flat.tolist()))
+
+
+def _from_dense(m: BigIntMatrix) -> Nonzeros:
+    if m.max_abs() >= 2**62:  # so that b_hat + I and every product bound fit int64
+        raise ArithmeticError("a matrix entry is not below 2**62 in magnitude")
+    flat = np.array(m.entries, dtype=np.int64)
+    key = np.flatnonzero(flat)
+    return Nonzeros((m.rows, m.cols), *np.divmod(key, m.cols), flat[key])
+
+
+def _nonzeros(shape: tuple[int, int], blocks) -> Nonzeros:
+    """The matrix that is the sum of the given blocks of (rows, cols, values),
+    each broadcast together, in the one form: equal positions summed, zeros
+    dropped."""
+    parts = [np.broadcast_arrays(*block) for block in blocks]
+    row, col, val = (np.concatenate([p[k].ravel() for p in parts]).astype(np.int64) for k in range(3))
+    key = row * shape[1] + col
+    order = np.argsort(key)
+    key, val = key[order], val[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1]))) if key.size else key
+    key, val = key[starts], np.add.reduceat(val, starts)
+    keep = val != 0
+    return Nonzeros(shape, *np.divmod(key[keep], shape[1]), val[keep])
+
+
+def _max_abs(m: Nonzeros) -> int:
+    return max(-int(m.val.min(initial=0)), int(m.val.max(initial=0)))
+
+
+def _sparse_product(a: Nonzeros, b: Nonzeros) -> Nonzeros:
+    """a @ b, exactly.  Each entry sums at most k = a's column count products,
+    so k * max|a| * max|b| < 2**62 keeps every int64 sum exact; a larger bound
+    raises ArithmeticError."""
+    k = a.shape[1]
+    if k != b.shape[0]:
+        raise ValueError("shape mismatch in product")
+    bound = k * _max_abs(a) * _max_abs(b)
+    if bound >= 2**62:
+        raise ArithmeticError(f"sparse product bound {bound} is not below 2**62")
+    starts = np.searchsorted(b.row, np.arange(k + 1))
+    first, count = starts[a.col], np.diff(starts)[a.col]
+    # the positions in b of the rows that a's nonzeros pick, one run per nonzero
+    pick = np.repeat(first + count - np.cumsum(count), count) + np.arange(count.sum())
+    return _nonzeros(
+        (a.shape[0], b.shape[1]),
+        [(np.repeat(a.row, count), b.col[pick], np.repeat(a.val, count) * b.val[pick])],
+    )
+
+
+def _lattice(d: int, blocks) -> Nonzeros:
+    """The square matrix of the lattice rank with the given blocks (see ``_nonzeros``)."""
+    n = 2 * d * d + 2
+    return _nonzeros((n, n), blocks)
+
+
+def _classes(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The basis indices of Einf_1..Einf_2d and of Eiso+-_1..Eiso+-_d(d-1)."""
+    return np.arange(2, 2 + 2 * d), np.arange(2 + 2 * d, 2 * d * d + 2)
 
 
 def intersection_form(d: int) -> BigIntMatrix:
@@ -121,31 +199,12 @@ def intersection_form(d: int) -> BigIntMatrix:
     exceptional class is a (-1)-curve disjoint from the others and from the
     chosen fibers.  The matrix is an involution: J^2 = I.
     """
-    return _matrix(d, _intersection_entries(d))
+    return _dense(_intersection(d))
 
 
-def _intersection_entries(d: int) -> dict:
-    return {(0, 1): 1, (1, 0): 1, **{(i, i): -1 for i in range(2, 2 * d * d + 2)}}
-
-
-def _matrix(d: int, entries: dict) -> BigIntMatrix:
-    """The square matrix of the lattice rank with the given {(row, col): value} entries."""
-    n = 2 * d * d + 2
-    flat = [0] * (n * n)
-    for (i, j), v in entries.items():
-        flat[i * n + j] = v
-    return BigIntMatrix(n, n, tuple(flat))
-
-
-def _sparse_rows(d: int, entries: dict) -> list[list[tuple[int, int]]]:
-    """The same matrix as rows of (column, entry) pairs, the form of ``_nonzero_rows``."""
-    rows = [[] for _ in range(2 * d * d + 2)]
-    for (i, j), v in entries.items():
-        if v:
-            rows[i].append((j, v))
-    for row in rows:
-        row.sort()
-    return rows
+def _intersection(d: int) -> Nonzeros:
+    exceptional = np.arange(2, 2 * d * d + 2)
+    return _lattice(d, [(0, 1, 1), (1, 0, 1), (exceptional, exceptional, -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +254,13 @@ def pushforward_s_hat(d: int) -> PushforwardMatrix:
 
     The lower-left blocks are forced by self-adjointness (J M is symmetric).
     """
-    return PushforwardMatrix(divisor_basis(d), _matrix(d, _s_hat(d)), "s_hat")
+    return PushforwardMatrix(divisor_basis(d), tag="s_hat", nonzeros=_s_hat(d))
 
 
-def _s_hat(d: int) -> dict:
-    inf0, isop0, _isom0, n = _block_ranges(d)
-    entries = {(0, 0): d - 1, (0, 1): 2, (1, 1): d - 1}
-    for j in range(inf0, isop0):
-        entries.update({(j, 1): -1, (0, j): 1, (j, j): -1})
-    entries.update(((j, j), 1) for j in range(isop0, n))
-    return entries
+def _s_hat(d: int) -> Nonzeros:
+    inf, iso = _classes(d)
+    return _lattice(d, [(0, 0, d - 1), (0, 1, 2), (1, 1, d - 1),
+                        (inf, 1, -1), (0, inf, 1), (inf, inf, -1), (iso, iso, 1)])
 
 
 def pushforward_r_hat(d: int) -> PushforwardMatrix:
@@ -213,58 +269,39 @@ def pushforward_r_hat(d: int) -> PushforwardMatrix:
     C0 -> C0 + d(d-1) D0 - sum_j (Eiso+_j + Eiso-_j),   D0 -> D0,
     Einf_j -> Einf_j,   Eiso+-_j -> D0 - Eiso+-_j.
     """
-    return PushforwardMatrix(divisor_basis(d), _matrix(d, _r_hat(d)), "r_hat")
+    return PushforwardMatrix(divisor_basis(d), tag="r_hat", nonzeros=_r_hat(d))
 
 
-def _r_hat(d: int) -> dict:
-    inf0, isop0, _isom0, n = _block_ranges(d)
-    entries = {(0, 0): 1, (1, 0): d * (d - 1), (1, 1): 1}
-    entries.update(((j, j), 1) for j in range(inf0, isop0))
-    for j in range(isop0, n):
-        entries.update({(j, 0): -1, (1, j): 1, (j, j): -1})
-    return entries
+def _r_hat(d: int) -> Nonzeros:
+    inf, iso = _classes(d)
+    return _lattice(d, [(0, 0, 1), (1, 0, d * (d - 1)), (1, 1, 1), (inf, inf, 1),
+                        (iso, 0, -1), (1, iso, 1), (iso, iso, -1)])
 
 
-def _display_b_hat(d: int) -> dict:
+def _display_b_hat(d: int) -> Nonzeros:
     """The billiard pushforward built directly from its displayed block rules,
     independent of the matrix product (used as a cross-check)."""
-    inf0, isop0, _isom0, n = _block_ranges(d)
-    entries = {(0, 0): d - 1, (0, 1): 2, (1, 0): d * (d - 1) ** 2, (1, 1): (2 * d + 1) * (d - 1)}
-    for j in range(inf0, isop0):
-        entries.update({(0, j): 1, (1, j): d * (d - 1), (j, 1): -1, (j, j): -1})
-    for j in range(isop0, n):
-        entries.update({(1, j): 1, (j, 0): -(d - 1), (j, 1): -2, (j, j): -1})
-        entries.update(((j, k), -1) for k in range(inf0, isop0))
-    return entries
+    inf, iso = _classes(d)
+    return _lattice(d, [
+        (0, 0, d - 1), (0, 1, 2), (1, 0, d * (d - 1) ** 2), (1, 1, (2 * d + 1) * (d - 1)),
+        (0, inf, 1), (1, inf, d * (d - 1)), (inf, 1, -1), (inf, inf, -1),
+        (1, iso, 1), (iso, 0, -(d - 1)), (iso, 1, -2), (iso, iso, -1), (iso[:, None], inf, -1),
+    ])
 
 
 @functools.lru_cache(maxsize=1)
 def pushforward_b_hat(d: int) -> PushforwardMatrix:
-    """Billiard pushforward: the exact product r_hat * s_hat, checked entrywise
-    against the independently generated block-rule matrix.
+    """Billiard pushforward: the exact product r_hat * s_hat, checked entry by
+    entry against the independently generated block-rule matrix.
 
-    Both sides are compared as rows of nonzero entries, kept with the matrix.
-    The last degree's result is kept (it is immutable), so the certificates,
-    ``rho`` and ``degree_sequence`` of one degree share a build.
+    Both sides are compared in the one sparse form, which is kept.  The last
+    degree's result is kept (it is immutable), so the certificates, ``rho``
+    and ``degree_sequence`` of one degree share a build.
     """
-    basis = divisor_basis(d)
     display = _display_b_hat(d)
-    product = _sparse_product(_sparse_rows(d, _r_hat(d)), _sparse_rows(d, _s_hat(d)))
-    if product != _sparse_rows(d, display):
+    if not _sparse_product(_r_hat(d), _s_hat(d)).same(display):
         raise MatrixMismatchError(f"product and display disagree at d = {d}")
-    return PushforwardMatrix(basis, _matrix(d, display), "b_hat", product)
-
-
-def _sparse_product(a: list, b: list) -> list[list[tuple[int, int]]]:
-    """The product of two matrices given as rows of (column, entry) pairs, in that form."""
-    out = []
-    for row in a:
-        acc = collections.defaultdict(int)
-        for k, x in row:
-            for j, y in b[k]:
-                acc[j] += x * y
-        out.append([(j, v) for j, v in sorted(acc.items()) if v])
-    return out
+    return PushforwardMatrix(divisor_basis(d), tag="b_hat", nonzeros=display)
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +341,17 @@ def verify_factorization(d: int) -> tuple[bool, dict]:
     with (lambda - (d-1)) Phi_d, and n - 4 with 2d^2 - 2.  A rank other than
     4 raises MatrixMismatchError.
     """
-    rows = pushforward_b_hat(d).matrix.to_lists()
-    for i, row in enumerate(rows):
-        row[i] += 1
-    piv_rows, piv_cols = _skeleton_pivots(rows)
-    k = [[rows[i][j] for j in piv_cols] for i in piv_rows]
-    if len(k) < 4 or not _skeleton_holds(rows, piv_rows, piv_cols, k):
+    b_hat = pushforward_b_hat(d).nonzeros
+    diagonal = np.arange(b_hat.shape[0])
+    rows = _row_dicts(_nonzeros(b_hat.shape, [b_hat[1:], (diagonal, diagonal, 1)]))
+    # every row equals one of the distinct rows, so checking those checks B
+    distinct = list({tuple(row.items()): row for row in rows}.values())
+    r_rows, piv_cols = _skeleton_pivots(distinct)
+    k = [[row.get(j, 0) for j in piv_cols] for row in r_rows]
+    if len(k) < 4 or not _skeleton_holds(distinct, r_rows, piv_cols, k):
         raise MatrixMismatchError(f"b_hat + I does not have rank 4 at d = {d}")
-    c_cols = [[row[j] for row in rows] for j in piv_cols]
-    rc = [[sum(map(operator.mul, rows[i], col)) for col in c_cols] for i in piv_rows]
+    rc = [[sum(v * rows[j].get(col, 0) for j, v in row.items()) for col in piv_cols]
+          for row in r_rows]
     # det(mu K - R C) at mu = lambda + 1 is delta times a monic integer quartic:
     # char(B) / mu^(n-4), so the division by its leading coefficient is exact
     pencil = _det([[IntPoly([a - b, a]) for a, b in zip(*pair)] for pair in zip(k, rc)], IntPoly([1]))
@@ -330,75 +369,86 @@ def verify_factorization(d: int) -> tuple[bool, dict]:
     return ok, certificate
 
 
-def _skeleton_pivots(rows: list[list[int]]) -> tuple[list[int], list[int]]:
+def _row_dicts(m: Nonzeros) -> list[dict[int, int]]:
+    """Each row's nonzeros as {column: entry}, in Python ints."""
+    bounds = np.searchsorted(m.row, np.arange(m.shape[0] + 1)).tolist()
+    cols, vals = m.col.tolist(), m.val.tolist()
+    return [dict(zip(cols[s:e], vals[s:e])) for s, e in zip(bounds, bounds[1:])]
+
+
+def _combine(a: int, x: dict, b: int, y: dict) -> dict:
+    """a x + b y over the union of the supports, zeros dropped."""
+    out = {j: a * v for j, v in x.items()}
+    for j, v in y.items():
+        out[j] = out.get(j, 0) + b * v
+    return {j: v for j, v in out.items() if v}
+
+
+def _skeleton_pivots(rows: list[dict]) -> tuple[list[dict], list[int]]:
     """Rows I and columns J of a nonsingular block of side at most 4, by
     fraction-free elimination in row order (fewer pivots: lower rank).  Each
     reduced pivot row is zero in the earlier pivot columns, so the reduced
     rows restricted to J are triangular with a nonzero diagonal."""
     pivots, piv_rows = [], []
-    for i, row in enumerate(rows):
+    for row in rows:
+        reduced = row
         for col, pivot in pivots:
-            a, b = pivot[col], row[col]
-            if b:
-                row = [a * x - b * y for x, y in zip(row, pivot)]
-        if any(row):
-            pivots.append((next(j for j, x in enumerate(row) if x), row))
-            piv_rows.append(i)
+            if b := reduced.get(col, 0):
+                reduced = _combine(pivot[col], reduced, -b, pivot)
+        if reduced:
+            pivots.append((min(reduced), reduced))
+            piv_rows.append(row)
             if len(pivots) == 4:
                 break
     return piv_rows, [col for col, _ in pivots]
 
 
-def _skeleton_holds(rows, piv_rows, piv_cols, k) -> bool:
-    """delta * B == C adj(K) R on every entry.  Row i of the right side is
-    (C_i adj K) R, so rows with equal C_i adj K share one expansion."""
+def _skeleton_holds(rows, r_rows, piv_cols, k) -> bool:
+    """delta * B == C adj(K) R on every entry of the given rows.  Row i of the
+    right side is (C_i adj K) R, computed over the support of R; it must
+    vanish off the row's nonzeros."""
     s = range(len(k))
     adj = [[(-1) ** (i + j) * _det([r[:i] + r[i + 1 :] for r in k[:j] + k[j + 1 :]]) for j in s]
            for i in s]
     delta = _det(k)
-    r_cols = list(zip(*(rows[i] for i in piv_rows)))
-    expanded = {}
     for row in rows:
-        c_adj = tuple(sum(row[j] * adj[a][b] for a, j in enumerate(piv_cols)) for b in s)
-        if c_adj not in expanded:
-            expanded[c_adj] = [sum(map(operator.mul, c_adj, col)) for col in r_cols]
-        if expanded[c_adj] != [delta * x for x in row]:
+        c = [row.get(j, 0) for j in piv_cols]
+        expanded = {}
+        for adj_col, r_row in zip(zip(*adj), r_rows):
+            if coef := sum(map(operator.mul, c, adj_col)):
+                expanded = _combine(1, expanded, coef, r_row)
+        if expanded != {j: delta * v for j, v in row.items()}:
             return False
     return True
 
 
 def _det(a: list, one=1):
-    """Determinant of a small square matrix by the Leibniz formula; with
-    one = IntPoly([1]) the entries may be polynomials."""
+    """Determinant of a small nonempty square matrix by the Leibniz formula;
+    with one = IntPoly([1]) the entries may be polynomials."""
     total = one - one
     for perm in itertools.permutations(range(len(a))):
-        term = one
-        for i, j in enumerate(perm):
-            term = term * a[i][j]
+        term = a[0][perm[0]]
+        for row, j in zip(a[1:], perm[1:]):
+            term = term * row[j]
         odd = sum(p > q for at, p in enumerate(perm) for q in perm[at + 1 :]) % 2
         total = total - term if odd else total + term
     return total
 
 
-def _psi(d: int) -> dict:
+def _psi(d: int) -> Nonzeros:
     """Block-diagonal involution: identity on the fiber classes, and on each
     exceptional block the matrix with first row all ones and -1 diagonal below."""
-    inf0, isop0, _isom0, n = _block_ranges(d)
-    entries = {(0, 0): 1, (1, 1): 1}
-    for start, stop in ((inf0, isop0), (isop0, n)):
-        entries.update(((start, j), 1) for j in range(start, stop))
-        entries.update(((j, j), -1) for j in range(start + 1, stop))
-    return entries
+    blocks = [(0, 0, 1), (1, 1, 1)]
+    for block in _classes(d):
+        blocks += [(block[0], block, 1), (block[1:], block[1:], -1)]
+    return _lattice(d, blocks)
 
 
 def _pi_permutation(d: int) -> list[int]:
     """new index -> old index; cycles the first iso+ coordinate into slot 3
     (0-indexed), shifting the tail of the infinity block down by one."""
-    inf0, isop0, _isom0, n = _block_ranges(d)
-    order = [0, 1, inf0, isop0]
-    order += list(range(inf0 + 1, isop0))
-    order += list(range(isop0 + 1, n))
-    return order
+    inf, iso = (block.tolist() for block in _classes(d))
+    return [0, 1, inf[0], iso[0], *inf[1:], *iso[1:]]
 
 
 def conjugation_block_a(d: int) -> BigIntMatrix:
@@ -422,22 +472,25 @@ def verify_conjugation(d: int) -> tuple[bool, dict]:
       (iii) the upper-left 4x4 block is the explicit matrix A;
       (iv)  char(A) = (lambda - (d - 1)) * Phi_d(lambda).
     """
-    m = pushforward_b_hat(d)._rows
-    n = len(m)
-    psi = _sparse_rows(d, _psi(d))
-    psi_sq_ok = _sparse_product(psi, psi) == [[(i, 1)] for i in range(n)]
+    m = pushforward_b_hat(d).nonzeros
+    n = m.shape[0]
+    psi = _psi(d)
+    diagonal = np.arange(n)
+    psi_sq_ok = _sparse_product(psi, psi).same(_nonzeros(m.shape, [(diagonal, diagonal, 1)]))
 
     conj = _sparse_product(_sparse_product(psi, m), psi)  # Psi = Psi^{-1}
     order = _pi_permutation(d)
-    new_index = {old: new for new, old in enumerate(order)}
-    permuted = [sorted((new_index[j], v) for j, v in conj[old]) for old in order]
+    new_index = np.argsort(order)
+    row, col, val = new_index[conj.row], new_index[conj.col], conj.val
 
-    upper_right_zero = all(j < 4 for row in permuted[:4] for j, _ in row)
-    lower_right_neg_identity = all(
-        [(j, v) for j, v in row if j >= 4] == [(i, -1)]
-        for i, row in enumerate(permuted[4:], start=4)
-    )
-    a_block = BigIntMatrix.from_rows([[dict(row).get(j, 0) for j in range(4)] for row in permuted[:4]])
+    upper_right_zero = not np.any((row < 4) & (col >= 4))
+    lower = (row >= 4) & (col >= 4)  # distinct positions, so n - 4 diagonal ones fill it
+    lower_right_neg_identity = np.count_nonzero(lower) == n - 4 and bool(
+        np.all(row[lower] == col[lower]) and np.all(val[lower] == -1))
+    upper = (row < 4) & (col < 4)
+    a_rows = np.zeros((4, 4), dtype=np.int64)
+    a_rows[row[upper], col[upper]] = val[upper]
+    a_block = BigIntMatrix.from_rows(a_rows.tolist())
     a_expected = conjugation_block_a(d)
     a_ok = a_block.entries == a_expected.entries
     chi_a = char_poly(a_block)
@@ -487,7 +540,7 @@ def rho(d: int) -> float:
         raise ArithmeticError(
             f"Phi_{d} has no root in the bracket ({lo}, {hi}): {exc}"
         ) from exc
-    numeric = power_iteration_radius(pushforward_b_hat(d).matrix)
+    numeric = power_iteration_radius(pushforward_b_hat(d))
     if abs(numeric - value) / value > 1e-8:
         raise ArithmeticError(
             f"power iteration {numeric} disagrees with exact root {value}"
@@ -498,8 +551,10 @@ def rho(d: int) -> float:
 POWER_ITERATIONS = 400
 
 
-def power_iteration_radius(m: BigIntMatrix) -> float:
-    a = np.array(m.to_lists(), dtype=float)
+def power_iteration_radius(m: PushforwardMatrix) -> float:
+    nz = m.nonzeros
+    a = np.zeros(nz.shape)
+    a[nz.row, nz.col] = nz.val
     n = a.shape[0]
     v = np.full(n, 1.0) / math.sqrt(n)
     lam = 0.0
@@ -536,28 +591,27 @@ def degree_sequence(d: int, m_max: int) -> list[int]:
         raise ValueError("m_max must be >= 0")
     if m_max > MAX_SEQUENCE_INDEX:
         raise ValueError(f"m_max capped at {MAX_SEQUENCE_INDEX}")
-    cls = [0, 1] + [2] * (2 * d) + [3] * (2 * d * (d - 1))  # the class of each basis index
-    q = {}
-    for i, row in enumerate(pushforward_b_hat(d)._rows):
-        sums = [0] * 4
-        for j, v in row:
-            sums[cls[j]] += v
-        if q.setdefault(cls[i], sums) != sums:
-            raise MatrixMismatchError(f"b_hat row {i} breaks the four-class quotient at d = {d}")
+    b_hat = pushforward_b_hat(d).nonzeros
+    n = b_hat.shape[0]
+    cls = np.repeat(np.arange(4), [1, 1, 2 * d, 2 * d * (d - 1)])  # the class of each basis index
+    by_class = _sparse_product(b_hat, _nonzeros((n, 4), [(np.arange(n), cls, 1)]))
+    sums = np.zeros((n, 4), dtype=np.int64)
+    sums[by_class.row, by_class.col] = by_class.val
+    heads = np.searchsorted(cls, np.arange(4))  # the first row of each class
+    off = np.flatnonzero((sums != sums[heads[cls]]).any(axis=1))
+    if off.size:
+        raise MatrixMismatchError(f"b_hat row {off[0]} breaks the four-class quotient at d = {d}")
+    q = sums[heads].tolist()
+    j = _intersection(d)
     pairing = [0] * 4  # the class sums of J Delta; Delta is 1 at C0 and D0
-    for (i, j), v in _intersection_entries(d).items():
-        pairing[cls[i]] += v * (j < 2)
+    for i, v in zip(cls[j.row].tolist(), (j.val * (j.col < 2)).tolist()):
+        pairing[i] += v
     out = []
     v = [1, 1, 0, 0]  # the class values of Delta
     for _ in range(m_max + 1):
         out.append(sum(map(operator.mul, v, pairing)))
         v = [sum(map(operator.mul, q[c], v)) for c in range(4)]
     return out
-
-
-def _nonzero_rows(m: BigIntMatrix) -> list[list[tuple[int, int]]]:
-    """Each row of m as its (column, entry) pairs with a nonzero entry."""
-    return [[(j, v) for j, v in enumerate(row) if v] for row in m.to_lists()]
 
 
 def jordan_structure_d2() -> dict:

@@ -1,11 +1,15 @@
 """Tests for the command-line interface: exit codes, formats, determinism."""
 
+import contextlib
+import io
 import json
 import pathlib
 import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algbilliards import blowup, cli, sampling, spectral
 from algbilliards.cli import main
@@ -540,6 +544,36 @@ def test_spectral_at_the_largest_accepted_degree(tmp_path):
     assert data["char_poly_verified"] is True and data["conjugation_verified"] is True
     lo, hi = spectral.rho_bracket(d)
     assert lo < data["rho"] < hi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.one_of(st.none(), st.integers(-3, 40).map(str), st.sampled_from(["2.5", "1e1", "x", ""])),
+    m_max=st.one_of(st.none(), st.integers(-3, 250).map(str)),
+    curve=st.sampled_from([None, "missing", "malformed", "circle", "ellipse", "cubic"]),
+    seed=st.one_of(st.none(), st.integers(-(2**40), 2**40).map(str)),
+)
+def test_spectral_arguments_fuzz(tmp_path_factory, d, m_max, curve, seed):
+    # every drawn value is refused or finishes well under a second: the degree
+    # is capped by MAX_SPECTRAL_DEGREE and --m-max by MAX_SEQUENCE_INDEX
+    work = tmp_path_factory.mktemp("fuzz")
+    argv = ["spectral", "--out", work / "spec.json"]
+    for flag, value in (("--d", d), ("--m-max", m_max), ("--seed", seed)):
+        if value is not None:
+            argv += [flag, value]
+    if curve == "malformed":
+        (work / "bad.json").write_text('{"degree": 2, "coeffs": [')
+        argv += ["--curve", work / "bad.json"]
+    elif curve is not None:
+        argv += ["--curve", work / "none.json" if curve == "missing" else DATA / f"{curve}.json"]
+    err = io.StringIO()
+    started = time.monotonic()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert time.monotonic() - started < 1
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
 
 
 def _failing_report(*args, **kwargs):

@@ -281,7 +281,7 @@ def test_rho_in_bracket_and_below_bound(d):
 @pytest.mark.parametrize("d", range(3, 13))
 def test_rho_power_iteration_agreement(d):
     r = rho(d)
-    numeric = power_iteration_radius(pushforward_b_hat(d).matrix)
+    numeric = power_iteration_radius(pushforward_b_hat(d))
     assert abs(numeric - r) / r < 1e-8
 
 
@@ -328,17 +328,17 @@ def test_degree_sequence_matches_dense_products_to_the_cap():
     assert degree_sequence(3, 200) == _dense_degrees(3, 200)
 
 
-def test_b_hat_is_turned_into_sparse_rows_once_per_command(monkeypatch, tmp_path):
-    # the build's checked product is b_hat's only sparse form: the conjugation
-    # certificate and the degree sequence read it instead of scanning the
-    # dense matrix again
+def test_spectral_builds_b_hat_once_and_no_dense_lattice_matrix(monkeypatch, tmp_path):
+    # b_hat stays in its sparse form from the build to every certificate: one
+    # block-rule build per command, and the only dense BigIntMatrix is the 4x4
+    # block of the conjugation certificate
     pushforward_b_hat.cache_clear()
-    builds, scans = [], []
-    display, nonzero_rows = spectral._display_b_hat, spectral._nonzero_rows
+    builds, sides = [], []
+    display = spectral._display_b_hat
     monkeypatch.setattr(spectral, "_display_b_hat", lambda d: builds.append(d) or display(d))
-    monkeypatch.setattr(spectral, "_nonzero_rows", lambda m: scans.append(m) or nonzero_rows(m))
+    monkeypatch.setattr(BigIntMatrix, "__post_init__", lambda m: sides.append(max(m.rows, m.cols)))
     assert main(["spectral", "--d", "12", "--out", str(tmp_path / "spec.json")]) == 0
-    assert builds == [12] and scans == []
+    assert builds == [12] and sides and max(sides) <= 4
 
 
 def test_degree_sequence_d2_quadratic():
