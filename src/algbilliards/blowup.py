@@ -280,10 +280,11 @@ def _simple_tangency_at(curve: PlaneCurve, p: ProjPoint) -> bool:
     g = curve.gradient(*p.coords)
     # a direction spanning the tangent line besides p itself
     w = np.cross(g, p.coords)
-    poly = curve.restrict_to_line(p.coords, w)
-    scale = max(abs(c) for c in poly.coeffs)
-    if scale == 0:
+    if not w.any():
         return False
+    # a unit w, so that the test does not read the size of the gradient
+    poly = curve.restrict_to_line(p.coords, w / np.linalg.norm(w))
+    scale = max(abs(c) for c in poly.coeffs)
     coeffs = list(poly.coeffs) + [0j] * 3
     return abs(coeffs[2]) > 1e-8 * scale
 

@@ -19,6 +19,7 @@ Conventions:
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import MAX_MATRIX_SIDE, ComplexPoly, find_roots
+from .numerics import CLUSTER_REL_TOL, MAX_MATRIX_SIDE, ComplexPoly, NonConvergenceError, find_roots
 
 __all__ = [
     "PlaneCurve",
@@ -59,7 +60,6 @@ __all__ = [
 
 ON_CURVE_TOL = 1e-8
 SINGULAR_GRADIENT_TOL = 1e-10
-NEWTON_2D_TOL = 1e-10
 
 # the largest degree whose lattice rank 2d^2 + 2 stays within MAX_MATRIX_SIDE, so
 # the general char_poly remains an independent check over the accepted range;
@@ -80,7 +80,8 @@ class SingularPointError(CurveError):
 
 
 class DegenerateSystemError(CurveError):
-    """A resultant vanished identically; the curve contains a special line."""
+    """The polynomials of a common-root system share a factor (their Macaulay
+    matrix is rank deficient): the curve has an isotropic line or a multiple component."""
 
 
 class DegenerateNewtonError(CurveError):
@@ -415,170 +416,176 @@ def curve_point_near(curve: PlaneCurve, base, tau, nu, a: complex) -> ProjPoint:
 
 
 # ---------------------------------------------------------------------------
-# bivariate elimination
+# common roots in isotropic coordinates
 # ---------------------------------------------------------------------------
+# In u = x + iy, w = x - iy, G(u, w, t) = F((u + w)/2, (u - w)/(2i), t) has
+# F_x + iF_y = 2 G_w and F_x - iF_y = 2 G_u: the [1 : +i] tangencies solve
+# {G, G_w}, the [1 : -i] ones {G, G_u} and the critical points {G_u, G_w}.
+
+COMMON_ROOT_TOL = 1e-8  # residual gate of a polished common root
+# fixed generic linear forms in (u, w, t): a chart h0, and h1, whose ratio to h0 separates roots
+_FORMS = np.array([(0.3 + 0.1j, -0.2 + 0.25j, 1), (1, 0.6180339887 - 0.3j, 0.1 + 0.2j)])
+# each system's rows (p, p_u, p_w, q, q_u, q_w) in the jet (G, G_u, G_w, G_uu, G_uw, G_ww)
+_SYSTEMS = {1: (0, 1, 2, 2, 4, 5), -1: (0, 1, 2, 1, 3, 4), 0: (1, 3, 4, 2, 4, 5)}
 
 
-def _poly2_degrees(a: np.ndarray, tol: float) -> tuple[int, int]:
-    big = float(np.max(np.abs(a))) if a.size else 0.0
-    if big == 0.0:
-        return -1, -1
-    mask = np.abs(a) > tol * big
-    if not mask.any():
-        return -1, -1
-    rows = np.nonzero(mask.any(axis=1))[0]
-    cols = np.nonzero(mask.any(axis=0))[0]
-    return int(rows[-1]), int(cols[-1])
+@functools.lru_cache(maxsize=None)
+def _monomials(degree: int):
+    """Exponents (a, b) of u^a w^b over a + b <= degree, and their index table."""
+    a, b = np.nonzero(np.add.outer(np.arange(degree + 1), np.arange(degree + 1)) <= degree)
+    index = np.zeros((degree + 2, degree + 2), dtype=np.int64)
+    index[a, b] = np.arange(len(a))
+    return a, b, index
 
 
-def _poly2_eval_y_coeffs(a: np.ndarray, x: complex) -> np.ndarray:
-    """Coefficients in y of P(x, y), for a coefficient array a[i, j] of x^i y^j."""
-    powers = x ** np.arange(a.shape[0])
-    return powers @ a
+@functools.lru_cache(maxsize=None)
+def _isotropic_maps(degree: int):
+    """Over ``_monomials(degree)``: the matrix taking the coefficients of x^i y^j to
+    those of u^a w^b, and the stacked matrices taking G's to those of its jet."""
+    a, b, index = _monomials(degree)
+    iso, (du, dw) = np.zeros((len(a), len(a)), dtype=complex), np.zeros((2, len(a), len(a)))
+    for i, j in zip(a.tolist(), b.tolist()):  # x^i y^j = 2^-k (-i)^j (u + w)^i (u - w)^j
+        row = np.convolve([math.comb(i, v) for v in range(i + 1)],
+                          [math.comb(j, v) * (-1) ** v for v in range(j + 1)])
+        c = np.arange(i + j + 1)
+        iso[index[i + j - c, c], index[i, j]] = row * (-1j) ** j / 2 ** (i + j)
+    du[index[a[a > 0] - 1, b[a > 0]], a > 0] = a[a > 0]
+    dw[index[a[b > 0], b[b > 0] - 1], b > 0] = b[b > 0]
+    return iso, np.concatenate([np.eye(len(a)), du, dw, du @ du, du @ dw, dw @ dw]).astype(complex)
 
 
-def _sylvester_det(pc: np.ndarray, qc: np.ndarray) -> complex:
-    m = len(pc) - 1
-    n = len(qc) - 1
-    if m < 0 or n < 0:
-        return 0j
-    size = m + n
-    if size == 0:
-        return 1 + 0j
-    s = np.zeros((size, size), dtype=complex)
-    for r in range(n):
-        s[r, r : r + m + 1] = pc[::-1]
-    for r in range(m):
-        s[n + r, r : r + n + 1] = qc[::-1]
-    return complex(np.linalg.det(s))
+def _isotropic_form(curve: PlaneCurve):
+    """(jet, d, s): G's jet as rows over ``_monomials(d)``, in the plane u, w -> 2^s u,
+    2^s w, where s matches the binary exponents of the norms of G's lowest and highest
+    parts in (u, w), so that G(X) = F(2^j X) gives s - j."""
+    a, b, index = _monomials(curve.degree)
+    iso, jet = _isotropic_maps(curve.degree)
+    f = np.zeros(len(a), dtype=complex)
+    f[index[curve._form.exps[:, 0], curve._form.exps[:, 1]]] = curve._form.coeffs  # of x^i y^j
+    g = iso @ f
+    norms = np.sqrt(np.bincount(a + b, weights=np.abs(g) ** 2))
+    k = np.flatnonzero(norms)
+    e = np.frexp(norms[k])[1].astype(np.int64)
+    s = math.floor((e[0] - e[-1]) / (k[-1] - k[0]) + 0.5) if len(k) > 1 else 0
+    shift = s * (a + b) - (e + s * k).max()  # and the largest part's norm into [1/2, 1)
+    g = np.ldexp(g.real, shift) + 1j * np.ldexp(g.imag, shift)
+    return (jet @ g).reshape(6, -1), curve.degree, s
 
 
-def _resultant_in_x(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> ComplexPoly:
-    """Resultant of two affine polynomials with respect to y, as a poly in x.
+@functools.lru_cache(maxsize=None)
+def _macaulay(degree: int, m: int, n: int):
+    """For p and q of degrees m and n over ``_monomials(degree)``: the shape of
+    their Macaulay matrix, the (rows, columns, sources) of its entries from p and
+    from q, and its columns of u, w and t times each monomial of degree m + n - 2."""
+    index, layout, start = _monomials(m + n - 1)[2], [], 0
+    for deg in (m, n):  # the multiples of p, then of q
+        (a, b, _), (sa, sb, _) = _monomials(deg), _monomials(m + n - 1 - deg)
+        layout.append((np.repeat(np.arange(start, start + len(sa)), len(a)),
+                       index[sa[:, None] + a, sb[:, None] + b].ravel(), np.tile(_monomials(degree)[2][a, b], len(sa))))
+        start += len(sa)
+    a, b, _ = _monomials(m + n - 2)
+    return (start, index.max() + 1), layout, np.stack([index[a + 1, b], index[a, b + 1], index[a, b]])
 
-    Computed by evaluation at roots of unity and inverse FFT; entries are
-    normalized first so the identically-zero test is meaningful.
+
+def _common_roots(system: np.ndarray, degree: int) -> list[tuple[complex, complex, int]]:
+    """Common affine roots (u, w, multiplicity) of p = system[0] and q = system[3],
+    rows over ``_monomials(degree)``; rows 1, 2 and 4, 5 are their partials in u, w.
+
+    Hiding u, the Sylvester matrix in w is a matrix polynomial whose block
+    companion pencil has an infinite eigenvalue for each entry short of full
+    degree.  Graded by degree, its rows are the Macaulay matrix of the multiples
+    of p and q up to degree D = deg p + deg q - 1, whose null space is that pencil
+    deflated: one vector of degree-D monomial values per root, for coprime p, q.
+    A rank short of the rows, relative to the largest singular value, is a
+    common factor: DegenerateSystemError (a LAPACK failure: NonConvergenceError).
+    Each eigenvector of multiplication by h1/h0 is read as [u : w : t] at its
+    largest degree-(D - 1) entry; finite points are Newton-polished, gated by
+    residual and clustered.
     """
-    dax, day = _poly2_degrees(a, tol)
-    dbx, dby = _poly2_degrees(b, tol)
-    if dax < 0 or dbx < 0:
-        return ComplexPoly([0j])
-    na = a[: dax + 1, : day + 1] / np.max(np.abs(a))
-    nb = b[: dbx + 1, : dby + 1] / np.max(np.abs(b))
-    bound = dax * dby + dbx * day + 1
-    n = max(bound, 1)
-    omega = np.exp(2j * math.pi / n)
-    vals = np.empty(n, dtype=complex)
-    for s in range(n):
-        x = omega**s
-        vals[s] = _sylvester_det(_poly2_eval_y_coeffs(na, x), _poly2_eval_y_coeffs(nb, x))
-    coeffs = np.fft.fft(vals) / n
-    return ComplexPoly(list(coeffs))
-
-
-def _poly2_value(arr: np.ndarray, x: complex, y: complex) -> complex:
-    px = x ** np.arange(arr.shape[0])
-    py = y ** np.arange(arr.shape[1])
-    return complex(px @ arr @ py)
-
-
-def _newton_2d(a: np.ndarray, ax, ay, b: np.ndarray, bx, by, x, y, tol=NEWTON_2D_TOL):
-    """Polish a common root of two affine polynomials with Newton's method."""
-    for _ in range(60):
-        f = _poly2_value(a, x, y)
-        g = _poly2_value(b, x, y)
-        j11 = _poly2_value(ax, x, y)
-        j12 = _poly2_value(ay, x, y)
-        j21 = _poly2_value(bx, x, y)
-        j22 = _poly2_value(by, x, y)
-        det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-14:
-            break
-        dx = (f * j22 - g * j12) / det
-        dy = (g * j11 - f * j21) / det
-        x, y = x - dx, y - dy
-        if max(abs(dx), abs(dy)) < tol * (1 + max(abs(x), abs(y))):
-            break
-    return x, y
-
-
-def _partial_arrays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    dx = np.zeros_like(a)
-    dy = np.zeros_like(a)
-    for i in range(1, a.shape[0]):
-        dx[i - 1, :] = i * a[i, :]
-    for j in range(1, a.shape[1]):
-        dy[:, j - 1] = j * a[:, j]
-    return dx, dy
-
-
-def _common_affine_roots(a: np.ndarray, b: np.ndarray) -> list[tuple[complex, complex, int]]:
-    """Common affine roots of two polynomial coefficient arrays, with multiplicity.
-
-    Eliminates y by a Sylvester resultant, then recovers y for each x root
-    and polishes with a 2-variable Newton iteration.  Raises
-    DegenerateSystemError if the resultant vanishes identically.
-    """
-    res = _resultant_in_x(a, b)
-    if res.degree == 0 and abs(res.coeffs[0]) < 1e-10:
-        raise DegenerateSystemError("resultant vanishes identically")
-    if res.degree == 0:
+    a, b, _ = _monomials(degree)
+    sizes = np.abs(system[[0, 3]].T)
+    m, n = np.where(sizes > 0, (a + b)[:, None], -1).max(axis=0).tolist()
+    if min(m, n) < 0:
+        raise DegenerateSystemError("a polynomial of the system vanishes identically")
+    if min(m, n) == 0:
         return []
-    ax, ay = _partial_arrays(a)
-    bx, by = _partial_arrays(b)
-    scale_a = float(np.max(np.abs(a)))
-    scale_b = float(np.max(np.abs(b)))
-    out: list[tuple[complex, complex, int]] = []
-    for rc in find_roots(res):
-        xr = rc.value
-        ycands = _y_candidates(a, b, xr, scale_a, scale_b)
-        if not ycands:
-            continue
-        polished = []
-        for y0 in ycands:
-            x1, y1 = _newton_2d(a, ax, ay, b, bx, by, xr, y0)
-            fa = abs(_poly2_value(a, x1, y1)) / scale_a
-            fb = abs(_poly2_value(b, x1, y1)) / scale_b
-            if fa < 1e-8 and fb < 1e-8:
-                polished.append((x1, y1))
-        if not polished:
-            continue
-        # deduplicate y values recovered twice
-        uniq: list[tuple[complex, complex]] = []
-        for pt in polished:
-            if all(abs(pt[0] - u[0]) + abs(pt[1] - u[1]) > 1e-7 * (1 + abs(pt[0]) + abs(pt[1])) for u in uniq):
-                uniq.append(pt)
-        if len(uniq) == 1:
-            out.append((uniq[0][0], uniq[0][1], rc.multiplicity))
-        else:
-            # several solutions share this x; split the multiplicity evenly
-            m, rem = divmod(rc.multiplicity, len(uniq))
-            for idx, (x1, y1) in enumerate(uniq):
-                out.append((x1, y1, m + (1 if idx < rem else 0)))
-    out.sort(key=point_order_key)
-    return out
+    shape, layout, shifts = _macaulay(degree, m, n)
+    macaulay = np.zeros(shape, dtype=complex)
+    for row, norm, (rows, columns, sources) in zip(system[[0, 3]], sizes.max(axis=0), layout):
+        macaulay[rows, columns] = row[sources] / norm
+    try:
+        _, sv, vh = np.linalg.svd(macaulay)
+        if sv[-1] <= sv[0] * shape[1] * np.finfo(float).eps:
+            raise DegenerateSystemError("the polynomials of the system share a factor")
+        uwt = vh[shape[0]:].T.conj()[shifts]
+        chart, separator = (_FORMS @ uwt.reshape(3, -1)).reshape(2, *uwt.shape[1:])
+        ub, sb, vbh = np.linalg.svd(chart, full_matrices=False)
+        with np.errstate(all="ignore"):  # a zero sb (a root on h0 = 0) makes eig raise
+            times = (vbh.T.conj() / sb) @ (ub.T.conj() @ separator)
+        _, vecs = np.linalg.eig(times)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"common roots: {exc}") from exc
+    uwt = uwt @ vecs
+    u, w, t = uwt[:, np.abs(uwt).sum(axis=0).argmax(axis=0), np.arange(len(vecs))]
+    finite = np.abs(t) > ON_CURVE_TOL * np.maximum(np.abs(u), np.abs(w))  # the rest lie at infinity
+    if not finite.any():
+        return []
+    points = np.stack([u[finite], w[finite]], axis=1) / t[finite, None]
+    points, residual = _polished((a, b, system.T, sizes), points, m + n)
+    return _clustered(points[residual <= COMMON_ROOT_TOL])
 
 
-def _y_candidates(a, b, xr, scale_a, scale_b) -> list[complex]:
-    pa = _poly2_eval_y_coeffs(a, xr)
-    pb = _poly2_eval_y_coeffs(b, xr)
-    cand: list[complex] = []
-    poly_a = ComplexPoly(list(pa))
-    if poly_a.degree >= 1:
-        for rc in find_roots(poly_a):
-            resid_b = abs(ComplexPoly(list(pb))(rc.value)) / (
-                scale_b * (1 + abs(rc.value)) ** max(1, len(pb) - 1))
-            if resid_b < 1e-5:
-                cand.append(rc.value)
-    if not cand:
-        poly_b = ComplexPoly(list(pb))
-        if poly_b.degree >= 1:
-            for rc in find_roots(poly_b):
-                resid_a = abs(poly_a(rc.value)) / (
-                    scale_a * (1 + abs(rc.value)) ** max(1, poly_a.degree))
-                if resid_a < 1e-5:
-                    cand.append(rc.value)
-    return cand
+def _polished(terms, points, degrees):
+    """Newton iterates of each (u, w) row, each kept while its residual falls and is
+    above rounding noise, and their residuals: relative to the terms' summed
+    magnitude, or to the largest coefficient if that is more."""
+    a, b, cols, sizes = terms
+    noise = 64.0 * degrees * np.finfo(float).eps
+    best, low = points, np.full(len(points), np.inf)
+    with np.errstate(all="ignore"):
+        for _ in range(10):
+            powers = points[:, :, None] ** np.arange(a[-1] + 1)
+            mono = powers[:, 0, a] * powers[:, 1, b]
+            f, fu, fw, g, gu, gw = (mono @ cols).T
+            scale = np.maximum(np.abs(mono) @ sizes, sizes.max(axis=0))
+            residual = np.maximum(abs(f) / scale[:, 0], abs(g) / scale[:, 1])
+            better = residual < low
+            best, low = np.where(better[:, None], points, best), np.where(better, residual, low)
+            if not (better & (low > noise)).any():
+                break
+            step = np.stack([f * gw - g * fw, fu * g - gu * f], axis=1) / (fu * gw - fw * gu)[:, None]
+            moving = better & (low > noise) & np.isfinite(step).all(axis=1)
+            points = best - np.where(moving[:, None], step, 0)
+    return best, low
+
+
+def _clustered(points) -> list[tuple[complex, complex, int]]:
+    """Points within ``CLUSTER_REL_TOL`` of a group's first, on their own scale,
+    as the group's centroid with its size as multiplicity."""
+    if len(points) < 2:
+        return [(u, w, 1) for u, w in points.tolist()]
+    size = np.abs(points).max(axis=1)
+    gap = np.abs(points[:, None] - points[None]).max(axis=2)
+    close = gap <= CLUSTER_REL_TOL * (1 + np.maximum.outer(size, size))
+    free, out = np.ones(len(points), dtype=bool), []
+    for i in np.flatnonzero(close.sum(axis=1) > 1).tolist():
+        if free[i]:
+            group, free = close[i] & free, free & ~close[i]
+            out.append((*points[group].mean(axis=0).tolist(), int(group.sum())))
+    return out + [(u, w, 1) for u, w in points[free].tolist()]
+
+
+def _isotropic_roots(form, sign: int) -> list[tuple[complex, complex, int]]:
+    """Common affine roots (x, y, multiplicity), in ``point_order_key`` order, of
+    {G, G_w} (sign +1), {G, G_u} (-1) or {G_u, G_w} (0); form is ``_isotropic_form``'s."""
+    jet, degree, s = form
+    roots = _common_roots(jet[list(_SYSTEMS[sign])], degree)
+    uw = np.array([r[:2] for r in roots], dtype=complex).reshape(-1, 2)
+    with np.errstate(all="ignore"):  # back from the balanced plane; a point past the float range is dropped
+        uw = np.ldexp(uw.real, s) + 1j * np.ldexp(uw.imag, s)
+    out = [((u + w) / 2, (u - w) / 2j, r[2]) for (u, w), r in zip(uw.tolist(), roots)
+           if cmath.isfinite(u) and cmath.isfinite(w)]
+    return sorted(out, key=point_order_key)
 
 
 # ---------------------------------------------------------------------------
@@ -587,18 +594,13 @@ def _y_candidates(a, b, xr, scale_a, scale_b) -> list[complex]:
 
 
 def isotropic_tangency_points(curve: PlaneCurve, sign: int) -> list[tuple[ProjPoint, int]]:
-    """Affine points where the tangent direction is [1 : sign * i], with multiplicity.
-
-    Solves {F = 0, F_x + sign*i*F_y = 0} in the affine chart by resultant
-    elimination in y followed by two-variable Newton polishing.  A generic
-    curve of degree d has d*(d-1) such points for each sign.
-    """
+    """Affine points where the tangent direction is [1 : sign * i], with multiplicity:
+    the common roots of {G, G_w} (sign +1) or {G, G_u} (sign -1) by ``_common_roots``.
+    A generic curve of degree d has d*(d-1) for each sign.  Raises
+    DegenerateSystemError if the two polynomials share a factor."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    f, fx, fy = curve.affine_arrays()
-    g = fx + sign * 1j * fy
-    sols = _common_affine_roots(f, g)
-    return [(proj_point(x, y, 1), m) for x, y, m in sols]
+    return [(proj_point(x, y, 1), m) for x, y, m in _isotropic_roots(_isotropic_form(curve), sign)]
 
 
 @dataclass(frozen=True)
@@ -645,6 +647,9 @@ def genericity_report(curve: PlaneCurve) -> GenericityReport:
     K_x + sign*i*K_y, which has lower degree and so vanishes: K is then a
     function of x + sign*i*y, a product of isotropic lines.  Either way that
     sign's isotropic system is degenerate, and exactly then it is flagged.
+    The tangencies and the critical points (the smoothness candidates) come
+    from one solver in isotropic coordinates, ``_common_roots``, which calls
+    a system degenerate when its Macaulay matrix is rank deficient.
     """
     notes: list[str] = []
 
@@ -652,7 +657,8 @@ def genericity_report(curve: PlaneCurve) -> GenericityReport:
         inf_points = points_at_infinity(curve)
     except ContainsInfinityLineError:
         inf_points = None
-    smooth = _check_smooth(curve, inf_points, notes)
+    form = _isotropic_form(curve)
+    smooth = _check_smooth(curve, form, inf_points, notes)
     distinct_inf = _check_infinity(curve, inf_points, notes)
     non_iso_inf = True
     for p, _m in inf_points or []:
@@ -666,7 +672,7 @@ def genericity_report(curve: PlaneCurve) -> GenericityReport:
     iso_points = {}
     for sign in (1, -1):
         try:
-            pts = iso_points[sign] = isotropic_tangency_points(curve, sign)
+            pts = iso_points[sign] = [(proj_point(x, y, 1), m) for x, y, m in _isotropic_roots(form, sign)]
         except DegenerateSystemError:
             simple_iso = irred = False
             notes.append(f"isotropic tangency system degenerate for sign {sign:+d}")
@@ -693,22 +699,23 @@ def genericity_report(curve: PlaneCurve) -> GenericityReport:
     )
 
 
-def _check_smooth(curve: PlaneCurve, inf_points, notes: list[str]) -> bool:
-    _, fx, fy = curve.affine_arrays()
-    smooth = True
+def _check_smooth(curve: PlaneCurve, form, inf_points, notes: list[str]) -> bool:
     try:
-        candidates = _common_affine_roots(fx, fy)
+        candidates = _isotropic_roots(form, 0)  # the critical points, G_u = G_w = 0
     except DegenerateSystemError:
         notes.append("gradient components share a factor; curve is singular or non-reduced")
         return False
-    for x, y, _m in candidates:
-        if abs(curve.form_value(x, y, 1)) < 1e-7 and math.hypot(*map(abs, curve.gradient(x, y, 1))) < 1e-6:
+    points = [(x, y, 1) for x, y, _m in candidates] + [p.coords for p, _m in inf_points or ()]
+    values = curve.form_values(points, grad=True).tolist() if points else []
+    smooth = True
+    for (x, y, _m), (f, *grad) in zip(candidates, values):
+        if abs(f) < 1e-7 and math.hypot(*map(abs, grad)) < 1e-6:
             smooth = False
             notes.append(f"singular affine point near ({x:.6g}, {y:.6g})")
     if inf_points is None:
         return False  # _check_infinity notes it
-    for p, _m in inf_points:
-        if math.hypot(*map(abs, curve.gradient(*p.coords))) < 1e-8:
+    for (p, _m), (_f, *grad) in zip(inf_points, values[len(candidates):]):
+        if math.hypot(*map(abs, grad)) < 1e-8:
             smooth = False
             notes.append(f"singular point at infinity near {p.coords}")
     return smooth

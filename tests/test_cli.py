@@ -5,6 +5,7 @@ import io
 import json
 import pathlib
 import time
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from algbilliards import blowup, cli, sampling, spectral
 from algbilliards.cli import main
+from algbilliards.curve import PlaneCurve, curve_to_json
 from algbilliards.numerics import MAX_MATRIX_SIDE
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -571,6 +573,59 @@ def test_spectral_arguments_fuzz(tmp_path_factory, d, m_max, curve, seed):
     with contextlib.redirect_stderr(err):
         code = run(argv)
     assert time.monotonic() - started < 1
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
+
+
+def _product(*forms):
+    out = {(0, 0, 0): 1}
+    for form in forms:
+        terms = {}
+        for e1, c1 in out.items():
+            for e2, c2 in form.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        out = terms
+    return out
+
+
+LINE = {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3}
+# curves that reach the solver's degenerate and multiple-root paths from the command line
+SPECIAL_CURVES = {
+    "xy": (2, {(1, 1, 0): 1}),
+    "double-line": (2, _product(LINE, LINE)),
+    "isotropic-line": (2, _product({(1, 0, 0): -1j, (0, 1, 0): 1, (0, 0, 1): -1}, LINE)),
+    "line-at-infinity": (2, _product({(0, 0, 1): 1}, LINE)),
+    "cusp": (3, {(0, 2, 1): 1, (3, 0, 0): -1}),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["genericity", "scratch"]),
+    curve=st.sampled_from([None, "missing", "malformed", "circle", "ellipse", "cubic", *SPECIAL_CURVES]),
+    fmt=st.one_of(st.none(), st.sampled_from(["json", "csv", "xml", ""])),
+    seed=st.one_of(st.none(), st.integers(-(2**40), 2**40).map(str), st.sampled_from(["x", "1.5"])),
+)
+def test_genericity_and_scratch_arguments_fuzz(tmp_path_factory, command, curve, fmt, seed):
+    work = tmp_path_factory.mktemp("fuzz")
+    argv = [command, "--out", work / "out"]
+    for flag, value in (("--format", fmt), ("--seed", seed)):
+        if value is not None:
+            argv += [flag, value]
+    if curve in SPECIAL_CURVES:
+        (work / "curve.json").write_text(curve_to_json(PlaneCurve.from_coeffs(*SPECIAL_CURVES[curve])))
+        argv += ["--curve", work / "curve.json"]
+    elif curve == "malformed":
+        (work / "bad.json").write_text('{"degree": 2, "coeffs": [')
+        argv += ["--curve", work / "bad.json"]
+    elif curve is not None:
+        argv += ["--curve", work / "none.json" if curve == "missing" else DATA / f"{curve}.json"]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1

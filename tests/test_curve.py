@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -40,6 +42,10 @@ def unit_circle():
 
 def fermat_cubic():
     return PlaneCurve.from_coeffs(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): -1})
+
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
+from genericity_table import random_curve  # noqa: E402  (the family the table reports)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +261,41 @@ def test_genericity_isotropic_line_factor_flagged():
     c = PlaneCurve.from_coeffs(2, coeffs)
     rep = genericity_report(c)
     assert not rep.irreducible_heuristic
+
+
+def test_genericity_circle_diagnostics():
+    # both circular points lie on the circle, so no affine isotropic tangency exists
+    assert genericity_report(unit_circle()).diagnostics == (
+        "infinity point ((1+0j), -1j, 0j) is an isotropic direction",
+        "infinity point ((1+0j), 1j, 0j) is an isotropic direction",
+        "isotropic tangency count 0 != d(d-1) = 2 for sign +1",
+        "isotropic tangency count 0 != d(d-1) = 2 for sign -1",
+    )
+
+
+@pytest.mark.parametrize("coeffs", [
+    pytest.param({(0, 2, 1): 1, (3, 0, 0): -1, (2, 0, 1): -1}, id="node"),  # y^2 = x^3 + x^2
+    pytest.param({(0, 2, 1): 1, (3, 0, 0): -1}, id="cusp"),  # y^2 = x^3
+])
+def test_genericity_singular_cubic_names_its_singular_point(coeffs):
+    rep = genericity_report(PlaneCurve.from_coeffs(3, coeffs))
+    notes = [n for n in rep.diagnostics if n.startswith("singular affine point near (")]
+    assert not rep.smooth and len(notes) == 1
+    # the singular point is the origin, where each isotropic system has a multiple root
+    x, y = (complex(v) for v in notes[0][len("singular affine point near ("):-1].split(", "))
+    assert abs(x) < 1e-6 and abs(y) < 1e-6
+    for sign in (1, -1):
+        assert max(m for _, m in rep.isotropic_points[sign]) >= 2
+
+
+@pytest.mark.parametrize("d", [6, 7, 8])
+def test_genericity_of_random_integer_curves(d):
+    # coefficients uniform in -5..5 with 0 -> 1 are generic; the resultant
+    # elimination lost a tangency on one of each eight
+    for seed in range(8):
+        rep = genericity_report(random_curve(d, seed))
+        assert rep.all_ok(), (seed, rep.diagnostics)
+        assert all(sum(m for _, m in rep.isotropic_points[s]) == d * (d - 1) for s in (1, -1))
 
 
 def test_genericity_double_line_is_not_irreducible():

@@ -181,21 +181,10 @@ MAPS |= {"rotate-3/5": similarity(1, (Fraction(3, 5), Fraction(4, 5))),
          "rotate-5/13-shift": similarity(1, (Fraction(5, 13), Fraction(12, 13)),
                                          (Fraction(1, 3), Fraction(-1, 4)))}
 
-# the isotropic elimination loses roots on these (ROADMAP item 3)
-MAPS_FAILING = [("quartic", "scale-2^-3"), ("sextic", "scale-2^-3"), ("sextic", "scale-2^-2"),
-                ("sextic", "scale-2^-1"), ("sextic", "scale-2^2"), ("sextic", "scale-2^3")]
+SIMILAR_CASES = [(name, map_name) for name in ("ellipse", "cubic", "quartic", "sextic") for map_name in MAPS]
 
 
-# the sextic's passing maps are left out to keep the suite short
-SIMILAR_CASES = [(name, map_name) for name in ("ellipse", "cubic", "quartic") for map_name in MAPS]
-SIMILAR_CASES += [(name, map_name) for name, map_name in MAPS_FAILING if name == "sextic"]
-
-
-@pytest.mark.parametrize("name, map_name", [
-    pytest.param(name, map_name, marks=pytest.mark.xfail(
-        (name, map_name) in MAPS_FAILING, strict=True,
-        reason="ROADMAP item 3: the resultant elimination loses isotropic tangencies"))
-    for name, map_name in SIMILAR_CASES])
+@pytest.mark.parametrize("name, map_name", SIMILAR_CASES)
 def test_a_similar_curve_gives_the_carried_census_and_tree(name, map_name):
     curve = load_curve(name)
     m = MAPS[map_name]

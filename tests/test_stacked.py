@@ -95,8 +95,8 @@ def test_proj_distance_matches_the_outer_product_formula():
 
 @st.composite
 def integer_curves(draw):
-    """A degree 2..6 form with integer coefficients in -9..9 on every monomial."""
-    d = draw(st.integers(2, 6))
+    """A degree 2..8 form with integer coefficients in -9..9 on every monomial."""
+    d = draw(st.integers(2, 8))
     monomials = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
     values = draw(st.lists(st.integers(-9, 9), min_size=len(monomials), max_size=len(monomials)))
     return d, dict(zip(monomials, values))
