@@ -26,6 +26,7 @@ import sys
 import time
 from collections import Counter
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .blowup import (
@@ -76,19 +77,23 @@ VERIFICATION_ERRORS = (NonConvergenceError, MatrixMismatchError, ArithmeticError
 JSON_INT_LIMIT = 2**53
 
 
-def _jsonable(obj):
-    """Recursively convert to JSON types; big integers become decimal strings."""
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return obj if abs(obj) < JSON_INT_LIMIT else str(obj)
-    if isinstance(obj, (float, str)):
-        return obj
+def _json(obj, pad: str = "\n") -> str:
+    """``obj`` exactly as ``json.dumps(obj, indent=2, sort_keys=True)`` writes
+    it, except that integers of magnitude 2**53 or more become decimal
+    strings; ``pad`` is the line break and indent of the level holding it."""
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        items = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if obj else "{}"
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + pad + "]" if obj else "[]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return int.__repr__(obj) if abs(obj) < JSON_INT_LIMIT else f'"{obj}"'
+    return json.dumps(obj)  # None, booleans, NaN and infinities
 
 
 def _emit(text: str, out_path: str | None):
@@ -104,7 +109,7 @@ def _write_json(args, fields: dict):
     indented, key-sorted JSON to --out or stdout."""
     config = {k: v for k, v in vars(args).items() if k != "func"}
     payload = {"meta": {"version": __version__, "config": config}, **fields}
-    _emit(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", args.out)
+    _emit(_json(payload) + "\n", args.out)
 
 
 def _write_csv(out_path: str | None, rows):

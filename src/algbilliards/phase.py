@@ -28,7 +28,6 @@ from .curve import (
     CurveError,
     PlaneCurve,
     ProjPoint,
-    direction_distance,
     on_curve_residual,
     point_order_key,
     proj_distance,
@@ -290,11 +289,23 @@ def reflect_scratch_proximity(curve: PlaneCurve, x: PhasePoint) -> float:
 def _scratch_proximity(curve: PlaneCurve, c: ProjPoint, slope, dist: float) -> float:
     if dist > SCRATCH_SOFT_TOL:
         return dist
-    try:
-        td = tangent_at(curve, c)
-    except CurveError:
-        return dist
-    return max(dist, direction_distance(slope, td.tangent))
+    return float(_proximity_rows(curve, np.array([c.coords]), np.array([slope]), np.array([dist]))[0])
+
+
+def _proximity_rows(curve: PlaneCurve, c: np.ndarray, slopes: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Scratch proximity of the rows of an (M, 3) stack c of base points with
+    (M, 2) slopes and distances dist (each at most SCRATCH_SOFT_TOL) by
+    ``tangent_at``'s rules: dist where the base point is off the curve or
+    singular or has the line at infinity as tangent, else the larger of dist
+    and the direction distance of the slope to the tangent [F1 : -F0]."""
+    f = curve.form_values(c, grad=True)
+    g = np.abs(f[:, 1:3])
+    # a singular point also has max(|F0|, |F1|) below the gradient tolerance
+    tangent = (np.abs(f[:, 0]) <= ON_CURVE_TOL) & (g.max(axis=1) >= SINGULAR_GRADIENT_TOL)
+    with np.errstate(all="ignore"):
+        turn = (np.abs(slopes[:, 0] * f[:, 1] + slopes[:, 1] * f[:, 2])
+                / (np.linalg.norm(slopes, axis=1) * np.linalg.norm(g, axis=1)))
+    return np.where(tangent, np.maximum(dist, turn), dist)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +389,9 @@ def secant(curve: PlaneCurve, x: PhasePoint) -> BranchSet:
     Intersections at e show up as a degree drop and are restored
     explicitly, so images may lie at infinity.
 
-    This is the one-state call of the stacked step ``_secant_rows``.
+    This is the one-state call of the stacked step ``_secant_rows``, which
+    also serves the soft band next to a scratch point; only the hard band,
+    a degree drop and close roots take the per-state ``_secant_one``.
     """
     _, images, mult, ill, errors = _secant_rows(curve, *_stack([x]))
     if errors:
@@ -394,14 +407,18 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
     state's images in point order; then the ill_conditioned flags and a map
     from a state to the PhaseError or NonConvergenceError it raised.  All
     states take the stacked path (base root t = 0 dropped, the others from
-    ``monic_roots``); a state with |X2| <= 1e-5, which needs the
-    scratch-proximity check, or failing a gate of ``line_intersections``, or
-    holding two roots closer than ``CLUSTER_REL_TOL * (1 + max |t|)``, takes
-    the per-state code ``_secant_one``."""
+    ``monic_roots``), those with |X2| <= SCRATCH_SOFT_TOL too, flagged
+    ill_conditioned below it by their ``_proximity_rows``; a state in the
+    hard band (proximity below SCRATCH_HARD_TOL), or failing a gate of
+    ``line_intersections`` (degree drop included), or holding two roots
+    closer than ``CLUSTER_REL_TOL * (1 + max |t|)``, takes the per-state
+    code ``_secant_one``."""
     d = curve.degree
     line = q.copy()
     line[:, 2] = 0
-    band = np.abs(c[:, 2]) < _near_infinity_band(d)
+    prox = np.abs(c[:, 2])
+    band = prox < _near_infinity_band(d)
+    ill = [False] * len(c)
     if band.any():
         cb, db = c[band], line[band]
         e = (db * np.einsum("mk,mk->m", cb.conj(), cb)[:, None]
@@ -410,11 +427,15 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
         nonzero = np.abs(e).max(axis=1) > 0
         e[nonzero] = proj_points(e[nonzero])
         line[band] = e
+        near = prox <= SCRATCH_SOFT_TOL
+        if near.any():
+            prox[near] = _proximity_rows(curve, c[near], q[near, :2], prox[near])
+            ill = (prox < SCRATCH_SOFT_TOL).tolist()
     coeffs = curve.restrict_to_lines(c, line)
     mag = np.abs(coeffs)
     top = mag.max(axis=1)
     ok = (
-        (np.abs(c[:, 2]) > SCRATCH_SOFT_TOL)
+        (prox >= SCRATCH_HARD_TOL)
         & (top > 1e-12)
         & (mag[:, 0] <= 1e-6 * top)
         & (mag[:, -1] > np.maximum(1e-9 * top, LEADING_ZERO_TOL))
@@ -435,7 +456,7 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
     src = np.repeat(np.flatnonzero(ok), d - 1)
     images = pts.reshape(-1, 3)
     mult = np.ones(len(src), dtype=int)
-    ill, errors = [False] * len(c), {}
+    errors = {}
     if ok.all():
         return src, images, mult, ill, errors
     rows = []
@@ -522,9 +543,12 @@ _REFLECT_BOUNDS = np.array([ISOTROPIC_Q2_TOL, SCRATCH_SOFT_TOL, -ON_CURVE_TOL,
 def _reflect_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
     """Reflections of the states with (M, 3) stacks c and q by the product
     formula, all rows at once: the normalized images, the ill_conditioned
-    flags and a map from a row to the PhaseError it raised.  A row outside
-    the (conservative) bounds gets a single state's checks, in its order; a
-    base point off the curve or singular is that row's OffCurveError."""
+    flags and a map from a row to the PhaseError it raised.  A row with
+    |q2| <= SCRATCH_SOFT_TOL that passes every other bound stays stacked
+    unless its ``_proximity_rows`` lies in the hard band; any other row
+    outside the (conservative) bounds gets a single state's checks, in its
+    order: base point at infinity, hard band, off the curve or singular
+    (that row's OffCurveError), isotropic tangent."""
     # einsum, not BLAS products, so that no row depends on the rows stacked with it
     f_t = np.einsum("mk,kj->mj", curve.form_values(c, grad=True), _TANGENT_NULL)
     v = np.einsum("mk,kj->mj", q, _DIRECTION_NULL)
@@ -544,19 +568,21 @@ def _reflect_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
     ill, errors = [False] * len(c), {}
     if ok.all():
         return images, ill, errors
+    prox, near = mags[:, 1].copy(), ~ok[:, 1]
+    if near.any():
+        # |q2| <= SCRATCH_SOFT_TOL: the row stays unless its proximity is in the hard band
+        prox[near] = _proximity_rows(curve, c[near], q[near, :2], prox[near])
+        ok[:, 1], ill = prox >= SCRATCH_HARD_TOL, (prox < SCRATCH_SOFT_TOL).tolist()
     for r in np.flatnonzero(~ok.all(axis=1)).tolist():
         base = ProjPoint(tuple(c[r].tolist()))
-        q0, q1, q2 = q[r].tolist()
         tz, tw = mags[r, 3:5].tolist()
         try:
             if abs(base.coords[2]) < ISOTROPIC_Q2_TOL:
                 raise InfinityBasePointError("reflection base point lies at infinity")
-            prox = _scratch_proximity(curve, base, (q0, q1), abs(q2))
-            if prox < SCRATCH_HARD_TOL:
+            if prox[r] < SCRATCH_HARD_TOL:
                 raise ScratchPointError(
-                    f"reflection source is an isotropic scratch point (proximity {prox:.2e})"
+                    f"reflection source is an isotropic scratch point (proximity {prox[r]:.2e})"
                 )
-            ill[r] = prox < SCRATCH_SOFT_TOL
             try:
                 tangent_at(curve, base)
             except CurveError as exc:

@@ -507,6 +507,29 @@ def test_a_malformed_curve_file_is_an_input_error(tmp_path, capsys, text):
     assert not out.exists()
 
 
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-(2**60), 2**60) | st.floats()
+               | st.sampled_from([2**53 - 1, 2**53, -(2**53), 10**40]) | st.text())
+
+
+def _stdlib_json(obj):
+    """The reference bytes: integers of magnitude 2**53 or more as decimal
+    strings, then json.dumps with indent 2 and sorted keys."""
+    def convert(v):
+        if isinstance(v, int) and not isinstance(v, bool) and abs(v) >= cli.JSON_INT_LIMIT:
+            return str(v)
+        if isinstance(v, dict):
+            return {k: convert(x) for k, x in v.items()}
+        return [convert(x) for x in v] if isinstance(v, (list, tuple)) else v
+    return json.dumps(convert(obj), indent=2, sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=4), max_leaves=20))
+def test_json_writer_gives_the_stdlib_bytes(obj):
+    assert cli._json(obj) == _stdlib_json(obj)
+
+
 def test_main_builds_the_parser_once(monkeypatch):
     built = []
     init = cli.argparse.ArgumentParser.__init__
@@ -609,10 +632,19 @@ SPECIAL_CURVES = {
     seed=st.one_of(st.none(), st.integers(-(2**40), 2**40).map(str), st.sampled_from(["x", "1.5"])),
 )
 def test_genericity_and_scratch_arguments_fuzz(tmp_path_factory, command, curve, fmt, seed):
-    work = tmp_path_factory.mktemp("fuzz")
+    _run_fuzzed(tmp_path_factory.mktemp("fuzz"), command, curve, (("--format", fmt), ("--seed", seed)))
+
+
+def _run_fuzzed(work, command, curve, options):
+    """Run ``command`` on a named curve (a fixture, a special curve, a missing
+    or a malformed file, or none) with the (flag, value) options whose value
+    is not None: it exits 0, 1 or 2 with at most one error line and no
+    traceback or RuntimeWarning."""
     argv = [command, "--out", work / "out"]
-    for flag, value in (("--format", fmt), ("--seed", seed)):
-        if value is not None:
+    for flag, value in options:
+        if value is True:
+            argv.append(flag)
+        elif value not in (None, False):
             argv += [flag, value]
     if curve in SPECIAL_CURVES:
         (work / "curve.json").write_text(curve_to_json(PlaneCurve.from_coeffs(*SPECIAL_CURVES[curve])))
@@ -629,6 +661,39 @@ def test_genericity_and_scratch_arguments_fuzz(tmp_path_factory, command, curve,
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
+
+
+# valid values are listed more often than invalid ones, so that most draws run
+FUZZ_CURVES = [None, "missing", "malformed", "circle", *SPECIAL_CURVES, *["ellipse", "cubic"] * 4]
+FUZZ_SEEDS = st.one_of(st.none(), st.integers(-(2**40), 2**40).map(str))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    curve=st.sampled_from(FUZZ_CURVES),
+    samples=st.sampled_from([None, "1", "2", "2", "2", "0", "x"]),
+    eps=st.sampled_from([None, None, None, "1e-2,5e-3,2.5e-3,1.25e-3", "1e-2,1e-3", "1e-2,nan,1e-4", "a,b"]),
+    scratch_index=st.sampled_from([None, None, None, "0", "5", "-1", "99"]),
+    seed=FUZZ_SEEDS,
+)
+def test_confine_arguments_fuzz(tmp_path_factory, curve, samples, eps, scratch_index, seed):
+    # --samples is drawn small: each sample is a stack of confinement chains
+    _run_fuzzed(tmp_path_factory.mktemp("fuzz"), "confine", curve, (
+        ("--samples", samples), ("--eps", eps), ("--scratch-index", scratch_index), ("--seed", seed)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    curve=st.sampled_from(FUZZ_CURVES),
+    depth=st.sampled_from([None, "0", "3", "3", "3", "40", "-1", "x"]),
+    real=st.booleans(),
+    seed=FUZZ_SEEDS,
+)
+def test_orbit_arguments_fuzz(tmp_path_factory, curve, depth, real, seed):
+    # depth 40 is refused up front on the cubic (2^41 nodes) and runs 40 levels
+    # on the ellipse; --real steps are not capped, so no larger depth is drawn
+    _run_fuzzed(tmp_path_factory.mktemp("fuzz"), "orbit", curve,
+                (("--depth", depth), ("--real", real), ("--seed", seed)))
 
 
 def _failing_report(*args, **kwargs):

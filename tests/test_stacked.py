@@ -14,6 +14,7 @@ from algbilliards.blowup import GenericityFailureError, enumerate_scratch_points
 from algbilliards.curve import (
     CurveError,
     PlaneCurve,
+    direction_distance,
     on_curve_residual,
     point_order_key,
     points_at_infinity,
@@ -23,6 +24,7 @@ from algbilliards.curve import (
     tangent_at,
 )
 from algbilliards.numerics import NonConvergenceError, find_roots
+from conftest import load_curve
 from algbilliards.phase import (
     OffCurveError,
     PhaseError,
@@ -217,10 +219,10 @@ def test_mixed_stack_rows_are_isolated(monkeypatch):
     isotropic = phase_point(curve, clean[0].c, direction_point(1, 1j, 0))
     special = [band_state(curve, 1e-6, 0.0), band_state(curve, 1e-6, 0.3), band_state(curve, 1e-12, 0.0),
                tangent_state(curve, 0.0), tangent_state(curve, 1e-9), isotropic, aimed_state(curve)]
-    fallback, calls = [], []
-    secant_one, proximity = phase._secant_one, phase._scratch_proximity
+    fallback, dists = [], []
+    secant_one, proximity = phase._secant_one, phase._proximity_rows
     monkeypatch.setattr(phase, "_secant_one", lambda *a: fallback.append(a[1]) or secant_one(*a))
-    monkeypatch.setattr(phase, "_scratch_proximity", lambda *a: calls.append(a) or proximity(*a))
+    monkeypatch.setattr(phase, "_proximity_rows", lambda *a: dists.append(a[3]) or proximity(*a))
     stacks = (clean[:2] + special + clean[2:], special[::-1] + clean,
               clean + special[::2] + special[1::2], clean + special[-1:])
     for xs in stacks:
@@ -237,9 +239,11 @@ def test_mixed_stack_rows_are_isolated(monkeypatch):
                 continue
             assert got == _children(step)
             assert ill[i] == step.ill_conditioned
-    # the band and tangent rows left the stacked secant, and reflection saw isotropic rows
-    assert {x.c for x in fallback} >= {x.c for x in special[:5]}
-    assert any(abs(q2) == 0 for _, _, _, q2 in calls)
+    # the soft-band rows stayed in the stacked secant, the hard-band and tangent
+    # rows left it, and reflection took the proximity of isotropic rows
+    assert not {x.c for x in fallback} & {x.c for x in special[:2]}
+    assert {x.c for x in fallback} >= {x.c for x in special[2:5]}
+    assert any((dist == 0).any() for dist in dists)
 
 
 def test_a_failing_row_is_that_states_error(monkeypatch):
@@ -249,9 +253,10 @@ def test_a_failing_row_is_that_states_error(monkeypatch):
     NonConvergenceError.  Every other state of the stack keeps bitwise its
     one-state step, and an orbit tree keeps the state as a node named after
     its error.  Both failures are injected into the per-state secant of two
-    band states (|X2| = 1e-6 with q on the tangent, and turned off it)."""
+    tangent states (the secant line on a tangent, and turned 1e-9 off it),
+    whose close roots still take that path."""
     curve = PlaneCurve.from_coeffs(*TERMINATING_CUBIC)
-    off, stuck = band_state(curve, 1e-6, 0.0), band_state(curve, 1e-6, 0.3)
+    off, stuck = tangent_state(curve, 0.0), tangent_state(curve, 1e-9)
     secant_one = phase._secant_one
 
     def faulty(curve, x, e):
@@ -275,6 +280,73 @@ def test_a_failing_row_is_that_states_error(monkeypatch):
         billiard_step(curve, x) for k, x in enumerate(xs) if k not in (2, 4)]
     for x, name in ((off, "OffCurveError"), (stuck, "NonConvergenceError")):
         assert orbit_tree(curve, x, 1).levels[1].reason == (name,)
+
+
+# ---------------------------------------------------------------------------
+# scratch proximity of a stack
+# ---------------------------------------------------------------------------
+
+
+def scalar_proximity(curve, c, slope, dist):
+    """The proximity rule one state at a time, through tangent_at."""
+    try:
+        tangent = tangent_at(curve, proj_point(*c)).tangent
+    except CurveError:
+        return dist
+    return max(dist, direction_distance(slope, tangent))
+
+
+def proximity_class(p):
+    return (p >= phase.SCRATCH_HARD_TOL) + (p >= phase.SCRATCH_SOFT_TOL)
+
+
+PROXIMITY_CURVES = {"cubic": load_curve("cubic"), "quartic": load_curve("quartic"),
+                    "terminating": PlaneCurve.from_coeffs(*TERMINATING_CUBIC)}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(PROXIMITY_CURVES)),
+       st.lists(st.tuples(st.floats(-12, -5), st.floats(0, 0.5)), min_size=1, max_size=6),
+       st.integers(0, 2**16))
+def test_stacked_proximity_is_the_scalar_rule(name, bands, seed):
+    """Secant proximity of near-infinity states and reflection proximity of
+    isotropic-q states, one stack each: every row agrees with tangent_at and
+    direction_distance to 1e-12 and falls in the same hard/soft class."""
+    curve = PROXIMITY_CURVES[name]
+    xs = [band_state(curve, 10.0**k, turn) for k, turn in bands]
+    c, q = phase._stack(xs)
+    rows = [(c, q[:, :2], np.abs(c[:, 2]))]
+    sampled = [x.c.coords for x in sample_phase_points(curve, 3, seed)]
+    iso = [p.phase.c.coords for p in enumerate_scratch_points(curve) if p.kind != "infinity"][:2]
+    cs = np.array(sampled + iso, dtype=complex)
+    for sign in (1j, -1j):
+        rows.append((cs, np.tile([1, sign], (len(cs), 1)), np.zeros(len(cs))))
+    for c, slopes, dist in rows:
+        near = dist <= phase.SCRATCH_SOFT_TOL  # the rows a stacked step hands over
+        c, slopes, dist = c[near], slopes[near], dist[near]
+        got = phase._proximity_rows(curve, c, slopes, dist)
+        want = [scalar_proximity(curve, *row) for row in zip(c.tolist(), slopes.tolist(), dist.tolist())]
+        # at an isotropic tangency the distance is a cancellation at rounding level
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+        for g, w in zip(got.tolist(), want):
+            if all(abs(w - tol) > 1e-9 * tol for tol in (phase.SCRATCH_HARD_TOL, phase.SCRATCH_SOFT_TOL)):
+                assert proximity_class(g) == proximity_class(w)
+
+
+@pytest.mark.parametrize("coeffs, point", [
+    (TERMINATING_CUBIC, None),                          # off the curve
+    ((3, {(0, 2, 1): 1, (3, 0, 0): -1}), (0, 0, 1)),     # the cusp of y^2 z = x^3
+    ((2, {(0, 1, 1): 1, (2, 0, 0): -1}), (0, 1, 0)),     # y z = x^2: tangent is the line at infinity
+], ids=["off-curve", "singular", "tangent-at-infinity"])
+def test_proximity_without_a_tangent_is_the_distance(coeffs, point):
+    curve = PlaneCurve.from_coeffs(*coeffs)
+    if point is None:
+        c0, c1, c2 = band_state(curve, 1e-6, 0.0).c.coords
+        point = (c0, c1 * 1.001, c2)
+    with pytest.raises(CurveError):
+        tangent_at(curve, proj_point(*point))
+    dist = np.array([3e-7])
+    assert phase._proximity_rows(curve, np.array([point], dtype=complex), np.array([[1, 0.5]]), dist) == dist
 
 
 # ---------------------------------------------------------------------------
