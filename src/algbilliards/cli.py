@@ -43,6 +43,7 @@ from .blowup import confinement_experiment_isotropic  # noqa: F401 -- unused; be
 from .curve import MAX_SPECTRAL_DEGREE, CurveError, curve_from_json, genericity_report
 from .numerics import NonConvergenceError
 from .phase import (
+    MAX_ORBIT_NODES,
     NoRealReturnError,
     OffCurveError,
     PhaseError,
@@ -51,7 +52,7 @@ from .phase import (
     orbit_tree_jsonl,
     real_billiard_step,
 )
-from .sampling import phase_point_stream, sample_phase_points, sample_real_state
+from .sampling import MAX_TRIES, phase_point_stream, sample_phase_points, sample_real_state
 from .sampling import sample_curve_points  # noqa: F401 -- unused; bench/bench_trace.py wraps it
 from .spectral import (
     MAX_SEQUENCE_INDEX,
@@ -177,6 +178,8 @@ def cmd_spectral(args) -> int:
 def cmd_orbit(args) -> int:
     if args.depth < 0:
         return _error("--depth must be at least 0")
+    if args.real and args.depth > MAX_ORBIT_NODES:  # one node per step
+        return _error(f"--depth must be at most {MAX_ORBIT_NODES} with --real")
     curve = _load_curve(args.curve)
     require_generic(curve)
     if args.real:
@@ -251,8 +254,8 @@ def cmd_confine(args) -> int:
 def cmd_form_check(args) -> int:
     if not (args.h > 0 and math.isfinite(args.h)):
         return _error("--h must be a positive finite step")
-    if args.samples < 1:
-        return _error("--samples must be at least 1")
+    if not 1 <= args.samples <= MAX_TRIES:  # each sampling try yields at most one state
+        return _error(f"--samples must be in 1..{MAX_TRIES}")
     curve = _load_curve(args.curve)
     require_generic(curve)
     states = sample_phase_points(curve, args.samples, args.seed)
@@ -276,6 +279,8 @@ def cmd_form_check(args) -> int:
             rows.append([i, tag, *map(repr, (args.h, r.residual_h, r.residual_h2, r.order_estimate))])
     _write_csv(args.out, rows)
     _log(f"max residual {worst:.3e}; skipped {skipped}")
+    if len(rows) == 1:  # the header alone
+        return _error("no residual was measured: every job was skipped", EXIT_VERIFICATION)
     return EXIT_OK if worst < 1e-4 else _error("max residual is not below 1e-4", EXIT_VERIFICATION)
 
 

@@ -401,17 +401,20 @@ def curve_point_near(curve: PlaneCurve, base, tau, nu, a: complex) -> ProjPoint:
     x0 = base[0] + a * tau[0]
     x1 = base[1] + a * tau[1]
     mu = 0j
-    for _ in range(60):
-        px = x0 + mu * nu[0]
-        py = x1 + mu * nu[1]
-        f = curve.form_value(px, py, 1.0)
-        if abs(f) < 1e-15:
-            break
-        g = curve.gradient(px, py, 1.0)
-        deriv = g[0] * nu[0] + g[1] * nu[1]
-        if abs(deriv) < 1e-14:
-            raise DegenerateNewtonError("Newton correction onto the curve is degenerate")
-        mu -= f / deriv
+    with np.errstate(all="ignore"):  # a point past the float range is refused below
+        for _ in range(60):
+            px = x0 + mu * nu[0]
+            py = x1 + mu * nu[1]
+            f = curve.form_value(px, py, 1.0)
+            if not cmath.isfinite(f):
+                raise DegenerateNewtonError("Newton correction onto the curve left the float range")
+            if abs(f) < 1e-15:
+                break
+            g = curve.gradient(px, py, 1.0)
+            deriv = g[0] * nu[0] + g[1] * nu[1]
+            if abs(deriv) < 1e-14:
+                raise DegenerateNewtonError("Newton correction onto the curve is degenerate")
+            mu -= f / deriv
     return proj_point(x0 + mu * nu[0], x1 + mu * nu[1], 1.0)
 
 

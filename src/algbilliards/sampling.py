@@ -2,10 +2,12 @@
 
 Sampling is fully determined by the seed: identical (curve, count, seed)
 always return identical states.  Points are produced by intersecting random
-complex lines with the curve and pairing them with rotated directions, then
-rejecting configurations too close to scratch points, to the infinity line,
-or with degenerate form density, so that downstream finite-difference and
-residual checks are well conditioned.
+complex lines with the curve and pairing them with rotated directions.  A
+state is refused when its base point lies within SCRATCH_MARGIN of the line
+at infinity, is off the curve, or has a degenerate form density.  That
+margin keeps it off the secant's scratch points, and rotation angles of
+imaginary part at most 0.6 keep it off the reflection's, so that downstream
+finite-difference and residual checks are well conditioned.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .phase import (
     direction_point,
     line_intersections,
     line_point,
-    reflect_scratch_proximity,
     rotate_direction,
     secant_scratch_proximity,
 )
@@ -70,13 +71,11 @@ def phase_point_stream(curve: PlaneCurve, seed: int) -> Iterator[PhasePoint]:
         if not roots:
             continue
         c = line_point(anchor, direction, roots[rng.randrange(len(roots))].value)
-        if abs(c.coords[2]) < 0.05 or max(abs(z) for z in c.coords) > 20:
+        # |c2| is the secant's scratch proximity here; |q2| >= 1 / cosh 0.6 > 0.84
+        # bounds the reflection's
+        if abs(c.coords[2]) < SCRATCH_MARGIN:
             continue
         x = PhasePoint(c=c, q=q)
-        if secant_scratch_proximity(curve, x) < SCRATCH_MARGIN:
-            continue
-        if reflect_scratch_proximity(curve, x) < SCRATCH_MARGIN:
-            continue
         if on_curve_residual(curve, c) > 1e-9:
             continue
         # form density tau x q must be nondegenerate for frame-based checks
@@ -124,8 +123,6 @@ def sample_real_state(curve: PlaneCurve, seed: int) -> PhasePoint:
         if not real_roots:
             continue
         c = line_point(anchor, direction, real_roots[0])
-        if max(abs(z) for z in c.coords) > 20:
-            continue
         x = PhasePoint(c=c, q=q)
         if secant_scratch_proximity(curve, x) < SCRATCH_MARGIN:
             continue

@@ -329,34 +329,55 @@ def _times_lambda_plus_1_power(p: IntPoly, e: int) -> IntPoly:
     return p * IntPoly(binomials)
 
 
-def verify_factorization(d: int) -> tuple[bool, dict]:
-    """Exact comparison of char(b_hat) with the claimed product, through the
-    rank-4 skeleton of B = b_hat + I.
+def _class_of(d: int) -> np.ndarray:
+    """The class of each basis index: 0 for C0, 1 for D0, 2 for Einf_j, 3 for Eiso+-_j."""
+    return np.repeat(np.arange(4), [1, 1, 2 * d, 2 * d * (d - 1)])
 
-    Fraction-free elimination picks rows I and columns J with K = B[I, J]
-    nonsingular, and delta * B = C adj(K) R (delta = det K, C = B[:, J],
-    R = B[I, :]) is checked on every entry.  By Sylvester's determinant
-    identity char(b_hat)(lambda) = mu^(n-4) det(mu K - R C) / delta at
-    mu = lambda + 1, so only the quartic factor is computed; it is compared
-    with (lambda - (d-1)) Phi_d, and n - 4 with 2d^2 - 2.  A rank other than
-    4 raises MatrixMismatchError.
+
+def _four_class_quotient(d: int) -> tuple[list[list[int]], int]:
+    """The 4x4 quotient Q = R P - I of B = b_hat + I, and the lattice rank n.
+
+    R holds the four class heads' rows of B (dense, 4 x n).  Every nonzero
+    of b_hat must equal its entry of P R - I, with P the n x 4 class
+    indicator, and every row must hold as many nonzeros as that row of
+    P R - I: then B = P R exactly.  A row off its class raises
+    MatrixMismatchError.  Then b_hat P = P Q: class-constant vectors step
+    under Q.
     """
     b_hat = pushforward_b_hat(d).nonzeros
-    diagonal = np.arange(b_hat.shape[0])
-    rows = _row_dicts(_nonzeros(b_hat.shape, [b_hat[1:], (diagonal, diagonal, 1)]))
-    # every row equals one of the distinct rows, so checking those checks B
-    distinct = list({tuple(row.items()): row for row in rows}.values())
-    r_rows, piv_cols = _skeleton_pivots(distinct)
-    k = [[row.get(j, 0) for j in piv_cols] for row in r_rows]
-    if len(k) < 4 or not _skeleton_holds(distinct, r_rows, piv_cols, k):
-        raise MatrixMismatchError(f"b_hat + I does not have rank 4 at d = {d}")
-    rc = [[sum(v * rows[j].get(col, 0) for j, v in row.items()) for col in piv_cols]
-          for row in r_rows]
-    # det(mu K - R C) at mu = lambda + 1 is delta times a monic integer quartic:
-    # char(B) / mu^(n-4), so the division by its leading coefficient is exact
-    pencil = _det([[IntPoly([a - b, a]) for a, b in zip(*pair)] for pair in zip(k, rc)], IntPoly([1]))
-    quartic = IntPoly([c // pencil.coeffs[-1] for c in pencil.coeffs])
-    exponent = len(rows) - 4
+    n = b_hat.shape[0]
+    cls = _class_of(d)
+    heads = np.searchsorted(cls, np.arange(4))  # the first row of each class
+    at_head = b_hat.row == heads[cls[b_hat.row]]
+    r = np.zeros((4, n), dtype=np.int64)
+    r[cls[b_hat.row[at_head]], b_hat.col[at_head]] = b_hat.val[at_head]
+    r[np.arange(4), heads] += 1
+    diagonal = r[cls, np.arange(n)]  # the diagonal of P R
+    # each row of P R - I has its class row's nonzeros, one more or one less on the diagonal
+    expected = np.count_nonzero(r, axis=1)[cls] + (diagonal == 0) - (diagonal == 1)
+    off = np.diff(np.searchsorted(b_hat.row, np.arange(n + 1))) != expected
+    off[b_hat.row[b_hat.val != r[cls[b_hat.row], b_hat.col] - (b_hat.row == b_hat.col)]] = True
+    if off.any():
+        raise MatrixMismatchError(
+            f"row {off.argmax()} of b_hat + I is off its class: no rank 4 factorization "
+            f"through the four-class quotient at d = {d}")
+    bounds = heads.tolist() + [n]
+    return [[sum(row[s:e]) - (c == k) for k, (s, e) in enumerate(zip(bounds, bounds[1:]))]
+            for c, row in enumerate(r.tolist())], n  # R P - I, summed in Python ints
+
+
+def verify_factorization(d: int) -> tuple[bool, dict]:
+    """Exact comparison of char(b_hat) with the claimed product, through the
+    four-class quotient Q of B = b_hat + I = P R (``_four_class_quotient``).
+
+    By Sylvester's determinant identity det(mu I_n - P R) = mu^(n-4)
+    det(mu I_4 - R P), so at mu = lambda + 1 char(b_hat) = (lambda + 1)^(n-4)
+    det(lambda I - Q): only the quartic factor is computed; it is compared
+    with (lambda - (d-1)) Phi_d, and n - 4 with 2d^2 - 2.
+    """
+    q, n = _four_class_quotient(d)
+    quartic = _det([[IntPoly([-v, int(r == c)]) for c, v in enumerate(row)] for r, row in enumerate(q)])
+    exponent = n - 4
     chi = _times_lambda_plus_1_power(quartic, exponent)
     product = claimed_factorization(d)
     ok = quartic == IntPoly([-(d - 1), 1]) * phi(d) and exponent == 2 * d * d - 2
@@ -369,63 +390,9 @@ def verify_factorization(d: int) -> tuple[bool, dict]:
     return ok, certificate
 
 
-def _row_dicts(m: Nonzeros) -> list[dict[int, int]]:
-    """Each row's nonzeros as {column: entry}, in Python ints."""
-    bounds = np.searchsorted(m.row, np.arange(m.shape[0] + 1)).tolist()
-    cols, vals = m.col.tolist(), m.val.tolist()
-    return [dict(zip(cols[s:e], vals[s:e])) for s, e in zip(bounds, bounds[1:])]
-
-
-def _combine(a: int, x: dict, b: int, y: dict) -> dict:
-    """a x + b y over the union of the supports, zeros dropped."""
-    out = {j: a * v for j, v in x.items()}
-    for j, v in y.items():
-        out[j] = out.get(j, 0) + b * v
-    return {j: v for j, v in out.items() if v}
-
-
-def _skeleton_pivots(rows: list[dict]) -> tuple[list[dict], list[int]]:
-    """Rows I and columns J of a nonsingular block of side at most 4, by
-    fraction-free elimination in row order (fewer pivots: lower rank).  Each
-    reduced pivot row is zero in the earlier pivot columns, so the reduced
-    rows restricted to J are triangular with a nonzero diagonal."""
-    pivots, piv_rows = [], []
-    for row in rows:
-        reduced = row
-        for col, pivot in pivots:
-            if b := reduced.get(col, 0):
-                reduced = _combine(pivot[col], reduced, -b, pivot)
-        if reduced:
-            pivots.append((min(reduced), reduced))
-            piv_rows.append(row)
-            if len(pivots) == 4:
-                break
-    return piv_rows, [col for col, _ in pivots]
-
-
-def _skeleton_holds(rows, r_rows, piv_cols, k) -> bool:
-    """delta * B == C adj(K) R on every entry of the given rows.  Row i of the
-    right side is (C_i adj K) R, computed over the support of R; it must
-    vanish off the row's nonzeros."""
-    s = range(len(k))
-    adj = [[(-1) ** (i + j) * _det([r[:i] + r[i + 1 :] for r in k[:j] + k[j + 1 :]]) for j in s]
-           for i in s]
-    delta = _det(k)
-    for row in rows:
-        c = [row.get(j, 0) for j in piv_cols]
-        expanded = {}
-        for adj_col, r_row in zip(zip(*adj), r_rows):
-            if coef := sum(map(operator.mul, c, adj_col)):
-                expanded = _combine(1, expanded, coef, r_row)
-        if expanded != {j: delta * v for j, v in row.items()}:
-            return False
-    return True
-
-
-def _det(a: list, one=1):
-    """Determinant of a small nonempty square matrix by the Leibniz formula;
-    with one = IntPoly([1]) the entries may be polynomials."""
-    total = one - one
+def _det(a: list[list[IntPoly]]) -> IntPoly:
+    """Determinant of a small nonempty square matrix of polynomials by the Leibniz formula."""
+    total = IntPoly([0])
     for perm in itertools.permutations(range(len(a))):
         term = a[0][perm[0]]
         for row, j in zip(a[1:], perm[1:]):
@@ -582,26 +549,16 @@ def degree_sequence(d: int, m_max: int) -> list[int]:
     stable model of degree growth; it matches true degree growth exactly
     when no iterate drops a class into an indeterminacy point.
 
-    The classes {C0}, {D0}, {Einf_j}, {Eiso+-_j} are an equitable partition:
-    all rows of b_hat in one class have the same sums over the four classes,
-    which is checked on every row (MatrixMismatchError if not).  So M^m Delta
-    is class-constant, and its class values step under the 4x4 quotient Q.
+    b_hat P = P Q for the class indicator P and the 4x4 quotient Q of
+    ``_four_class_quotient`` (which checks every row), so M^m Delta is
+    class-constant, and its class values step under Q.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     if m_max > MAX_SEQUENCE_INDEX:
         raise ValueError(f"m_max capped at {MAX_SEQUENCE_INDEX}")
-    b_hat = pushforward_b_hat(d).nonzeros
-    n = b_hat.shape[0]
-    cls = np.repeat(np.arange(4), [1, 1, 2 * d, 2 * d * (d - 1)])  # the class of each basis index
-    by_class = _sparse_product(b_hat, _nonzeros((n, 4), [(np.arange(n), cls, 1)]))
-    sums = np.zeros((n, 4), dtype=np.int64)
-    sums[by_class.row, by_class.col] = by_class.val
-    heads = np.searchsorted(cls, np.arange(4))  # the first row of each class
-    off = np.flatnonzero((sums != sums[heads[cls]]).any(axis=1))
-    if off.size:
-        raise MatrixMismatchError(f"b_hat row {off[0]} breaks the four-class quotient at d = {d}")
-    q = sums[heads].tolist()
+    q, _ = _four_class_quotient(d)
+    cls = _class_of(d)
     j = _intersection(d)
     pairing = [0] * 4  # the class sums of J Delta; Delta is 1 at C0 and D0
     for i, v in zip(cls[j.row].tolist(), (j.val * (j.col < 2)).tolist()):

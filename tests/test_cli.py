@@ -468,6 +468,25 @@ def test_every_refusal_prints_one_error_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--depth", cli.MAX_ORBIT_NODES + 1, "--real", "--curve", DATA / "ellipse.json"],
+    ["form-check", "--samples", sampling.MAX_TRIES + 1, "--curve", DATA / "quartic.json"],
+], ids=["orbit-real-depth", "form-check-samples"])
+def test_what_cannot_finish_is_refused_before_sampling(monkeypatch, tmp_path, capsys, argv):
+    # the real trajectory has one node per step, and each sampling try yields
+    # at most one state
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before refusing")
+
+    for name in ("sample_real_state", "sample_phase_points"):
+        monkeypatch.setattr(cli, name, no_sampling)
+    out = tmp_path / "out"
+    assert run([*argv, "--out", out]) == 1
+    lines = _single_error_line(capsys.readouterr().err)
+    assert len(lines) == 1 and argv[1] in lines[0]  # the refused flag is named
+    assert not out.exists()
+
+
 def _curve_file(degree, **entry):
     coeffs = [{"i": 2, "j": 0, "k": 0, "re": "1"}, {"i": 0, "j": 2, "k": 0, "re": "4"},
               {"i": 0, "j": 0, "k": 2, "re": "-1"}]
@@ -639,7 +658,7 @@ def _run_fuzzed(work, command, curve, options):
     """Run ``command`` on a named curve (a fixture, a special curve, a missing
     or a malformed file, or none) with the (flag, value) options whose value
     is not None: it exits 0, 1 or 2 with at most one error line and no
-    traceback or RuntimeWarning."""
+    traceback or RuntimeWarning.  Returns the exit code."""
     argv = [command, "--out", work / "out"]
     for flag, value in options:
         if value is True:
@@ -661,6 +680,7 @@ def _run_fuzzed(work, command, curve, options):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
+    return code
 
 
 # valid values are listed more often than invalid ones, so that most draws run
@@ -685,15 +705,33 @@ def test_confine_arguments_fuzz(tmp_path_factory, curve, samples, eps, scratch_i
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     curve=st.sampled_from(FUZZ_CURVES),
-    depth=st.sampled_from([None, "0", "3", "3", "3", "40", "-1", "x"]),
+    depth=st.sampled_from([None, "0", "3", "3", "3", "40", str(cli.MAX_ORBIT_NODES + 1), "1000000000", "-1", "x"]),
     real=st.booleans(),
     seed=FUZZ_SEEDS,
 )
 def test_orbit_arguments_fuzz(tmp_path_factory, curve, depth, real, seed):
     # depth 40 is refused up front on the cubic (2^41 nodes) and runs 40 levels
-    # on the ellipse; --real steps are not capped, so no larger depth is drawn
+    # on the ellipse; a depth above MAX_ORBIT_NODES is refused up front for the
+    # tree and the real trajectory (one node per step) alike
     _run_fuzzed(tmp_path_factory.mktemp("fuzz"), "orbit", curve,
                 (("--depth", depth), ("--real", real), ("--seed", seed)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    curve=st.sampled_from(FUZZ_CURVES),
+    samples=st.sampled_from(["1", "2", "2", "2", "0", str(sampling.MAX_TRIES + 1), "x"]),
+    h=st.sampled_from([None, None, "1e300", "1e10", "1e-300", "nan", "-1", "x"]),
+    seed=FUZZ_SEEDS,
+)
+def test_form_check_arguments_fuzz(tmp_path_factory, curve, samples, h, seed):
+    # --samples is drawn small (the default 100 takes seconds on the cubic); a
+    # count above MAX_TRIES is refused up front.  A run that exits 0 measured
+    # at least one residual; a step that throws every perturbed state past the
+    # float range skips every job and exits 2
+    work = tmp_path_factory.mktemp("fuzz")
+    code = _run_fuzzed(work, "form-check", curve, (("--samples", samples), ("--h", h), ("--seed", seed)))
+    assert code != 0 or len((work / "out").read_text().splitlines()) > 1
 
 
 def _failing_report(*args, **kwargs):

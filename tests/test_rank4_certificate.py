@@ -1,9 +1,16 @@
-"""The rank-4 skeleton certificate of ``verify_factorization`` against the
-general characteristic-polynomial path, and against mutated pushforwards."""
+"""The four-class certificate of ``verify_factorization``: B = b_hat + I is
+P R, with P the indicator of the classes {C0}, {D0}, {Einf_j}, {Eiso+-_j}
+and R their head rows, so char(b_hat) is (lambda + 1)^(n-4) times the
+characteristic polynomial of the 4x4 quotient.  It is checked against the
+general (CRT) characteristic-polynomial path and dense matrix powers, on
+b_hat and on mutated pushforwards: those that keep B = P R, and those that
+break it."""
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algbilliards import spectral
 from algbilliards.cli import main
@@ -14,6 +21,7 @@ from algbilliards.spectral import (
     claimed_factorization,
     degree_sequence,
     divisor_basis,
+    intersection_form,
     pushforward_b_hat,
     verify_conjugation,
     verify_factorization,
@@ -22,7 +30,7 @@ from algbilliards.spectral import (
 
 @pytest.mark.parametrize("d", range(2, 13))
 def test_general_char_poly_agrees_with_the_rank_4_certificate(d):
-    # the CRT Hessenberg path shares no code with the skeleton certificate
+    # the CRT Hessenberg path shares no code with the four-class certificate
     chi = char_poly(pushforward_b_hat(d).matrix)
     assert chi == claimed_factorization(d)
     ok, cert = verify_factorization(d)
@@ -106,15 +114,56 @@ def test_an_off_block_entry_fails_the_conjugation_certificate(monkeypatch, d, fl
 @pytest.mark.parametrize("d", [3, 4])
 def test_a_row_off_its_class_breaks_the_degree_quotient(monkeypatch, tmp_path, capsys, d):
     # Einf_1 -> -2 D0 - Einf_1: b_hat + I keeps rank 4, but the row no longer
-    # has the class sums of the other infinity rows, so the 4x4 quotient of
-    # degree_sequence would be wrong and must be refused
+    # equals the other infinity rows, so B is not P R and the 4x4 quotient of
+    # both verify_factorization and degree_sequence would be wrong: refused
     inf = divisor_basis(d).index("Einf1")
     mutated = _mutate(monkeypatch, d, {(inf, 1): -2})
     assert exact_rank(_plus_identity(mutated)) == 4
     with pytest.raises(MatrixMismatchError, match="four-class quotient"):
         degree_sequence(d, 5)
+    # the mutated row is its class's head, so the first row off it is Einf_2
+    with pytest.raises(MatrixMismatchError, match=f"row {inf + 1} of b_hat \\+ I .*four-class quotient"):
+        verify_factorization(d)
     out = tmp_path / "spec.json"
     assert main(["spectral", "--d", str(d), "--out", str(out)]) == 2
     lines = _error_lines(capsys.readouterr().err)
     assert len(lines) == 1 and "four-class quotient" in lines[0]
     assert not out.exists()
+    # a mutated row after the head is named itself
+    _mutate(monkeypatch, d, {(inf + 1, 1): -2})
+    with pytest.raises(MatrixMismatchError, match=f"row {inf + 1} of b_hat \\+ I .*four-class quotient"):
+        verify_factorization(d)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(2, 5),
+    label=st.sampled_from(["C0", "D0", "Einf", "Eiso"]),
+    shifts=st.lists(st.tuples(st.integers(0, 10**6), st.integers(-3, 3)), min_size=1, max_size=4),
+)
+def test_a_class_shifted_alike_keeps_the_four_class_certificate_exact(d, label, shifts):
+    # adding one integer vector to every row of a class keeps B = P R, so the
+    # certificate's char_poly must be the perturbed b_hat's (by the CRT path,
+    # which shares no code with it) and degree_sequence its dense powers
+    basis = divisor_basis(d)
+    n = basis.rank
+    rows = pushforward_b_hat(d).matrix.to_lists()
+    changes = {}
+    for i in (i for i, name in enumerate(basis.labels) if name.startswith(label)):
+        for key, delta in shifts:
+            j = key % n
+            changes[i, j] = changes.get((i, j), rows[i][j]) + delta
+    with pytest.MonkeyPatch.context() as mp:
+        mutated = _mutate(mp, d, changes)
+        ok, cert = verify_factorization(d)
+        seq = degree_sequence(d, 20)
+    assert cert["char_poly"] == list(char_poly(mutated).coeffs)
+    assert ok == (cert["char_poly"] == cert["claimed_product"])
+    m = mutated.to_lists()
+    pairing = [row[0] + row[1] for row in intersection_form(d).to_lists()]  # J Delta, Delta = C0 + D0
+    v = [1, 1] + [0] * (n - 2)
+    dense = []
+    for _ in range(21):
+        dense.append(sum(a * b for a, b in zip(v, pairing)))
+        v = [sum(a * b for a, b in zip(row, v)) for row in m]
+    assert seq == dense

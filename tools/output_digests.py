@@ -8,8 +8,8 @@
     python3 tools/output_digests.py --root ../parent --keep old-out > old.txt
     python3 tools/output_digests.py --compare old-out      # how far each changed output moved
 
-Two sets of runs, each through ``algbilliards.cli.main`` in-process with the
-library imported from ``<root>/src``:
+Three sets of runs, each through ``algbilliards.cli.main`` in-process with
+the library imported from ``<root>/src``:
 
 * ``bench/<seed>/<job>``: the benchmark's job lists at every ``--seeds``
   value (none with a bare ``--seeds``), built by ``bench/bench_jobs.py``
@@ -17,7 +17,9 @@ library imported from ``<root>/src``:
 * ``fixture/<curve>/<command>``: eight commands on each curve of
   ``tests/data``, and ``confine --samples 3`` at seeds 1..30 on the
   ellipse, cubic and quartic.  With ``--scale c`` every coefficient of the
-  curve is first multiplied exactly by the rational c.
+  curve is first multiplied exactly by the rational c;
+* ``spectral/d<N>/m<M>``: ``spectral --d N --m-max M`` for every accepted
+  degree N = 2..22 and M = 0, 60 and 200.
 
 Every run writes its ``--out`` to the same path under ``--work`` and every
 fixture curve is written to the same path there, so the outputs' ``meta``
@@ -66,6 +68,8 @@ FIXTURE_COMMANDS = {
 }
 CONFINE_CURVES = ("ellipse", "cubic", "quartic")
 CONFINE_SEEDS = range(1, 31)
+SPECTRAL_DEGREES = range(2, 23)
+SPECTRAL_M_MAX = (0, 60, 200)
 
 
 def scaled_curve_text(path: Path, c: Fraction) -> str:
@@ -174,6 +178,13 @@ def fixture_runs(root: Path, scale: Fraction, out_dir: Path):
         yield f"fixture/{name}/{cmd}", argv, out_dir / "out"
 
 
+def spectral_runs(out_dir: Path):
+    """(name, argv, out) of every ``spectral --d N --m-max M`` run."""
+    for d in SPECTRAL_DEGREES:
+        for m in SPECTRAL_M_MAX:
+            yield f"spectral/d{d}/m{m}", ("spectral", "--d", str(d), "--m-max", str(m)), out_dir / "out"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
@@ -199,7 +210,8 @@ def main(argv=None) -> int:
 
     os.chdir(root)  # the benchmark's jobs name curves relative to the checkout
     # lazily: each fixture run writes its curve file just before it runs
-    for name, run_argv, out in chain(fixture_runs(root, args.scale, work), bench_runs(root, args.seeds, work)):
+    runs = chain(fixture_runs(root, args.scale, work), spectral_runs(work), bench_runs(root, args.seeds, work))
+    for name, run_argv, out in runs:
         print(digest(cli_main, name, run_argv, out, keep, kept), flush=True)
     return 0
 
