@@ -56,8 +56,7 @@ def _trim_complex(coeffs) -> tuple[complex, ...]:
     cs = [complex(c) for c in coeffs]
     if not cs:
         return (0j,)
-    big = max(abs(c) for c in cs)
-    tol = LEADING_ZERO_TOL * max(1.0, big)
+    tol = LEADING_ZERO_TOL * max(abs(c) for c in cs)
     while len(cs) > 1 and abs(cs[-1]) <= tol:
         cs.pop()
     return tuple(cs)

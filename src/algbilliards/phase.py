@@ -35,7 +35,7 @@ from .curve import (
     proj_points,
     tangent_at,
 )
-from .numerics import CLUSTER_REL_TOL, LEADING_ZERO_TOL, ComplexPoly, RootCluster
+from .numerics import CLUSTER_REL_TOL, ComplexPoly, RootCluster
 from .numerics import NonConvergenceError, find_roots, monic_roots
 
 __all__ = [
@@ -277,19 +277,10 @@ def _direction(q) -> DirectionPoint:
 def secant_scratch_proximity(curve: PlaneCurve, x: PhasePoint) -> float:
     """Distance in chart coordinates to the secant indeterminacy condition
     (base point at infinity with the line direction equal to its tangent)."""
-    return _scratch_proximity(curve, x.c, x.q.slope_pair, abs(x.c.coords[2]))
-
-
-def reflect_scratch_proximity(curve: PlaneCurve, x: PhasePoint) -> float:
-    """Distance to the reflection indeterminacy condition (isotropic q equal
-    to the tangent direction at an isotropic tangency point)."""
-    return _scratch_proximity(curve, x.c, x.q.slope_pair, abs(x.q.q[2]))
-
-
-def _scratch_proximity(curve: PlaneCurve, c: ProjPoint, slope, dist: float) -> float:
+    dist = abs(x.c.coords[2])
     if dist > SCRATCH_SOFT_TOL:
         return dist
-    return float(_proximity_rows(curve, np.array([c.coords]), np.array([slope]), np.array([dist]))[0])
+    return float(_proximity_rows(curve, np.array([x.c.coords]), np.array([x.q.slope_pair]), np.array([dist]))[0])
 
 
 def _proximity_rows(curve: PlaneCurve, c: np.ndarray, slopes: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -329,21 +320,26 @@ def line_intersections(
 ) -> tuple[list[RootCluster], int]:
     """Intersections of the curve with the line base + t * e.
 
-    The restriction of the curve form is a degree-d polynomial in t.  A line
-    inside the curve is refused; ``remove`` (0, 1 or 2) copies of a known
-    root at t = 0 are divided out by dropping the low coefficients, which
-    must sit at the residual level of the base point; top coefficients below
-    1e-9 of the line scale count as intersections at e itself (t = infinity,
-    the direction point [D0 : D1 : 0] when e = (D0, D1, 0)).  Returns the
-    remaining parameter clusters in ``find_roots`` order (map them to points
-    with ``line_point``) and the multiplicity at e.
+    The restriction of the curve form is a degree-d polynomial in t, which
+    ``_line_roots`` resolves.  Returns the remaining parameter clusters in
+    ``find_roots`` order (map them to points with ``line_point``) and the
+    multiplicity at e.
     """
-    d = curve.degree
-    poly = curve.restrict_to_line(base, e)
-    line_scale = max(abs(c) for c in poly.coeffs)
+    return _line_roots(curve.restrict_to_line(base, e).coeffs, curve.degree, remove)
+
+
+def _line_roots(poly, d: int, remove: int) -> tuple[list[RootCluster], int]:
+    """The roots of a line's restriction, given by its ascending coefficients
+    poly (at most d + 1).  A line inside the curve is refused; ``remove``
+    (0, 1 or 2) copies of a known root at t = 0 are divided out by dropping
+    the low coefficients, which must sit at the residual level of the base
+    point; top coefficients below 1e-9 of the line scale count as
+    intersections at e itself (t = infinity, the direction point
+    [D0 : D1 : 0] when e = (D0, D1, 0))."""
+    line_scale = max(abs(c) for c in poly)
     if line_scale <= 1e-12:
         raise LineInCurveError("the line lies in the curve")
-    coeffs = list(poly.coeffs) + [0j] * (d + 1 - len(poly.coeffs))
+    coeffs = list(poly) + [0j] * (d + 1 - len(poly))
     gates = (1e-6, 1e-5)[:remove]
     if any(abs(c) > g * line_scale for c, g in zip(coeffs, gates)):
         raise PhaseError(f"the line does not meet the curve {remove} times at the base point")
@@ -389,9 +385,7 @@ def secant(curve: PlaneCurve, x: PhasePoint) -> BranchSet:
     Intersections at e show up as a degree drop and are restored
     explicitly, so images may lie at infinity.
 
-    This is the one-state call of the stacked step ``_secant_rows``, which
-    also serves the soft band next to a scratch point; only the hard band,
-    a degree drop and close roots take the per-state ``_secant_one``.
+    This is the one-state call of the stacked step ``_secant_rows``.
     """
     _, images, mult, ill, errors = _secant_rows(curve, *_stack([x]))
     if errors:
@@ -405,20 +399,21 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
     """Secant images of the states with (N, 3) stacks c and q, as arrays of
     their images: source row, (K, 3) image points and multiplicities, each
     state's images in point order; then the ill_conditioned flags and a map
-    from a state to the PhaseError or NonConvergenceError it raised.  All
-    states take the stacked path (base root t = 0 dropped, the others from
-    ``monic_roots``), those with |X2| <= SCRATCH_SOFT_TOL too, flagged
-    ill_conditioned below it by their ``_proximity_rows``; a state in the
-    hard band (proximity below SCRATCH_HARD_TOL), or failing a gate of
-    ``line_intersections`` (degree drop included), or holding two roots
-    closer than ``CLUSTER_REL_TOL * (1 + max |t|)``, takes the per-state
-    code ``_secant_one``."""
+    from a state to the PhaseError or NonConvergenceError it raised.
+
+    Every line is restricted in one ``restrict_to_lines`` call, and states
+    with |X2| <= SCRATCH_SOFT_TOL get their ``_proximity_rows`` (flagged
+    ill_conditioned below SCRATCH_SOFT_TOL).  A row's images are its
+    ``monic_roots`` (base root t = 0 dropped) unless it fails the stacked
+    screen: the hard band (proximity below SCRATCH_HARD_TOL) raises
+    ScratchPointError; a gate of ``_line_roots`` (degree drop included), or
+    two roots closer than ``CLUSTER_REL_TOL * (1 + max |t|)``, sends the
+    row's coefficients to ``_line_roots`` for ``find_roots``' cluster rule."""
     d = curve.degree
     line = q.copy()
     line[:, 2] = 0
     prox = np.abs(c[:, 2])
     band = prox < _near_infinity_band(d)
-    ill = [False] * len(c)
     if band.any():
         cb, db = c[band], line[band]
         e = (db * np.einsum("mk,mk->m", cb.conj(), cb)[:, None]
@@ -430,7 +425,7 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
         near = prox <= SCRATCH_SOFT_TOL
         if near.any():
             prox[near] = _proximity_rows(curve, c[near], q[near, :2], prox[near])
-            ill = (prox < SCRATCH_SOFT_TOL).tolist()
+    ill = (prox < SCRATCH_SOFT_TOL).tolist()
     coeffs = curve.restrict_to_lines(c, line)
     mag = np.abs(coeffs)
     top = mag.max(axis=1)
@@ -438,7 +433,7 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
         (prox >= SCRATCH_HARD_TOL)
         & (top > 1e-12)
         & (mag[:, 0] <= 1e-6 * top)
-        & (mag[:, -1] > np.maximum(1e-9 * top, LEADING_ZERO_TOL))
+        & (mag[:, -1] > 1e-9 * top)
     )
     with np.errstate(all="ignore"):
         t = monic_roots(np.where(ok[:, None], coeffs[:, 1:-1] / coeffs[:, -1:], 0))
@@ -461,39 +456,25 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
         return src, images, mult, ill, errors
     rows = []
     for i in np.flatnonzero(~ok).tolist():
-        x = PhasePoint(ProjPoint(tuple(c[i].tolist())), _direction(q[i].tolist()))
         try:
-            found, ill[i] = _secant_one(curve, x, tuple(line[i].tolist()))
+            if prox[i] < SCRATCH_HARD_TOL:
+                raise ScratchPointError(
+                    f"secant source is a scratch point at infinity (proximity {prox[i]:.2e})"
+                )
+            roots, at_e = _line_roots(coeffs[i].tolist(), d, 1)
         except _ROW_ERRORS as exc:
             errors[i] = exc
             continue
-        rows += [(i, p, m) for p, m in found]
+        base, e = c[i].tolist(), line[i].tolist()
+        found = [(proj_point(*e).coords, at_e)] if at_e else []
+        found += [(line_point(base, e, r.value).coords, r.multiplicity) for r in roots]
+        rows += [(i, p, m) for p, m in sorted(found, key=lambda im: point_order_key(im[0]))]
     if rows:
         i, p, m = zip(*rows)
         src, images, mult = np.append(src, i), np.concatenate((images, p)), np.append(mult, m)
         back = np.argsort(src, kind="stable")
         src, images, mult = src[back], images[back], mult[back]
     return src, images, mult, ill, errors
-
-
-def _secant_one(curve: PlaneCurve, x: PhasePoint, e) -> tuple[list, bool]:
-    """The per-state secant on the line x.c + t * e: (coords, multiplicity)
-    pairs in point order, and the ill_conditioned flag."""
-    prox = secant_scratch_proximity(curve, x)
-    if prox < SCRATCH_HARD_TOL:
-        raise ScratchPointError(
-            f"secant source is a scratch point at infinity (proximity {prox:.2e})"
-        )
-    d = curve.degree
-    base = x.c.coords
-    roots, at_e = line_intersections(curve, base, e, remove=1)
-    images = [(line_point(base, e, r.value).coords, r.multiplicity) for r in roots]
-    if at_e > 0:
-        images.insert(0, (proj_point(*e).coords, at_e))
-    total = sum(m for _, m in images)
-    if total != d - 1:
-        raise PhaseError(f"secant images carry multiplicity {total}, not d - 1 = {d - 1}")
-    return sorted(images, key=lambda im: point_order_key(im[0])), prox < SCRATCH_SOFT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -574,17 +555,16 @@ def _reflect_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
         prox[near] = _proximity_rows(curve, c[near], q[near, :2], prox[near])
         ok[:, 1], ill = prox >= SCRATCH_HARD_TOL, (prox < SCRATCH_SOFT_TOL).tolist()
     for r in np.flatnonzero(~ok.all(axis=1)).tolist():
-        base = ProjPoint(tuple(c[r].tolist()))
         tz, tw = mags[r, 3:5].tolist()
         try:
-            if abs(base.coords[2]) < ISOTROPIC_Q2_TOL:
+            if mags[r, 0] < ISOTROPIC_Q2_TOL:
                 raise InfinityBasePointError("reflection base point lies at infinity")
             if prox[r] < SCRATCH_HARD_TOL:
                 raise ScratchPointError(
                     f"reflection source is an isotropic scratch point (proximity {prox[r]:.2e})"
                 )
             try:
-                tangent_at(curve, base)
+                tangent_at(curve, ProjPoint(tuple(c[r].tolist())))
             except CurveError as exc:
                 raise OffCurveError(str(exc)) from exc
             if min(tz, tw) < 1e-15 * max(tz, tw):

@@ -379,8 +379,9 @@ def verify_factorization(d: int) -> tuple[bool, dict]:
     quartic = _det([[IntPoly([-v, int(r == c)]) for c, v in enumerate(row)] for r, row in enumerate(q)])
     exponent = n - 4
     chi = _times_lambda_plus_1_power(quartic, exponent)
-    product = claimed_factorization(d)
     ok = quartic == IntPoly([-(d - 1), 1]) * phi(d) and exponent == 2 * d * d - 2
+    # a certificate that holds has chi equal to the claimed product: one expansion
+    product = chi if ok else claimed_factorization(d)
     certificate = {
         "d": d,
         "char_poly": list(chi.coeffs),

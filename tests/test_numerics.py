@@ -171,6 +171,17 @@ def test_find_roots_keeps_close_roots_beside_a_huge_one():
         assert min(abs(c.value - r) for c in clusters) < 1e-9 * abs(r)
 
 
+@pytest.mark.parametrize("k", [-40, -3, -1, 0, 1, 3, 40])
+def test_complex_poly_trims_relative_to_its_scale(k):
+    # the top coefficient sits between 1e-12 of the largest one (0.5) and
+    # 1e-12 itself: c p keeps p's degree and its coefficients times c
+    c = 2.0**k
+    p = [0.5 - 0.25j, 0.125, 0.9e-12 + 0.1e-12j]
+    assert ComplexPoly(p).degree == 2
+    assert ComplexPoly([c * z for z in p]).coeffs == tuple(c * z for z in ComplexPoly(p).coeffs)
+    assert ComplexPoly(p[:2] + [0.4e-12]).degree == 1  # below 1e-12 * 0.5
+
+
 def test_find_roots_rejects_constant():
     with pytest.raises(ValueError):
         find_roots(ComplexPoly([3.0]))

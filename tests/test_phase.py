@@ -85,14 +85,12 @@ def sample_states(curve, count, seed=0):
         if abs(c.coords[2]) < 0.05 or max(abs(z) for z in c.coords) > 50:
             continue
         x = PhasePoint(c=c, q=q)
-        from algbilliards.phase import (
-            reflect_scratch_proximity,
-            secant_scratch_proximity,
-        )
+        from algbilliards.phase import secant_scratch_proximity
 
         if secant_scratch_proximity(curve, x) < 1e-3:
             continue
-        if reflect_scratch_proximity(curve, x) < 1e-3:
+        # the reflection's scratch proximity is at least |Q2|
+        if abs(q.q[2]) < 1e-3:
             continue
         if on_curve_residual(curve, c) > 1e-9:
             continue

@@ -84,6 +84,15 @@ def test_a_rank_4_perturbation_of_the_quartic_fails_the_certificate(monkeypatch,
     ok, cert = verify_factorization(d)
     assert not ok
     assert cert["char_poly"] == list(char_poly(mutated).coeffs) != cert["claimed_product"]
+    assert cert["claimed_product"] == list(claimed_factorization(d).coeffs)
+
+
+@pytest.mark.parametrize("d", [2, 7, 22])
+def test_the_claimed_product_is_the_claimed_factorization(d):
+    # a certificate that holds expands (lambda + 1)^(2d^2 - 2) once, for both fields
+    ok, cert = verify_factorization(d)
+    assert ok and cert["degree"] == 2 * d * d + 2
+    assert cert["claimed_product"] == list(claimed_factorization(d).coeffs) == cert["char_poly"]
 
 
 def test_a_failed_char_poly_certificate_exits_2_and_says_so(monkeypatch, tmp_path, capsys):

@@ -3,6 +3,7 @@ over random generic curves, and orbit trees against single billiard steps."""
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,11 +24,12 @@ from algbilliards.curve import (
     proj_points,
     tangent_at,
 )
-from algbilliards.numerics import NonConvergenceError, find_roots
+from algbilliards.numerics import NonConvergenceError, RootCluster, find_roots
 from conftest import load_curve
 from algbilliards.phase import (
     OffCurveError,
     PhaseError,
+    ScratchPointError,
     billiard_step,
     billiard_steps,
     conic_residual,
@@ -211,17 +213,50 @@ def _children(step):
     return [(np.array(x.c.coords).tobytes(), np.array(x.q.q).tobytes(), m, why) for x, m, why in rows]
 
 
+def log_line_rule(monkeypatch, inject=None):
+    """Patch the secant's one line rule ``_line_roots`` to log the line
+    (base point, second point) of every row that calls it, found through the
+    coefficient rows of the last ``restrict_to_lines`` call;
+    ``inject(line, rule)``, if given, returns the row's result in place of
+    ``rule()``.  Returns the log."""
+    restrict, line_roots = PlaneCurve.restrict_to_lines, phase._line_roots
+    restricted, lines = [], []
+
+    def restrict_to_lines(self, b, v):
+        restricted.append((np.asarray(b), np.asarray(v), restrict(self, b, v)))
+        return restricted[-1][2]
+
+    def logged(poly, d, remove):
+        b, v, coeffs = restricted[-1]
+        r = [row == list(poly) for row in coeffs.tolist()].index(True)
+        lines.append((tuple(b[r].tolist()), tuple(v[r].tolist())))
+
+        def rule():
+            return line_roots(poly, d, remove)
+        return inject(lines[-1], rule) if inject else rule()
+
+    monkeypatch.setattr(PlaneCurve, "restrict_to_lines", restrict_to_lines)
+    monkeypatch.setattr(phase, "_line_roots", logged)
+    return lines
+
+
+def direction_line(curve, x):
+    """The secant line (c, e) of a state outside the near-infinity band,
+    where e is the direction point."""
+    assert abs(x.c.coords[2]) >= phase._near_infinity_band(curve.degree)
+    return x.c.coords, (x.q.q[0], x.q.q[1], 0j)
+
+
 def test_mixed_stack_rows_are_isolated(monkeypatch):
-    """Clean rows stacked with rows that take the per-state code: every
+    """Clean rows stacked with rows that leave the stacked roots: every
     state's children from the array step are bitwise its billiard_step."""
     curve = PlaneCurve.from_coeffs(*TERMINATING_CUBIC)
     clean = sample_phase_points(curve, 4, seed=5)
     isotropic = phase_point(curve, clean[0].c, direction_point(1, 1j, 0))
     special = [band_state(curve, 1e-6, 0.0), band_state(curve, 1e-6, 0.3), band_state(curve, 1e-12, 0.0),
                tangent_state(curve, 0.0), tangent_state(curve, 1e-9), isotropic, aimed_state(curve)]
-    fallback, dists = [], []
-    secant_one, proximity = phase._secant_one, phase._proximity_rows
-    monkeypatch.setattr(phase, "_secant_one", lambda *a: fallback.append(a[1]) or secant_one(*a))
+    dists, proximity = [], phase._proximity_rows
+    ruled = log_line_rule(monkeypatch)
     monkeypatch.setattr(phase, "_proximity_rows", lambda *a: dists.append(a[3]) or proximity(*a))
     stacks = (clean[:2] + special + clean[2:], special[::-1] + clean,
               clean + special[::2] + special[1::2], clean + special[-1:])
@@ -239,10 +274,15 @@ def test_mixed_stack_rows_are_isolated(monkeypatch):
                 continue
             assert got == _children(step)
             assert ill[i] == step.ill_conditioned
-    # the soft-band rows stayed in the stacked secant, the hard-band and tangent
-    # rows left it, and reflection took the proximity of isotropic rows
-    assert not {x.c for x in fallback} & {x.c for x in special[:2]}
-    assert {x.c for x in fallback} >= {x.c for x in special[2:5]}
+    # the soft-band rows stayed in the stacked secant; the tangent rows (close
+    # roots) and the degree drop took the line rule; the hard-band row left the
+    # stack with the error of its stacked proximity; and reflection took the
+    # proximity of isotropic rows
+    bases = {base for base, _ in ruled}
+    assert not bases & {x.c.coords for x in special[:3]}
+    assert bases >= {x.c.coords for x in special[3:5] + special[6:]}
+    hard = billiard_steps(curve, special[2:3])[0]
+    assert isinstance(hard, ScratchPointError) and str(hard).startswith("secant source is a scratch point")
     assert any((dist == 0).any() for dist in dists)
 
 
@@ -252,25 +292,25 @@ def test_a_failing_row_is_that_states_error(monkeypatch):
     chained from the CurveError of the tangent check, or the
     NonConvergenceError.  Every other state of the stack keeps bitwise its
     one-state step, and an orbit tree keeps the state as a node named after
-    its error.  Both failures are injected into the per-state secant of two
-    tangent states (the secant line on a tangent, and turned 1e-9 off it),
-    whose close roots still take that path."""
+    its error.  Both failures are injected into the line rule of two tangent
+    states (the secant line on a tangent, and turned 1e-9 off it), whose
+    close roots still take that rule."""
     curve = PlaneCurve.from_coeffs(*TERMINATING_CUBIC)
     off, stuck = tangent_state(curve, 0.0), tangent_state(curve, 1e-9)
-    secant_one = phase._secant_one
-
-    def faulty(curve, x, e):
-        if x == stuck:
-            raise NonConvergenceError("injected")
-        found, ill = secant_one(curve, x, e)
-        if x == off:  # move every image off the curve
-            found = [((p[0], p[1] * (1 + 1e-3), p[2]), m) for p, m in found]
-        return found, ill
-
-    monkeypatch.setattr(phase, "_secant_one", faulty)
     clean = sample_phase_points(curve, 4, seed=5)
     xs = clean[:2] + [off] + clean[2:3] + [stuck] + clean[3:] + [band_state(curve, 1e-6, 0.1)]
+
+    def faulty(line, rule):
+        if line == direction_line(curve, stuck):
+            raise NonConvergenceError("injected")
+        roots, at_e = rule()
+        if line == direction_line(curve, off):  # move every image along the line, off the curve
+            roots = [RootCluster(r.value + 0.1, r.multiplicity, r.residual) for r in roots]
+        return roots, at_e
+
+    ruled = log_line_rule(monkeypatch, faulty)
     steps = billiard_steps(curve, xs)
+    assert {direction_line(curve, off), direction_line(curve, stuck)} <= set(ruled)
     assert isinstance(steps[2], OffCurveError) and isinstance(steps[2].__cause__, CurveError)
     assert isinstance(steps[4], NonConvergenceError)
     for k in (2, 4):
@@ -280,6 +320,38 @@ def test_a_failing_row_is_that_states_error(monkeypatch):
         billiard_step(curve, x) for k, x in enumerate(xs) if k not in (2, 4)]
     for x, name in ((off, "OffCurveError"), (stuck, "NonConvergenceError")):
         assert orbit_tree(curve, x, 1).levels[1].reason == (name,)
+
+
+def test_rows_off_the_stacked_roots_restrict_their_line_once(monkeypatch):
+    """A stack with tangent, degree-drop and hard-band rows restricts every
+    line in one ``restrict_to_lines`` call and never per state; each row
+    off the stacked roots has the images of ``line_intersections`` on its
+    line, mapped by ``line_point``, the intersections at e first, in point
+    order."""
+    curve = PlaneCurve.from_coeffs(*TERMINATING_CUBIC)
+    clean = sample_phase_points(curve, 3, seed=5)
+    ruled = [tangent_state(curve, 0.0), tangent_state(curve, 1e-9), aimed_state(curve)]
+    xs = clean[:1] + ruled + [band_state(curve, 1e-12, 0.0)] + clean[1:]
+    calls = Counter()
+    for name in ("restrict_to_line", "restrict_to_lines"):
+        def counted(self, *a, _method=getattr(PlaneCurve, name), _name=name):
+            calls[_name] += 1
+            return _method(self, *a)
+        monkeypatch.setattr(PlaneCurve, name, counted)
+    steps = billiard_steps(curve, xs)
+    assert calls == {"restrict_to_lines": 1}
+    assert isinstance(steps[len(ruled) + 1], ScratchPointError)
+    src, images, mult, _, errors = phase._secant_rows(curve, *phase._stack(xs))
+    assert list(errors) == [len(ruled) + 1]
+    for i, x in enumerate(ruled, start=1):
+        c, e = direction_line(curve, x)
+        roots, at_e = line_intersections(curve, c, e, remove=1)
+        assert at_e == (x is ruled[-1])  # the degree drop meets the curve at e
+        want = [(proj_point(*e).coords, at_e)] if at_e else []
+        want += [(line_point(c, e, r.value).coords, r.multiplicity) for r in roots]
+        want.sort(key=lambda im: point_order_key(im[0]))
+        rows = np.flatnonzero(src == i).tolist()
+        assert [(tuple(images[r].tolist()), int(mult[r])) for r in rows] == want
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ the library imported from ``<root>/src``:
   (imported read-only);
 * ``fixture/<curve>/<command>``: eight commands on each curve of
   ``tests/data``, and ``confine --samples 3`` at seeds 1..30 on the
-  ellipse, cubic and quartic.  With ``--scale c`` every coefficient of the
+  ellipse, cubic, quartic and sextic.  With ``--scale c`` every coefficient of the
   curve is first multiplied exactly by the rational c;
 * ``spectral/d<N>/m<M>``: ``spectral --d N --m-max M`` for every accepted
   degree N = 2..22 and M = 0, 60 and 200.
@@ -66,7 +66,7 @@ FIXTURE_COMMANDS = {
     "form-check": ("form-check", "--samples", "3"),
     "spectral": ("spectral",),
 }
-CONFINE_CURVES = ("ellipse", "cubic", "quartic")
+CONFINE_CURVES = ("ellipse", "cubic", "quartic", "sextic")
 CONFINE_SEEDS = range(1, 31)
 SPECTRAL_DEGREES = range(2, 23)
 SPECTRAL_M_MAX = (0, 60, 200)
