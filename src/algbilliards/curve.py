@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import CLUSTER_REL_TOL, MAX_MATRIX_SIDE, ComplexPoly, NonConvergenceError, find_roots
+from .numerics import MAX_MATRIX_SIDE, ComplexPoly, NonConvergenceError, close_pairs, find_roots
 
 __all__ = [
     "PlaneCurve",
@@ -563,13 +563,11 @@ def _polished(terms, points, degrees):
 
 
 def _clustered(points) -> list[tuple[complex, complex, int]]:
-    """Points within ``CLUSTER_REL_TOL`` of a group's first, on their own scale,
-    as the group's centroid with its size as multiplicity."""
+    """Points ``close_pairs`` with a group's first, as the group's centroid
+    with its size as multiplicity."""
     if len(points) < 2:
         return [(u, w, 1) for u, w in points.tolist()]
-    size = np.abs(points).max(axis=1)
-    gap = np.abs(points[:, None] - points[None]).max(axis=2)
-    close = gap <= CLUSTER_REL_TOL * (1 + np.maximum.outer(size, size))
+    close = close_pairs(points)
     free, out = np.ones(len(points), dtype=bool), []
     for i in np.flatnonzero(close.sum(axis=1) > 1).tolist():
         if free[i]:

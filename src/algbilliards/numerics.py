@@ -1,8 +1,10 @@
 """Shared numerical kernels: complex polynomial roots and exact integer linear algebra.
 
-Two independent toolkits live here.  The floating-point side (ComplexPoly,
-find_roots, monic_roots) supports the geometry modules, which intersect
-lines with plane curves and need root multisets with multiplicities.  The
+Two independent toolkits live here.  The floating-point side supports the
+geometry modules, which intersect lines with plane curves and need root
+multisets with multiplicities: one root rule over stacked monic rows
+(root_rows: companion roots, then one certified merge of close pairs), of
+which find_roots is the one-row call on a ComplexPoly.  The
 exact side (IntPoly, bracketed_largest_root by integer signs, and the dense
 BigIntMatrix with char_poly and exact_rank for small blocks and the tests'
 oracles) supports the spectral module, where every statement is an integer
@@ -26,6 +28,8 @@ __all__ = [
     "NonConvergenceError",
     "NoSignChangeError",
     "find_roots",
+    "root_rows",
+    "close_pairs",
     "monic_roots",
     "char_poly",
     "bracketed_largest_root",
@@ -80,50 +84,21 @@ class ComplexPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def eval_with_derivative(self, z: complex) -> tuple[complex, complex]:
-        p = 0j
-        dp = 0j
-        for c in reversed(self.coeffs):
-            dp = dp * z + p
-            p = p * z + c
-        return p, dp
-
 
 @dataclass(frozen=True)
 class RootCluster:
-    """A root with multiplicity; residual is |p(value)| / max(1, |lead|)."""
+    """A root with multiplicity; residual is its backward error
+    |p(value)| / sum_k |a_k| |value|^k on the monic polynomial, with no floor,
+    so it reads the same after any scaling of p or of its roots."""
 
     value: complex
     multiplicity: int
     residual: float
 
 
-def _eval_magnitude_scale(coeffs, z: complex) -> float:
-    # sum_k |a_k| |z|^k, the natural backward-error yardstick at z
-    az = abs(z)
-    s = 0.0
-    pw = 1.0
-    for c in coeffs:
-        s += abs(c) * pw
-        pw *= az
-    return max(1.0, s)
-
-
 def find_roots(p: ComplexPoly) -> list[RootCluster]:
-    """All roots of ``p`` with multiplicity, from ``monic_roots``.
-
-    One rule merges approximations into clusters: two groups a and b merge
-    when |a - b| <= ``CLUSTER_REL_TOL * (1 + max(|a|, |b|))``, on the pair's
-    own scale, and their centroid, polished by a Newton step corrected for
-    the summed multiplicity, evaluates to rounding noise there.  No merge is
-    made without that residual check, so a huge root does not widen the
-    radius of the others.
+    """All roots of ``p`` with multiplicity: ``root_rows`` on its one monic
+    row, in (real, imag) order.  Degree 1 is the closed form.
 
     Raises NonConvergenceError if the eigenvalue iteration fails.
     """
@@ -134,21 +109,13 @@ def find_roots(p: ComplexPoly) -> list[RootCluster]:
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise ValueError("coefficients must be finite")
     lead = p.coeffs[-1]
-    monic = tuple(c / lead for c in p.coeffs)
-
+    monic = [c / lead for c in p.coeffs[:-1]]
     if n == 1:
-        r = -monic[0]
-        return [RootCluster(r, 1, abs(p(r)) / max(1.0, abs(lead)))]
-
-    mp = ComplexPoly(monic)
-    clusters = _cluster_roots(mp, monic_roots(np.array([monic[:-1]]))[0].tolist())
-    lead_abs = max(1.0, abs(lead))
-    out = []
-    for value, mult in clusters:
-        value = _polish_root(mp, value, mult)
-        out.append(RootCluster(value, mult, abs(p(value)) / lead_abs))
-    out.sort(key=lambda rc: (rc.value.real, rc.value.imag))
-    return out
+        return [RootCluster(-monic[0], 1, 0.0)]  # exact on the monic row
+    low = np.array([monic])
+    values, mult = root_rows(low)
+    rows = zip(values[0].tolist(), mult[0].tolist(), _backward_error(low, values)[0].tolist())
+    return sorted((RootCluster(*row) for row in rows if row[1]), key=lambda rc: (rc.value.real, rc.value.imag))
 
 
 def monic_roots(monic: np.ndarray) -> np.ndarray:
@@ -168,58 +135,94 @@ def monic_roots(monic: np.ndarray) -> np.ndarray:
         z = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"companion eigenvalues: {exc}") from exc
-
-    def horner(z):
-        p, dp = z + monic[:, -1:], 1.0
-        for k in range(n - 2, -1, -1):
-            dp, p = dp * z + p, p * z + monic[:, k, None]
-        return p, dp
-
-    p, dp = horner(z)
-    with np.errstate(all="ignore"):
+    p, dp = _horner(monic, z)
+    with np.errstate(all="ignore"):  # a zero p' sends z_new to infinity, where it is not kept
         z_new = z - p / dp
-    return np.where(np.abs(horner(z_new)[0]) < np.abs(p), z_new, z)
+        return np.where(np.abs(_horner(monic, z_new)[0]) < np.abs(p), z_new, z)
 
 
-def _cluster_roots(mp: ComplexPoly, roots: list[complex]) -> list[tuple[complex, int]]:
-    # every approximation starts as its own group; a root of multiplicity m
-    # leaves a cloud about eps**(1/m) wide, which the merge rule gathers
-    noise = 64.0 * (mp.degree + 1) * np.finfo(float).eps
-    groups = [(r, 1) for r in roots]
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                (vi, mi), (vj, mj) = groups[i], groups[j]
-                if abs(vi - vj) > CLUSTER_REL_TOL * (1.0 + max(abs(vi), abs(vj))):
-                    continue
-                m = mi + mj
-                center = _polish_root(mp, (vi * mi + vj * mj) / m, m)
-                if abs(mp(center)) <= noise * _eval_magnitude_scale(mp.coeffs, center):
-                    groups[i] = (center, m)
-                    del groups[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    return groups
+def root_rows(monic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of each monic row, given as its low coefficients (N, n),
+    with multiplicity: (N, n) values and (N, n) counts.  A merged cluster
+    sits in the first slot it took, with its multiplicity; the others count
+    0 and hold no root, so each row's counts sum to n.
+
+    The roots are ``monic_roots``'; a root of multiplicity m leaves a cloud
+    about eps**(1/m) wide.  One rule gathers it: two groups that are
+    ``close_pairs`` merge when their multiplicity-weighted centroid has a
+    backward error |p(z)| / sum_k |a_k| |z|^k at rounding noise (Zeng,
+    Math. Comp. 74, 2005), on no absolute scale.  Only rows with a close
+    pair run the merge, and a row's result depends on that row alone.
+    """
+    values = monic_roots(monic)
+    mult = np.ones(values.shape, dtype=int)
+    n = monic.shape[1]
+    if n > 1:
+        rows = np.flatnonzero(close_pairs(values[..., None]).sum(axis=(1, 2)) > n)  # past the diagonal
+        if rows.size:
+            values[rows], mult[rows] = _merged(monic[rows])
+    return values, mult
 
 
-def _polish_root(mp: ComplexPoly, z: complex, mult: int) -> complex:
-    best = z
-    best_val = abs(mp(z))
-    for _ in range(8):
-        pz, dpz = mp.eval_with_derivative(z)
-        if dpz == 0:
-            break
-        z = z - mult * pz / dpz
-        val = abs(mp(z))
-        if val < best_val:
-            best, best_val = z, val
-        else:
-            break
-    return best
+def close_pairs(points: np.ndarray) -> np.ndarray:
+    """The (..., k, k) mask of pairs among (..., k, m) points of m
+    coordinates whose max-norm gap is at most ``CLUSTER_REL_TOL`` times 1
+    plus the larger max-norm size: the one closeness test of every merge.
+    The diagonal is set."""
+    size = np.abs(points).max(axis=-1)
+    gap = np.abs(points[..., :, None, :] - points[..., None, :, :]).max(axis=-1)
+    return gap <= CLUSTER_REL_TOL * (1 + np.maximum(size[..., :, None], size[..., None, :]))
+
+
+def _merged(monic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``root_rows``' merges on the given monic rows, all rows at once.
+
+    The rows' roots are solved again in each row's frame, over 2^e for
+    e = max_k floor(log2 |a_k| / (n - k)), so that a row whose roots are all
+    times 2^j has bitwise its clusters times 2^j.  Each round tries, in
+    every row, its first close pair of live groups in slot order that has
+    not failed since either group last changed; the pair's first slot takes
+    the centroid and the summed multiplicity, the second counts 0.  This is
+    the scan that restarts after each merge, since a pair that failed fails
+    again while its groups stand.
+    """
+    r, n = monic.shape
+    powers = np.arange(n, 0, -1)
+    e = np.where(monic != 0, np.frexp(np.abs(monic))[1] // powers, -1074).max(axis=1, keepdims=True)
+    framed = np.ldexp(monic.view(float), e * -powers.repeat(2)).view(complex)
+    values = np.ldexp(monic_roots(framed).view(float), e).view(complex)
+    noise = 64.0 * (n + 1) * np.finfo(float).eps
+    mult = np.ones((r, n), dtype=int)
+    failed = np.zeros((r, n, n), dtype=bool)
+    while True:
+        live = mult > 0
+        open_pairs = np.triu(close_pairs(values[..., None]) & ~failed & live[:, :, None] & live[:, None, :], 1)
+        rows = np.flatnonzero(open_pairs.any(axis=(1, 2)))
+        if not rows.size:
+            return values, mult
+        i, j = np.divmod(open_pairs[rows].reshape(len(rows), -1).argmax(axis=1), n)
+        mi, mj = mult[rows, i], mult[rows, j]
+        m = mi + mj
+        center = (values[rows, i] * mi + values[rows, j] * mj) / m
+        ok = _backward_error(monic[rows], center[:, None])[:, 0] <= noise
+        failed[rows[~ok], i[~ok], j[~ok]] = True
+        rows, i, j, m, center = rows[ok], i[ok], j[ok], m[ok], center[ok]
+        values[rows, i], mult[rows, i], mult[rows, j] = center, m, 0
+        failed[rows, i] = failed[rows, :, i] = False  # group i changed
+
+
+def _backward_error(monic: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|p(z)| / sum_k |a_k| |z|^k of each monic row's polynomial at its (N, k) points."""
+    return np.abs(_horner(monic, z)[0]) / np.maximum(_horner(np.abs(monic), np.abs(z))[0], np.finfo(float).tiny)
+
+
+def _horner(monic: np.ndarray, z: np.ndarray):
+    """p and p' of each monic row, given as its low coefficients (N, n), at its (N, k) points."""
+    n = monic.shape[1]
+    p, dp = z + monic[:, -1:], 1.0
+    for k in range(n - 2, -1, -1):
+        dp, p = dp * z + p, p * z + monic[:, k, None]
+    return p, dp
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,7 @@ from .curve import (
     proj_points,
     tangent_at,
 )
-from .numerics import CLUSTER_REL_TOL, ComplexPoly, RootCluster
-from .numerics import NonConvergenceError, find_roots, monic_roots
+from .numerics import ComplexPoly, NonConvergenceError, RootCluster, find_roots, root_rows
 
 __all__ = [
     "DirectionPoint",
@@ -330,12 +329,13 @@ def line_intersections(
 
 def _line_roots(poly, d: int, remove: int) -> tuple[list[RootCluster], int]:
     """The roots of a line's restriction, given by its ascending coefficients
-    poly (at most d + 1).  A line inside the curve is refused; ``remove``
-    (0, 1 or 2) copies of a known root at t = 0 are divided out by dropping
-    the low coefficients, which must sit at the residual level of the base
-    point; top coefficients below 1e-9 of the line scale count as
-    intersections at e itself (t = infinity, the direction point
-    [D0 : D1 : 0] when e = (D0, D1, 0))."""
+    poly (at most d + 1), from ``find_roots``, the one-row root rule.  A line
+    inside the curve is refused; ``remove`` (0, 1 or 2) copies of a known
+    root at t = 0 are divided out by dropping the low coefficients, which
+    must sit at the residual level of the base point; top coefficients below
+    1e-9 of the line scale count as intersections at e itself (t = infinity,
+    the direction point [D0 : D1 : 0] when e = (D0, D1, 0)).  The stacked
+    secant sends here only its rows that fail one of these gates."""
     line_scale = max(abs(c) for c in poly)
     if line_scale <= 1e-12:
         raise LineInCurveError("the line lies in the curve")
@@ -403,12 +403,13 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
 
     Every line is restricted in one ``restrict_to_lines`` call, and states
     with |X2| <= SCRATCH_SOFT_TOL get their ``_proximity_rows`` (flagged
-    ill_conditioned below SCRATCH_SOFT_TOL).  A row's images are its
-    ``monic_roots`` (base root t = 0 dropped) unless it fails the stacked
-    screen: the hard band (proximity below SCRATCH_HARD_TOL) raises
-    ScratchPointError; a gate of ``_line_roots`` (degree drop included), or
-    two roots closer than ``CLUSTER_REL_TOL * (1 + max |t|)``, sends the
-    row's coefficients to ``_line_roots`` for ``find_roots``' cluster rule."""
+    ill_conditioned below SCRATCH_SOFT_TOL).  A row's images and
+    multiplicities are its ``root_rows`` (base root t = 0 dropped), a
+    tangent line's double image included, unless the row is in the hard
+    band (proximity below SCRATCH_HARD_TOL), which raises
+    ScratchPointError, or fails a gate of ``_line_roots``: a line in the
+    curve, a base root that does not vanish, or a degree drop.  Those rows
+    send their coefficients to ``_line_roots``."""
     d = curve.degree
     line = q.copy()
     line[:, 2] = 0
@@ -435,22 +436,19 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
         & (mag[:, 0] <= 1e-6 * top)
         & (mag[:, -1] > 1e-9 * top)
     )
-    with np.errstate(all="ignore"):
-        t = monic_roots(np.where(ok[:, None], coeffs[:, 1:-1] / coeffs[:, -1:], 0))
-        if d > 2:
-            gap = np.abs(t[:, :, None] - t[:, None, :]) + np.diag(np.full(d - 1, np.inf))
-            # the global scale covers each pair's own, so kept rows hold no pair find_roots merges
-            ok &= gap.min(axis=(1, 2)) > CLUSTER_REL_TOL * (1.0 + np.abs(t).max(axis=1))
-        pts = c[:, None, :] + t[:, :, None] * line[:, None, :]
-        pts[:, :, 2] = np.where(line[:, None, 2] == 0, c[:, None, 2], pts[:, :, 2])
-        pts = proj_points(pts.reshape(-1, 3)).reshape(len(c), d - 1, 3)[ok]
+    t, m = root_rows(coeffs[ok, 1:-1] / coeffs[ok, -1:])
+    cs, ls = c[ok], line[ok]
+    pts = cs[:, None, :] + t[:, :, None] * ls[:, None, :]
+    pts[:, :, 2] = np.where(ls[:, None, 2] == 0, cs[:, None, 2], pts[:, :, 2])
+    pts = proj_points(pts.reshape(-1, 3)).reshape(len(t), d - 1, 3)
     if d > 2:
         # point_order_key on each state's images: a stable sort on (re X0, im X0, re X1, im X1)
-        order = np.lexsort(np.moveaxis(pts.view(float)[:, :, 3::-1], -1, 0))
-        pts = pts[np.arange(len(pts))[:, None], order]
+        order = np.arange(len(pts))[:, None], np.lexsort(np.moveaxis(pts.view(float)[:, :, 3::-1], -1, 0))
+        pts, m = pts[order], m[order]
     src = np.repeat(np.flatnonzero(ok), d - 1)
-    images = pts.reshape(-1, 3)
-    mult = np.ones(len(src), dtype=int)
+    images, mult = pts.reshape(-1, 3), m.ravel()
+    if not mult.all():  # the count-0 slots of merged clusters hold no image
+        src, images, mult = src[mult > 0], images[mult > 0], mult[mult > 0]
     errors = {}
     if ok.all():
         return src, images, mult, ill, errors

@@ -10,7 +10,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algbilliards import numerics
 from algbilliards.numerics import (
@@ -22,6 +25,7 @@ from algbilliards.numerics import (
     char_poly,
     exact_rank,
     find_roots,
+    root_rows,
 )
 
 
@@ -185,6 +189,103 @@ def test_complex_poly_trims_relative_to_its_scale(k):
 def test_find_roots_rejects_constant():
     with pytest.raises(ValueError):
         find_roots(ComplexPoly([3.0]))
+
+
+@pytest.mark.parametrize("c, k", [(1e-15, 0), (1e-12, -20)], ids=["tiny", "scaled"])
+def test_find_roots_keeps_close_simple_roots_near_zero(c, k):
+    # t^2 - c 2^(2k): roots +-sqrt(c) 2^k, which no scale of 1 may pull into one double root
+    r = math.sqrt(c) * 2.0**k
+    roots = find_roots(ComplexPoly([-c * 4.0**k, 0, 1]))
+    assert [rc.multiplicity for rc in roots] == [1, 1]
+    for rc, want in zip(roots, (-r, r)):
+        assert abs(rc.value - want) <= 1e-12 * r
+        assert rc.residual < 1e-15
+
+
+def test_root_rows_are_scale_equivariant():
+    # planted roots of multiplicity 1, 2 and 3; p(t / 2^k) 2^(6k) has every root
+    # times 2^k, exactly in its coefficients.  The monic rows go to root_rows,
+    # since ComplexPoly would trim the lead of a row whose roots are 2^8 larger.
+    coeffs = [1]
+    for r, m in ((1.3 + 0.4j, 1), (-0.7 + 0.9j, 2), (0.5 - 1.1j, 3)):
+        for _ in range(m):
+            coeffs = convolve(coeffs, [-r, 1])
+    low = np.array([coeffs[:-1]])
+    values, mult = root_rows(low)
+    assert sorted(mult[0].tolist()) == [0, 0, 0, 1, 2, 3]
+    for k in range(-40, 41, 8):
+        scaled_values, scaled_mult = root_rows(low * 2.0 ** (k * np.arange(6, 0, -1)))
+        assert scaled_mult.tolist() == mult.tolist()
+        want = values * 2.0**k
+        assert (np.abs(scaled_values - want) <= 1e-12 * np.abs(want)).all()
+
+
+PAIR_GAP = 1e-6
+
+
+@st.composite
+def planted_rows(draw):
+    """A stack of 1..5 monic rows of one degree n = 2..6, as (low
+    coefficients (N, n), each row's planted roots, each row's planted
+    distinct pairs): every row is
+    filled with simple roots, double and triple roots and pairs PAIR_GAP
+    apart, all in the square of half-width 1/4, where most pairs stay
+    distinct above the rounding noise of a double root."""
+    n = draw(st.integers(2, 6))
+    coord = st.floats(-0.25, 0.25, allow_nan=False)
+    rows, planted_roots, pairs = [], [], []
+    for _ in range(draw(st.integers(1, 5))):
+        roots, planted = [], []
+        while len(roots) < n:
+            z = complex(draw(coord), draw(coord))
+            kind = draw(st.sampled_from([m for m in (1, 2, 3, "pair") if (2 if m == "pair" else m) <= n - len(roots)]))
+            if kind == "pair":
+                w = z + PAIR_GAP * cmath.exp(1j * draw(st.floats(0, 2 * math.pi)))
+                roots += [z, w]
+                planted.append((z, w))
+            else:
+                roots += [z] * kind
+        coeffs = [1]
+        for r in roots:
+            coeffs = convolve(coeffs, [-r, 1])
+        rows.append(coeffs[:-1])
+        planted_roots.append(roots)
+        pairs.append(planted)
+    return np.array(rows, dtype=complex), planted_roots, pairs
+
+
+def double_root_error(low, roots, a, b):
+    """The backward error at the midpoint of a and b that a merge of the
+    pair would have to pass: |p| from the planted factors, over sum |a_k| |z|^k."""
+    mid = (a + b) / 2
+    value = math.prod(abs(mid - r) for r in roots)
+    return value / sum(abs(c) * abs(mid) ** k for k, c in enumerate([*low, 1]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(planted_rows())
+def test_root_rows_isolate_each_row(case):
+    """Each row of a stack has bitwise its one-row roots and multiplicities,
+    find_roots' clusters on that row, counts summing to n, and no planted
+    distinct pair merged while its double-root backward error is above
+    rounding noise."""
+    stack, roots, pairs = case
+    n = stack.shape[1]
+    values, mult = root_rows(stack)
+    noise = 64.0 * (n + 1) * np.finfo(float).eps
+    for i, low in enumerate(stack):
+        one_values, one_mult = root_rows(stack[i : i + 1])
+        assert values[i].tobytes() == one_values[0].tobytes()
+        assert mult[i].tolist() == one_mult[0].tolist()
+        assert mult[i].sum() == n
+        clusters = find_roots(ComplexPoly([*low.tolist(), 1]))
+        kept = sorted(((v, m) for v, m in zip(values[i].tolist(), mult[i].tolist()) if m),
+                      key=lambda vm: (vm[0].real, vm[0].imag))
+        assert [(rc.value, rc.multiplicity) for rc in clusters] == kept
+        for a, b in pairs[i]:
+            if double_root_error(low, roots[i], a, b) > 4 * noise:
+                near = [min(clusters, key=lambda rc: abs(rc.value - z)) for z in (a, b)]
+                assert near[0] is not near[1] and near[0].multiplicity == near[1].multiplicity == 1
 
 
 # ---------------------------------------------------------------------------

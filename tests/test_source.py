@@ -82,6 +82,25 @@ def test_no_generic_raises_in_library_code():
     assert found == []
 
 
+def test_one_function_reads_the_cluster_tolerance():
+    # every root and point merge goes through one closeness test: a copy of it
+    # elsewhere in src/, or an import of its tolerance, fails here
+    readers, stray = set(), []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads = {n for n in ast.walk(tree) if isinstance(n, ast.Name)
+                 and n.id == "CLUSTER_REL_TOL" and isinstance(n.ctx, ast.Load)}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and reads & set(ast.walk(func)):
+                readers.add(f"{path.name}:{func.name}")
+                reads -= set(ast.walk(func))
+        stray += [f"{path.name}:{n.lineno}" for n in reads]  # read outside every function
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  and any(alias.name == "CLUSTER_REL_TOL" for alias in node.names)]
+    assert readers == {"numerics.py:close_pairs"}
+    assert stray == []
+
+
 def test_every_traced_name_resolves():
     # bench/bench_trace.py wraps each (owner, attribute) where its callers look
     # it up; a refactor that drops one would fail only inside a traced run

@@ -118,12 +118,13 @@ def generic_curve(case):
         reject()
 
 
-def aimed_state(curve):
+def aimed_state(curve, root=0):
     """An affine state whose direction is the slope of a point at infinity of
-    the curve, so its line meets the curve on the infinity line."""
+    the curve, so its line meets the curve on the infinity line; its base is
+    the ``root``-th point of one fixed line on the curve."""
     inf = points_at_infinity(curve)[0][0]
     q = direction_from_slope((inf.coords[0], inf.coords[1]), 0)
-    t = find_roots(curve.restrict_to_line((0.2, -0.3, 1.0), (1.1, 0.4, 0.0)))[0].value
+    t = find_roots(curve.restrict_to_line((0.2, -0.3, 1.0), (1.1, 0.4, 0.0)))[root].value
     return phase_point(curve, proj_point(0.2 + 1.1 * t, -0.3 + 0.4 * t, 1.0), q)
 
 
@@ -274,13 +275,16 @@ def test_mixed_stack_rows_are_isolated(monkeypatch):
                 continue
             assert got == _children(step)
             assert ill[i] == step.ill_conditioned
-    # the soft-band rows stayed in the stacked secant; the tangent rows (close
-    # roots) and the degree drop took the line rule; the hard-band row left the
-    # stack with the error of its stacked proximity; and reflection took the
+    # the soft-band rows and the tangent rows (close roots) stayed in the
+    # stacked secant, where an exact tangency is one image of multiplicity 2;
+    # the degree drop took the line rule; the hard-band row left the stack
+    # with the error of its stacked proximity; and reflection took the
     # proximity of isotropic rows
     bases = {base for base, _ in ruled}
-    assert not bases & {x.c.coords for x in special[:3]}
-    assert bases >= {x.c.coords for x in special[3:5] + special[6:]}
+    assert not bases & {x.c.coords for x in special[:5]}
+    assert bases == {special[6].c.coords}
+    assert [b.multiplicity for b in secant(curve, special[3]).images] == [2]
+    assert [b.multiplicity for b in secant(curve, special[4]).images] == [1, 1]
     hard = billiard_steps(curve, special[2:3])[0]
     assert isinstance(hard, ScratchPointError) and str(hard).startswith("secant source is a scratch point")
     assert any((dist == 0).any() for dist in dists)
@@ -290,27 +294,27 @@ def test_a_failing_row_is_that_states_error(monkeypatch):
     """A state whose secant images are off the curve, or whose root finder
     does not converge, gets that error as its own step: an OffCurveError
     chained from the CurveError of the tangent check, or the
-    NonConvergenceError.  Every other state of the stack keeps bitwise its
-    one-state step, and an orbit tree keeps the state as a node named after
-    its error.  Both failures are injected into the line rule of two tangent
-    states (the secant line on a tangent, and turned 1e-9 off it), whose
-    close roots still take that rule."""
+    NonConvergenceError.  Every other state of the stack, tangent states
+    included, keeps bitwise its one-state step, and an orbit tree keeps the
+    state as a node named after its error.  Both failures are injected into
+    the line rule of two degree-drop states, which still take that rule."""
     curve = PlaneCurve.from_coeffs(*TERMINATING_CUBIC)
-    off, stuck = tangent_state(curve, 0.0), tangent_state(curve, 1e-9)
+    off, stuck = aimed_state(curve, 1), aimed_state(curve, 2)
     clean = sample_phase_points(curve, 4, seed=5)
-    xs = clean[:2] + [off] + clean[2:3] + [stuck] + clean[3:] + [band_state(curve, 1e-6, 0.1)]
+    xs = (clean[:2] + [off] + clean[2:3] + [stuck] + clean[3:]
+          + [band_state(curve, 1e-6, 0.1), tangent_state(curve, 0.0), tangent_state(curve, 1e-9)])
 
     def faulty(line, rule):
         if line == direction_line(curve, stuck):
             raise NonConvergenceError("injected")
         roots, at_e = rule()
-        if line == direction_line(curve, off):  # move every image along the line, off the curve
+        if line == direction_line(curve, off):  # move every finite image along the line, off the curve
             roots = [RootCluster(r.value + 0.1, r.multiplicity, r.residual) for r in roots]
         return roots, at_e
 
     ruled = log_line_rule(monkeypatch, faulty)
     steps = billiard_steps(curve, xs)
-    assert {direction_line(curve, off), direction_line(curve, stuck)} <= set(ruled)
+    assert set(ruled) == {direction_line(curve, off), direction_line(curve, stuck)}
     assert isinstance(steps[2], OffCurveError) and isinstance(steps[2].__cause__, CurveError)
     assert isinstance(steps[4], NonConvergenceError)
     for k in (2, 4):
@@ -324,14 +328,17 @@ def test_a_failing_row_is_that_states_error(monkeypatch):
 
 def test_rows_off_the_stacked_roots_restrict_their_line_once(monkeypatch):
     """A stack with tangent, degree-drop and hard-band rows restricts every
-    line in one ``restrict_to_lines`` call and never per state; each row
-    off the stacked roots has the images of ``line_intersections`` on its
-    line, mapped by ``line_point``, the intersections at e first, in point
-    order."""
+    line in one ``restrict_to_lines`` call and never per state.  The
+    degree-drop rows, the only ones off the stacked roots, have the images of
+    ``line_intersections`` on their line, mapped by ``line_point``, the
+    intersection at e first, in point order; the tangent rows keep the
+    stacked roots, with the multiplicities of ``line_intersections`` and
+    its points to rounding."""
     curve = PlaneCurve.from_coeffs(*TERMINATING_CUBIC)
     clean = sample_phase_points(curve, 3, seed=5)
-    ruled = [tangent_state(curve, 0.0), tangent_state(curve, 1e-9), aimed_state(curve)]
-    xs = clean[:1] + ruled + [band_state(curve, 1e-12, 0.0)] + clean[1:]
+    tangent = [tangent_state(curve, 0.0), tangent_state(curve, 1e-9)]
+    ruled = [aimed_state(curve, 0), aimed_state(curve, 1)]
+    xs = clean[:1] + tangent + ruled + [band_state(curve, 1e-12, 0.0)] + clean[1:]
     calls = Counter()
     for name in ("restrict_to_line", "restrict_to_lines"):
         def counted(self, *a, _method=getattr(PlaneCurve, name), _name=name):
@@ -340,18 +347,27 @@ def test_rows_off_the_stacked_roots_restrict_their_line_once(monkeypatch):
         monkeypatch.setattr(PlaneCurve, name, counted)
     steps = billiard_steps(curve, xs)
     assert calls == {"restrict_to_lines": 1}
-    assert isinstance(steps[len(ruled) + 1], ScratchPointError)
+    hard = 1 + len(tangent) + len(ruled)
+    assert isinstance(steps[hard], ScratchPointError)
+    monkeypatch.undo()
+    lines = log_line_rule(monkeypatch)
     src, images, mult, _, errors = phase._secant_rows(curve, *phase._stack(xs))
-    assert list(errors) == [len(ruled) + 1]
-    for i, x in enumerate(ruled, start=1):
+    monkeypatch.undo()
+    assert list(errors) == [hard]
+    assert lines == [direction_line(curve, x) for x in ruled]
+    for i, x in enumerate(tangent + ruled, start=1):
         c, e = direction_line(curve, x)
         roots, at_e = line_intersections(curve, c, e, remove=1)
-        assert at_e == (x is ruled[-1])  # the degree drop meets the curve at e
+        assert at_e == (x in ruled)  # the degree drop meets the curve at e
         want = [(proj_point(*e).coords, at_e)] if at_e else []
         want += [(line_point(c, e, r.value).coords, r.multiplicity) for r in roots]
         want.sort(key=lambda im: point_order_key(im[0]))
-        rows = np.flatnonzero(src == i).tolist()
-        assert [(tuple(images[r].tolist()), int(mult[r])) for r in rows] == want
+        got = [(tuple(images[r].tolist()), int(mult[r])) for r in np.flatnonzero(src == i).tolist()]
+        if x in ruled:
+            assert got == want
+        else:
+            assert [m for _, m in got] == [m for _, m in want] == ([2] if x is tangent[0] else [1, 1])
+            assert all(proj_distance(proj_point(*p), proj_point(*q)) < 1e-12 for (p, _), (q, _) in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
