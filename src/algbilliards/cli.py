@@ -241,7 +241,7 @@ def cmd_confine(args) -> int:
     for idx, sp in enumerate(selected):
         if sp.kind == "infinity":
             stream = islice(phase_point_stream(curve, args.seed + idx), 8 * args.samples)
-            starts = infinity_experiment_starts(curve, sp, (x.c for x in stream), args.samples)
+            starts = infinity_experiment_starts(sp, (x.c for x in stream), args.samples)
             experiments.append(infinity_experiment(sp, starts))
         else:
             experiments.append(isotropic_experiment(sp, args.samples, args.seed + idx))

@@ -228,8 +228,8 @@ class PlaneCurve:
     The exact coefficients are retained verbatim; the numeric form, with the
     table of its first partial derivatives, is built eagerly at construction,
     so instances are immutable and cheap to share.  Every numeric value
-    (``form_value(s)``, ``gradient``, ``restrict_to_line(s)``,
-    ``affine_arrays``) is that of F / top (see ``from_coeffs``).
+    (``form_value(s)``, ``gradient``, ``restrict_to_line(s)``) is that of
+    F / top (see ``from_coeffs``).
     """
 
     degree: int
@@ -298,15 +298,6 @@ class PlaneCurve:
         samples = b[:, None, :] + omega[:, None] * v[:, None, :]
         vals = self._form.values(samples.reshape(-1, 3)).reshape(len(b), len(omega))
         return np.fft.fft(vals, axis=1) / len(omega)
-
-    def affine_arrays(self):
-        """(F, F_x, F_y) of the affine dehomogenization, as 2-d coefficient arrays."""
-        d = self.degree
-        out = np.zeros((3, d + 1, d + 1), dtype=complex)
-        i, j, _ = self._form._grad_index - np.arange(3)[:, None] * (d + 1)
-        for a, column in zip(out, self._form._grad_coeffs):
-            np.add.at(a, (i, j), column)
-        return out[0], out[1, :d, :d], out[2, :d, :d]
 
 
 def curve_from_affine(degree: int, affine_coeffs) -> PlaneCurve:

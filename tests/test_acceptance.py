@@ -285,7 +285,7 @@ def test_criterion_10_confinement(ellipse, cubic):
     for idx, sp in enumerate(enumerate_scratch_points(cubic)):
         if sp.kind == "infinity":
             candidates = sample_curve_points(cubic, 24, seed=100 + idx)
-            starts = infinity_experiment_starts(cubic, sp, candidates, 3)
+            starts = infinity_experiment_starts(sp, candidates, 3)
             r = confinement_experiment_infinity_multi(cubic, sp, starts)
             good = r.passed()
         else:

@@ -230,6 +230,110 @@ def test_confinement_isotropic_cubic_samples_distinct(cubic):
     assert rep.min_pairwise_limit_distance > 1e-4
 
 
+@pytest.mark.parametrize("name", ["ellipse", "cubic", "quartic"])
+def test_isotropic_limits_lie_on_the_fiber_over_the_tangency_point(request, name):
+    """Every isotropic limit's base point is the tangency point (a tested
+    property, not a gate of ``passed``): at seed 1 each lies within 5.3e-10
+    of it on the three curves."""
+    curve = request.getfixturevalue(name)
+    points = enumerate_scratch_points(curve)
+    experiments = [isotropic_experiment(s, 3, 1 + k) for k, s in enumerate(points) if s.kind != "infinity"]
+    for rep in confinement_reports(curve, experiments):
+        assert max(proj_distance(lim.c, rep.scratch.phase.c) for group in rep.limits for lim in group) < 1e-7
+
+
+def chain_with_differences(diffs, scale):
+    """A one-component chain of values near ``scale`` whose Richardson
+    extrapolants climb from ``scale`` by ``diffs``: each value is the mean
+    of its predecessor and the extrapolant they give."""
+    values, rich = [scale], scale
+    for d in (*diffs, 0.0):
+        values.append((rich + values[-1]) / 2)
+        rich += d
+    return [(v,) for v in values]
+
+
+# Richardson difference sequences recorded from confine runs, with the
+# largest value of their component
+ORDER_2_TO_FLOOR = ([1.27e-07, 5.63e-08, 1.78e-08, 4.88e-09, 1.37e-09, 3.21e-10, 4.33e-10, 7.05e-10,
+                     4.28e-10, 2.13e-09, 2.1e-09], 1.654)  # quartic seed 146
+ORDER_2_THEN_GROWTH = ([7.92e-04, 1.98e-04, 4.97e-05, 1.24e-05, 3.28e-06, 2.32e-06, 4.39e-06, 8.77e-06,
+                        1.76e-05, 3.51e-05, 7.02e-05], 9.971)  # sextic seed 3
+CERTIFIED = {
+    "order 2 to the floor": ORDER_2_TO_FLOOR,
+    "order 2 then rounding growth": ORDER_2_THEN_GROWTH,
+    "pre-asymptotic ratios 12 to 4": ([2.07, 0.18, 0.0308, 0.00651, 0.0015, 3.61e-04, 8.86e-05, 2.19e-05,
+                                       5.46e-06, 1.36e-06, 3.43e-07], 5.643),  # quartic seed 147
+    "pre-asymptotic ratios 7 to 4": ([9.53e-06, 1.3e-06, 2.03e-07, 3.84e-08, 8.41e-09, 2.18e-09, 2.71e-10,
+                                      4.89e-10, 1.55e-09, 2.1e-09, 4.92e-09], 0.2432),  # sextic seed 28
+    "floor after two halvings": ([2.3e-07, 2.09e-08, 1.01e-09, 4.68e-10, 2.62e-10, 2.67e-10, 8.53e-10,
+                                  1.18e-09, 2.3e-09, 6.1e-10, 3.32e-09], 1.121),  # sextic seed 30
+    "rounding level throughout": (ORDER_2_TO_FLOOR[0][5:], 1.654),
+}
+REJECTED = {
+    "order 1": ([1e-3 * 2.0**-k for k in range(11)], 1.0),
+    "branch point": ([1e-3 * 2.0**-(k / 2) for k in range(11)], 1.0),
+    "jump after the window": (ORDER_2_THEN_GROWTH[0][:8] + [9.971] + ORDER_2_THEN_GROWTH[0][9:], 9.971),
+}
+
+
+@pytest.mark.parametrize("diffs,scale,certified",
+                         [(*CERTIFIED[k], True) for k in CERTIFIED] + [(*REJECTED[k], False) for k in REJECTED],
+                         ids=[*CERTIFIED, *REJECTED])
+def test_richardson_limit_certifies_the_halving_error_model(diffs, scale, certified):
+    import algbilliards.blowup as blowup
+
+    limit, final_diff, ok = blowup._richardson_limit(chain_with_differences(diffs, scale))
+    assert ok is certified
+    assert final_diff == pytest.approx(diffs[-1], rel=1e-4)
+    assert limit[0] == pytest.approx(scale + sum(diffs), rel=1e-12)
+
+
+def _cubic_infinity_report(cubic, monkeypatch, edit):
+    """The report of two starts at a cubic scratch point at infinity, each
+    start's chains passed through ``edit`` as the follower returns them."""
+    import algbilliards.blowup as blowup
+
+    chains_of = blowup._chains
+
+    def edited(*args):
+        chains, distance = chains_of(*args)
+        edit(chains)
+        return chains, distance
+
+    scratch = [s for s in enumerate_scratch_points(cubic) if s.kind == "infinity" and s.basic][0]
+    starts = infinity_experiment_starts(scratch, sample_curve_points(cubic, 16, 7), 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(blowup, "_chains", edited)
+        return confinement_reports(cubic, [infinity_experiment(scratch, starts)])[0]
+
+
+def test_a_mutated_follower_is_caught(cubic, monkeypatch):
+    """A chain that takes the farthest value at one late halving moves its
+    limit, and the convergence test refuses it; swapping two chains early in
+    the schedule leaves the limit set, the final difference and the verdict
+    as they are."""
+    clean = _cubic_infinity_report(cubic, monkeypatch, lambda chains: None)
+    assert clean.passed() and all(len(group) == 2 for group in clean.limits)
+
+    def farthest_late(chains):
+        k, first = len(chains[0]) - 2, chains[0]
+        first[k] = max((chain[k] for chain in chains), key=lambda v: max(abs(a - b) for a, b in zip(v, first[k - 1])))
+
+    late = _cubic_infinity_report(cubic, monkeypatch, farthest_late)
+    assert phase_distance(late.limits[0][0], clean.limits[0][0]) > 1e-3
+    assert not late.cauchy_ok and not late.passed()
+
+    def swap_early(chains):
+        chains[0][2:], chains[1][2:] = chains[1][2:], chains[0][2:]
+
+    swapped = _cubic_infinity_report(cubic, monkeypatch, swap_early)
+    assert swapped.cauchy_ok and swapped.passed()
+    assert swapped.max_final_diff == clean.max_final_diff
+    for a, b in zip(swapped.limits, clean.limits):
+        assert sorted(map(repr, a)) == sorted(map(repr, b))
+
+
 def one_state_step(curve, x):
     """The billiard images of x, with x and each of its secant images
     stepped alone (billiard_step reflects the images as one stack)."""
@@ -283,7 +387,7 @@ def test_follower_matches_one_state_steps(request, monkeypatch, name, kind):
         scratch = [s for s in points if s.kind == kind and s.basic][count % 2]
         if kind == "infinity":
             candidates = sample_curve_points(curve, 8 * count, 5 + count)
-            return infinity_experiment(scratch, infinity_experiment_starts(curve, scratch, candidates, count))
+            return infinity_experiment(scratch, infinity_experiment_starts(scratch, candidates, count))
         return isotropic_experiment(scratch, count, 5 + count)
 
     other = "isotropic_plus" if kind == "infinity" else "infinity"

@@ -217,6 +217,23 @@ def test_confine_all_pass(tmp_path, curve, seed, reports):
     assert data["all_passed"] is True
 
 
+# one report of a failing full run each, reproduced alone (scratch point k of
+# a run at seed s is stepped with seed s + k): quartic seeds 146 (k = 3) and
+# 147 (k = 2), sextic seed 3 (k = 5) and sextic seed 30 (k = 11).  Each
+# converges to its prediction, and a chain of each starts its differences
+# already near the rounding floor, grows by 2x per halving after order 2,
+# or reaches the floor after two contracting halvings
+@pytest.mark.parametrize("curve,samples,seed,index", [
+    ("quartic", 3, 149, 3), ("quartic", 3, 149, 2), ("sextic", 2, 8, 5), ("sextic", 3, 8, 5),
+    ("sextic", 3, 41, 11)])
+def test_confine_certifies_limits_past_their_rounding_floor(tmp_path, curve, samples, seed, index):
+    out = tmp_path / "confine.json"
+    assert run(["confine", "--curve", DATA / f"{curve}.json", "--samples", samples, "--seed", seed,
+                "--scratch-index", index, "--out", out]) == 0
+    (report,) = json.loads(out.read_text())["reports"]
+    assert report["cauchy_ok"] and report["passed"]
+
+
 def test_confine_draws_and_steps_only_what_it_uses(monkeypatch, tmp_path):
     # 8 experiments of 3 starts: one stacked first step and one stacked
     # second step for all of them, one stacked secant for the 12 isotropic
