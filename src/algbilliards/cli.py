@@ -224,10 +224,12 @@ def cmd_confine(args) -> int:
             eps_list = [float(v) for v in args.eps.split(",")]
         except ValueError:
             return _error("--eps expects comma-separated floats")
-        if len(eps_list) < 3 or not all(map(math.isfinite, eps_list)) or any(
-            not 0 < b < a for a, b in zip(eps_list, eps_list[1:])
+        # the Richardson step 2 f(eps / 2) - f(eps) cancels the O(eps) term
+        # only on a halving schedule
+        if len(eps_list) < 3 or not all(math.isfinite(e) and e > 0 for e in eps_list) or any(
+            not abs(a / b - 2) <= 2e-12 for a, b in zip(eps_list, eps_list[1:])
         ):
-            return _error("--eps must be at least 3 strictly decreasing positive finite values")
+            return _error("--eps must be at least 3 positive finite values, each half the one before")
     curve = _load_curve(args.curve)
     scratch = enumerate_scratch_points(curve)
     selected = scratch
@@ -350,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=3)
     p.add_argument(
         "--eps",
-        help="override the epsilon schedule (comma-separated decreasing floats)",
+        help="override the epsilon schedule (comma-separated floats, at least 3, each half the one before)",
     )
     common(p)
     p.set_defaults(func=cmd_confine)

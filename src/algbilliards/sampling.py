@@ -17,12 +17,15 @@ import random
 from collections.abc import Iterator
 from itertools import islice
 
+import numpy as np
+
 from .curve import CurveError, PlaneCurve, on_curve_residual, tangent_at
-from .numerics import NonConvergenceError
+from .numerics import NonConvergenceError, root_rows
 from .numerics import find_roots  # noqa: F401 -- unused; bench/bench_trace.py wraps it
 from .phase import (
     PhaseError,
     PhasePoint,
+    _line_roots,
     direction_point,
     line_intersections,
     line_point,
@@ -108,27 +111,71 @@ def sample_curve_points(curve: PlaneCurve, count: int, seed: int) -> list:
 
 
 def sample_real_state(curve: PlaneCurve, seed: int) -> PhasePoint:
-    """A real affine state on a real curve, suitable for the classical map."""
+    """A real affine state on a real curve, suitable for the classical map.
+
+    The tries are those of a one-try loop, in order, and the first that
+    passes is returned; since a try's draws do not depend on earlier
+    results, they are drawn and their lines solved in blocks of 1, 2, 4, ...
+    tries, so a curve without real points is refused in a few stacked calls.
+    """
     rng = random.Random(seed)
-    for _ in range(MAX_REAL_TRIES):
-        theta = rng.uniform(0, 2 * math.pi)
-        q = rotate_direction(direction_point(1, 0, 1), theta)
-        anchor = (rng.uniform(-2, 2), rng.uniform(-2, 2), 1.0)
-        direction = (math.cos(theta), math.sin(theta), 0.0)
-        try:
-            roots, _ = line_intersections(curve, anchor, direction)
-        except (PhaseError, NonConvergenceError):
-            continue
-        real_roots = [r.value.real for r in roots if abs(r.value.imag) < 1e-9 * (1 + abs(r.value))]
-        if not real_roots:
-            continue
-        c = line_point(anchor, direction, real_roots[0])
-        x = PhasePoint(c=c, q=q)
-        if secant_scratch_proximity(curve, x) < SCRATCH_MARGIN:
-            continue
-        if on_curve_residual(curve, c) > 1e-9:
-            continue
-        return x
+    tried, block = 0, 1
+    while tried < MAX_REAL_TRIES:
+        block = min(block, MAX_REAL_TRIES - tried)
+        draws = [(rng.uniform(0, 2 * math.pi), rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(block)]
+        anchors = [(x0, x1, 1.0) for _, x0, x1 in draws]
+        directions = [(math.cos(theta), math.sin(theta), 0.0) for theta, _, _ in draws]
+        for (theta, _, _), anchor, direction, t in zip(
+            draws, anchors, directions, _least_real_roots(curve, anchors, directions)
+        ):
+            if t is None:
+                continue
+            c = line_point(anchor, direction, t)
+            x = PhasePoint(c=c, q=rotate_direction(direction_point(1, 0, 1), theta))
+            if secant_scratch_proximity(curve, x) < SCRATCH_MARGIN:
+                continue
+            if on_curve_residual(curve, c) > 1e-9:
+                continue
+            return x
+        tried, block = tried + block, 2 * block
     raise SamplingError(
         f"could not sample a real state on the curve in {MAX_REAL_TRIES} tries"
     )
+
+
+def _least_real_roots(curve: PlaneCurve, anchors, directions) -> list:
+    """For each line anchor + t * direction, the real part of its least real
+    intersection in ``find_roots`` order, or None when it has none or
+    ``line_intersections`` refuses it.
+
+    All lines are restricted in one ``restrict_to_lines`` call and solved in
+    one ``root_rows`` call, each row made monic by Python complex division as
+    ``find_roots`` does, so every value is bitwise that of
+    ``line_intersections``.  Rows that fail a gate of ``_line_roots`` (a line
+    in the curve or a degree drop) are resolved by it."""
+    d = curve.degree
+    coeffs = curve.restrict_to_lines(anchors, directions)
+    mag = np.abs(coeffs)
+    top = mag.max(axis=1)
+    ok = (top > 1e-12) & (mag[:, -1] > 1e-9 * top)
+    rows = coeffs.tolist()
+    monic = np.array([[c / row[-1] for c in row[:-1]] for row, good in zip(rows, ok) if good], dtype=complex)
+    try:
+        values, mult = root_rows(monic.reshape(-1, d))
+    except NonConvergenceError:  # the stack failed as a whole: each row alone
+        ok[:] = False
+        values = mult = np.empty((0, d))
+    solved = iter(zip(values.tolist(), mult.tolist()))
+    out = []
+    for row, good in zip(rows, ok):
+        if good:
+            roots = [v for v, m in zip(*next(solved)) if m]
+        else:
+            try:
+                roots = [r.value for r in _line_roots(row, d, 0)[0]]
+            except (PhaseError, NonConvergenceError):
+                out.append(None)
+                continue
+        real = [(v.real, v.imag) for v in roots if abs(v.imag) < 1e-9 * (1 + abs(v))]
+        out.append(min(real)[0] if real else None)
+    return out

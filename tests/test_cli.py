@@ -467,6 +467,7 @@ def test_phase_sampling_exhaustion_is_input_error(monkeypatch, tmp_path, capsys)
     ["confine", "--curve", DATA / "ellipse.json", "--eps", "bogus"],
     ["confine", "--curve", DATA / "ellipse.json", "--eps", "1e-2,2e-2,3e-2"],
     ["confine", "--curve", DATA / "ellipse.json", "--eps", "inf,0.5,0.25"],
+    ["confine", "--curve", DATA / "ellipse.json", "--eps", "1e-2,3e-3,1e-3"],
     ["confine", "--curve", DATA / "circle.json", "--eps", "1,nan,0.25"],
     ["orbit", "--real", "--depth", -3, "--curve", DATA / "ellipse.json"],
     ["orbit", "--depth", -1, "--curve", DATA / "circle.json"],

@@ -1,9 +1,11 @@
 """Whole-package checks: no assert-based invariants, no catch-all handlers,
-every error maps to an exit code, and every demo runs."""
+every error maps to an exit code, the package namespace is lazy, and every
+demo runs."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -111,6 +113,65 @@ def test_every_traced_name_resolves():
                if attr not in vars(trace._resolve(owner))]
     assert trace.PATCHES
     assert missing == []
+
+
+# the package's public names: 58 re-exports and the six layers they come from
+PACKAGE_ALL = [
+    "BigIntMatrix", "BranchSet", "ComplexPoly", "DirectionPoint", "DivisorBasis",
+    "ExceptionalParam", "GenericityReport", "IntPoly", "OrbitLevel", "OrbitTree",
+    "PhasePoint", "PlaneCurve", "ProjPoint", "PushforwardMatrix", "RootCluster",
+    "ScratchPoint", "TangentData", "billiard_step", "blowup", "bracketed_largest_root",
+    "char_poly", "cheap_matrices", "check_invariance", "confinement_experiment_infinity_multi",
+    "confinement_experiment_isotropic", "curve", "curve_from_affine", "curve_from_json",
+    "curve_to_json", "degree_sequence", "direction_from_slope", "direction_point",
+    "enumerate_scratch_points", "evaluate", "find_roots", "form_density", "genericity_report",
+    "intersection_form", "isotropic_tangency_points", "jordan_structure_d2", "local_frame",
+    "numerics", "orbit_tree", "phase", "phase_point", "phi", "points_at_infinity", "proj_point",
+    "pushforward_b_hat", "pushforward_r_hat", "pushforward_s_hat", "real_billiard_step",
+    "reflect", "reflect_at_infinity_limit", "reflect_at_isotropic_limit", "rho", "secant",
+    "secant_at_infinity_limit", "secant_at_isotropic_limit", "spectral", "symplectic",
+    "tangent_at", "verify_conjugation", "verify_factorization",
+]
+
+LAZY_PROBE = """
+import importlib, json, sys, types
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("algbilliards."))
+
+import algbilliards
+bare = loaded()
+import algbilliards.curve
+with_curve = loaded()
+star = {}
+exec("from algbilliards import *", star)
+wrong = []
+for name in algbilliards.__all__:
+    value = getattr(algbilliards, name)
+    if isinstance(value, types.ModuleType):
+        owner = sys.modules.get(f"algbilliards.{name}")
+    else:
+        owner = getattr(importlib.import_module(value.__module__), name)
+    if value is not owner or star[name] is not value:
+        wrong.append(name)
+print(json.dumps({"bare": bare, "with_curve": with_curve, "all": algbilliards.__all__,
+                  "dir": dir(algbilliards), "wrong": wrong}))
+"""
+
+
+def test_the_package_namespace_is_lazy():
+    # a process that needs one layer pays only for it: `import algbilliards`
+    # imports no layer, and a public name is imported on first access
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["bare"] == []
+    assert seen["with_curve"] == ["algbilliards.curve", "algbilliards.numerics"]
+    assert seen["all"] == PACKAGE_ALL
+    assert seen["dir"] == PACKAGE_ALL
+    assert seen["wrong"] == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
