@@ -55,6 +55,7 @@ from .phase import (
     PhaseError,
     PhasePoint,
     _direction,
+    _line_rows,
     _reflect_rows,
     _secant_rows,
     _stack,
@@ -305,29 +306,42 @@ def secant_at_infinity_limit(curve: PlaneCurve, e: ExceptionalParam) -> BranchSe
     """Secant step applied to a pencil member: the d-1 affine intersections
     of the line {kappa = value} with the curve, paired with the scratch
     direction.  The boundary members (tangent line at value 0 and the
-    infinity line at value = infinity) are refused."""
-    s = e.scratch
-    _require(s, "infinity")
-    if abs(e.value) < 1e-9 or abs(e.value) > 1e9:
-        raise BoundaryPointError("pencil member is a boundary point of the chart")
-    chart: InfinityChart = s.chart
-    b0, b1 = chart.line_base_point(e.value)
-    t0, t1 = chart.tangent
-    # the pencil direction meets the curve at the scratch's infinity point,
-    # so the restriction drops to degree d - 1
-    base, direction = (b0, b1, 1.0), (t0, t1, 0.0)
-    roots, at_direction = line_intersections(curve, base, direction)
-    if at_direction != 1:
-        raise BlowupError(
-            f"line at offset {e.value} has unexpected intersection degree "
-            f"{curve.degree - at_direction}"
-        )
-    branches = [
-        Branch(PhasePoint(c=line_point(base, direction, r.value), q=s.phase.q), r.multiplicity)
-        for r in roots
-    ]
-    branches.sort(key=lambda b: point_order_key(b.point.c.coords))
-    return BranchSet(source=s.phase, op_tag="secant", images=tuple(branches))
+    infinity line at value = infinity) are refused.
+
+    This is the one-row call of the stacked ``_pencil_secants``.
+    """
+    return _pencil_secants(curve, [e])[0]
+
+
+def _pencil_secants(curve: PlaneCurve, params: list[ExceptionalParam]) -> list[BranchSet]:
+    """``secant_at_infinity_limit`` of each pencil member, every line solved
+    in one ``_line_rows`` call; the first member in order that fails raises."""
+    lines = []
+    for e in params:
+        _require(e.scratch, "infinity")
+        if abs(e.value) < 1e-9 or abs(e.value) > 1e9:
+            raise BoundaryPointError("pencil member is a boundary point of the chart")
+        chart: InfinityChart = e.scratch.chart
+        b0, b1 = chart.line_base_point(e.value)
+        t0, t1 = chart.tangent
+        # the pencil direction meets the curve at the scratch's infinity point,
+        # so the restriction drops to degree d - 1
+        lines.append(((b0, b1, 1.0), (t0, t1, 0.0)))
+    solved = _line_rows(curve, *zip(*lines), at_e=1) if lines else []
+    out = []
+    for e, (base, direction), line in zip(params, lines, solved):
+        if not isinstance(line, tuple):
+            raise line
+        roots, at_direction = line
+        if at_direction != 1:
+            raise BlowupError(
+                f"line at offset {e.value} has unexpected intersection degree "
+                f"{curve.degree - at_direction}"
+            )
+        branches = [Branch(PhasePoint(c=line_point(base, direction, t), q=e.scratch.phase.q), m) for t, m in roots]
+        branches.sort(key=lambda b: point_order_key(b.point.c.coords))
+        out.append(BranchSet(source=e.scratch.phase, op_tag="secant", images=tuple(branches)))
+    return out
 
 
 def reflect_at_infinity_limit(curve: PlaneCurve, e: ExceptionalParam) -> ExceptionalParam:
@@ -393,42 +407,43 @@ def _richardson_limit(chain: list[tuple[complex, ...]]) -> tuple[tuple[complex, 
     rounding growth D_m 2^(j-m) of an earlier difference D_m from the
     window's last on.  A lost or swapped branch shows order-one differences
     that fail either part.
+
+    This is the one-chain call of ``_richardson_rows``.
     """
-    limit, worst, certified = [], 0.0, True
-    for comp in zip(*chain):
-        rich = [2 * b - a for a, b in zip(comp, comp[1:])]
-        diffs = [abs(b - a) for a, b in zip(rich, rich[1:])]
-        limit.append(rich[-1])
-        if not diffs:
-            continue
-        worst = max(worst, diffs[-1])
-        if not certified:
-            continue
-        floor = ROUNDING_LEVEL * max(1.0, *map(abs, comp))
-        if max(diffs) <= floor:
-            continue
-        run = 0  # consecutive ratios >= 3 so far
-        for k, (a, b) in enumerate(zip(diffs, diffs[1:])):
-            if a < 3.0 * b:
-                run = 0
-            elif run == 2 or b <= floor:
-                break
-            else:
-                run += 1
-        else:
-            certified = False
-            continue
-        # the spread times the least rounding growth so far, exact since
-        # the spread is a power of 2
-        cap = ROUNDING_SPREAD * diffs[k + 1]
-        for d in diffs[k + 2:]:
-            cap *= 2.0
-            if ROUNDING_SPREAD * d < cap:
-                cap = ROUNDING_SPREAD * d
-            elif d > cap and d > floor:
-                certified = False
-                break
-    return tuple(limit), worst, certified
+    limits, final, certified = _richardson_rows(np.array([chain], dtype=complex))
+    return tuple(limits[0].tolist()), float(final[0]), bool(certified[0])
+
+
+def _richardson_rows(chains: np.ndarray):
+    """``_richardson_limit`` of each chain of a (C, n, m) stack, all at once:
+    the (C, m) limits, and per chain its final difference and whether it is
+    certified, each bitwise as Python's complex arithmetic gives it."""
+    rich = _mul(complex(2), chains[:, 1:]) - chains[:, :-1]
+    if rich.shape[1] < 2:
+        return rich[:, -1], np.zeros(len(chains)), np.ones(len(chains), dtype=bool)
+    step = rich[:, 1:] - rich[:, :-1]
+    diffs = np.hypot(step.real, step.imag)  # (C, n - 2, m), indexed [:, k] below
+    floor = ROUNDING_LEVEL * np.maximum(1.0, np.hypot(chains.real, chains.imag).max(axis=1))
+    # k of the window's last ratio: three consecutive ratios >= 3, or fewer
+    # that reach rounding level (-1 where there is none)
+    window, run = np.full(floor.shape, -1), np.zeros(floor.shape, dtype=int)
+    for k in range(diffs.shape[1] - 1):
+        b, low = diffs[:, k + 1], diffs[:, k] < 3.0 * diffs[:, k + 1]
+        window = np.where((window < 0) & ~low & ((run == 2) | (b <= floor)), k, window)
+        run = np.where(low, 0, run + 1)
+        if (window >= 0).all():
+            break
+    # then the cap, ROUNDING_SPREAD times the least rounding growth so far,
+    # from D_{k+1} on
+    failed, cap = window < 0, np.zeros(floor.shape)
+    for j in range(diffs.shape[1]):
+        d, after = diffs[:, j], j > window + 1
+        cap = np.where(j == window + 1, ROUNDING_SPREAD * d, 2.0 * cap)
+        below = ROUNDING_SPREAD * d < cap
+        failed |= after & ~below & (d > cap) & (d > floor)
+        cap = np.where(after & below, ROUNDING_SPREAD * d, cap)
+    certified = (diffs.max(axis=1) <= floor) | ~failed
+    return rich[:, -1], diffs[:, -1].max(axis=1), certified.all(axis=1)
 
 
 def reflect_at_isotropic_limit(
@@ -520,17 +535,8 @@ class ConfinementReport:
         }
 
 
-def _nearest(items, distance, lost: str):
-    """The item nearest by ``distance`` (a lone item without evaluating
-    it); the first of equally near items wins.  No items at all means the
-    branch is lost."""
-    if not items:
-        raise BranchLostError(lost)
-    return items[0] if len(items) == 1 else min(items, key=distance)
-
-
 def _state(c, q) -> PhasePoint:
-    """The state of normalized coordinate lists c and q."""
+    """The state of normalized coordinate rows c and q."""
     return PhasePoint(ProjPoint(tuple(c)), _direction(q))
 
 
@@ -551,25 +557,19 @@ def _set_distance(a: tuple[PhasePoint, ...], b: tuple[PhasePoint, ...]) -> float
 
 
 def _report(scratch: ScratchPoint, eps: list[float], runs) -> ConfinementReport:
-    """Collate per-start runs (sample metadata, chains, predicted limits).
+    """Collate per-start runs (sample metadata, the Richardson limits of its
+    chains as an (C, 4) array with their final differences and certificates,
+    predicted limits).
 
-    Each chain is Richardson-extrapolated to one limit of its start.  The
-    prediction error is the Hausdorff distance between a start's limits and
-    its predicted limits; the separation is the least Hausdorff distance
+    The prediction error is the Hausdorff distance between a start's limits
+    and its predicted limits; the separation is the least Hausdorff distance
     between the limit sets of two starts.
     """
     limits = []
-    cauchy_all = True
-    worst_diff = 0.0
     pred_err = 0.0
-    for _sample, chains, predicted in runs:
-        group = []
-        for chain in chains:
-            limit, final_diff, certified = _richardson_limit(chain)
-            worst_diff = max(worst_diff, final_diff)
-            cauchy_all = cauchy_all and certified
-            group.append(_vector_to_phase(limit))
-        limits.append(tuple(group))
+    for _sample, rich, _, _, predicted in runs:
+        group = tuple(_vector_to_phase(v) for v in rich.tolist())
+        limits.append(group)
         if predicted:
             # phase_distance is not bitwise symmetric: the limit stays its
             # first argument in both directions
@@ -581,13 +581,13 @@ def _report(scratch: ScratchPoint, eps: list[float], runs) -> ConfinementReport:
     return ConfinementReport(
         scratch=scratch,
         eps=tuple(eps),
-        samples=tuple(sample for sample, _, _ in runs),
+        samples=tuple(sample for sample, *_ in runs),
         limits=tuple(limits),
-        predicted=tuple(tuple(predicted) for _, _, predicted in runs),
+        predicted=tuple(tuple(predicted) for *_, predicted in runs),
         max_prediction_error=pred_err,
         min_pairwise_limit_distance=min([math.inf, *separations]),
-        cauchy_ok=cauchy_all,
-        max_final_diff=worst_diff,
+        cauchy_ok=all(ok for _, _, _, certified, _ in runs for ok in certified.tolist()),
+        max_final_diff=max([0.0, *(d for _, _, final, _, _ in runs for d in final.tolist())]),
     )
 
 
@@ -686,18 +686,24 @@ def confinement_reports(
     x0s = _follower_starts(curve, experiments)
     outcomes = _follow(curve, [(ex.scratch, xs) for ex, xs in zip(experiments, x0s)], eps)
     predicted = _predictions(curve, experiments, outcomes)
-    reports = []
-    for k, (ex, outcome) in enumerate(zip(experiments, outcomes)):
+    for outcome in outcomes:
         if not isinstance(outcome, list):
             raise outcome
+    # every chain of every start extrapolated in one stack
+    chains = [np.asarray(chains, dtype=complex).reshape(-1, len(eps), 4) for outcome in outcomes for chains, _ in outcome]
+    rows = np.cumsum([0, *map(len, chains)])
+    rich = _richardson_rows(np.concatenate([np.zeros((0, len(eps), 4)), *chains]))
+    per_start = iter([tuple(a[i:j] for a in rich) for i, j in zip(rows, rows[1:])])
+    reports = []
+    for k, (ex, outcome) in enumerate(zip(experiments, outcomes)):
         if ex.kappas:
             samples = [{"c0": [[z.real, z.imag] for z in c0.coords], "kappa": [kappa0.real, kappa0.imag]}
                        for c0, kappa0 in zip(ex.starts, ex.kappas)]
         else:
             samples = [{"start": phase_point_json(x0)} for x0 in x0s[k]]
         reports.append(_report(ex.scratch, eps, [
-            ({**sample, "nearest_branch_distance": distance}, chains, predicted.get((k, j), []))
-            for j, (sample, (chains, distance)) in enumerate(zip(samples, outcome))]))
+            ({**sample, "nearest_branch_distance": distance}, *next(per_start), predicted.get((k, j), []))
+            for j, (sample, (_, distance)) in enumerate(zip(samples, outcome))]))
     return reports
 
 
@@ -726,15 +732,17 @@ def _follower_starts(curve: PlaneCurve, experiments: list[Experiment]) -> list:
 
 def _predictions(curve: PlaneCurve, experiments: list[Experiment], outcomes: list) -> dict:
     """The chart predictions per (experiment, start) of the infinity
-    experiments before the first that failed: the secant limit of the
-    negated pencil offset, every point reflected in one stack."""
-    points = []
+    experiments before the first that failed: the secant limits of the
+    negated pencil offsets in one ``_pencil_secants`` call, every point
+    reflected in one stack."""
+    params = []
     for k, (ex, outcome) in enumerate(zip(experiments, outcomes)):
         if not isinstance(outcome, list):
             break
-        for j, kappa0 in enumerate(ex.kappas):
-            neg = reflect_at_infinity_limit(curve, ExceptionalParam(ex.scratch, kappa0))
-            points += [((k, j), p) for p in secant_at_infinity_limit(curve, neg).points()]
+        params += [((k, j), reflect_at_infinity_limit(curve, ExceptionalParam(ex.scratch, kappa0)))
+                   for j, kappa0 in enumerate(ex.kappas)]
+    points = [(key, p) for (key, _), images in zip(params, _pencil_secants(curve, [e for _, e in params]))
+              for p in images.points()]
     predicted: dict = {}
     if points:
         images, _, failed = _reflect_rows(curve, *_stack([p for _, p in points]))
@@ -755,85 +763,195 @@ def _follow(curve: PlaneCurve, runs, eps) -> list:
     scratch state and the second keeps every reflected branch, continued
     chain by chain.  At an isotropic point both steps follow the branch
     whose base point, which reflection keeps, is nearest the tangency point;
-    if that branch could not be reflected, reflecting it alone raises.
+    if that branch could not be reflected, reflecting it alone raises.  The
+    (start, eps) rows are built, followed and continued as arrays, and a
+    run's error is the first a loop over its starts, then eps, would meet.
     """
     n, out = len(eps), [x0s for _, x0s in runs]
-    kids = _steps(curve, [x0.c.coords + rotate_direction(x0.q, e).q
-                          for x0s in out if isinstance(x0s, list) for x0 in x0s for e in eps])
-    row = 0
-    for k, (scratch, x0s) in enumerate(runs):
-        if isinstance(x0s, list):
-            steps, row = kids[row:row + n * len(x0s)], row + n * len(x0s)
-            try:
-                out[k] = [_kept(curve, scratch, step, False, "all first-step branches failed to reflect")[0]
-                          for step in steps]
-            except _FOLLOW_ERRORS as exc:
-                out[k] = exc
-    kids = _steps(curve, [c + q for picks in out if isinstance(picks, list) for c, q in picks])
-    row = 0
-    for k, (scratch, _) in enumerate(runs):
-        picks = out[k]
-        if isinstance(picks, list):
-            steps, row = kids[row:row + len(picks)], row + len(picks)
-            try:
-                out[k] = [_chains(curve, scratch, picks[j:j + n], steps[j:j + n]) for j in range(0, len(picks), n)]
-            except _FOLLOW_ERRORS as exc:
-                out[k] = exc
+    starts = [(k, x0) for k, (_, x0s) in enumerate(runs) if isinstance(x0s, list) for x0 in x0s]
+    if not starts:
+        return out
+    x0 = np.array([x.c.coords + x.q.q for _, x in starts], dtype=complex)
+    run = np.repeat([k for k, _ in starts], n)
+    cq = np.hstack((np.repeat(x0[:, :3], n, axis=0), _rotated(x0[:, 3:], eps).reshape(-1, 3)))
+    rows, pc, pq, errors = _kept(curve, runs, run, _step_rows(curve, cq[:, :3], cq[:, 3:]), False,
+                                 "all first-step branches failed to reflect")
+    for r in sorted(errors):
+        if isinstance(out[run[r]], list):
+            out[run[r]] = errors[r]
+    picks = np.zeros((len(run), 6), dtype=complex)
+    picks[rows] = np.hstack((pc, pq))
+    alive = np.repeat([isinstance(out[k], list) for k in run[::n]], n)
+    if not alive.any():
+        return out
+    picks, run = picks[alive], run[alive]
+    rows, pc, pq, errors = _kept(curve, runs, run, _step_rows(curve, picks[:, :3], picks[:, 3:]), True,
+                                 "all second-step branches failed to reflect")
+    # the affine (x0, x1, q0, q1) of each kept child, in the slot of its rank in its state
+    finals = np.zeros((len(run), curve.degree - 1, 4), dtype=complex)
+    found = np.zeros(finals.shape[:2], dtype=bool)
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    finals[rows, rank] = _quot(np.hstack((pc[:, :2], pq[:, :2])), np.repeat(np.stack((pc[:, 2], pq[:, 2]), 1), 2, axis=1))
+    found[rows, rank] = True
+    shape = (len(run) // n, n, *finals.shape[1:])
+    chains, has, lost_at = _chains(finals.reshape(shape), found.reshape(shape[:3]))
+    first = {}  # start -> (eps, error) of its first failed second step
+    for r in sorted(errors):
+        first.setdefault(r // n, (r % n, errors[r]))
+    for k in set(run.tolist()):
+        out[k] = []
+    for t, k in enumerate(run[::n].tolist()):
+        if not isinstance(out[k], list):
+            continue
+        eps_at, error = first.get(t, (n, None))
+        if lost_at[t] < eps_at:  # a step's error comes before the continuation at its eps
+            error = BranchLostError("branch continuation lost a chain")
+        if error is None:
+            begin, last = (phase_distance(_state(y[:3], y[3:]), runs[k][0].phase)
+                           for y in picks[[t * n, t * n + n - 1]].tolist())
+            # the distance scales linearly in eps with a geometry-dependent constant,
+            # so for far-out scratch points an absolute bound misfires: accept a small
+            # final distance or a 50-fold contraction across the schedule
+            if not (last < 1e-3 or last < begin / 50.0):
+                error = BranchLostError(
+                    f"nearest branch stayed {last:.2e} from the scratch point after {n - 1} halvings of eps; "
+                    "a start must end within 1e-3 of it or 50 times closer than it began, "
+                    "which takes about 6 halvings from 1e-2")
+        out[k] = error or out[k] + [(chains[t][has[t]], last)]
     return out
 
 
-def _steps(curve: PlaneCurve, states: list) -> list[list]:
-    """The billiard steps of states given as coordinate rows c + q, in one
-    ``_step_rows`` call: per state, its children's (c, q, reason) rows."""
-    kids = [[] for _ in states]
-    if states:
-        cq = np.array(states, dtype=complex)
-        src, images, directions, _, reasons, _ = _step_rows(curve, cq[:, :3], cq[:, 3:])
-        for i, c, q, why in zip(src.tolist(), images.tolist(), directions.tolist(), reasons):
-            kids[i].append((c, q, why))
-    return kids
+def _kept(curve: PlaneCurve, runs, run: np.ndarray, step, every: bool, lost: str):
+    """The followed children of one stacked billiard step, given as its
+    ``_step_rows`` arrays with ``run`` the run of each state: their states,
+    their (c, q) stacks and a map from a state to the error it fails with.
+
+    A state whose step raised fails with its error.  At infinity the live
+    child nearest the scratch state is followed, or with ``every`` each live
+    one, and a state without one is lost; at an isotropic point the child
+    whose base point is nearest the tangency point, reflected alone if it
+    ended.  The nearest is the first child of least ``phase_distance`` or
+    ``proj_distance``: numpy's chordal distances, within a few units of
+    rounding of those, pick it unless another child is within 1e-12, and then
+    the exact distances do.
+    """
+    src, p, q, _, reasons, _ = step
+    scratch = [s.phase for s, _ in runs]
+    at_inf = np.array([s.kind == "infinity" for s, _ in runs])[run]
+    inf = at_inf[src]
+    live = np.array([why is None for why in reasons], dtype=bool)
+    raised = np.array([isinstance(why, _ROW_ERRORS) for why in reasons], dtype=bool)
+    errors = {int(src[j]): reasons[j] for j in np.flatnonzero(raised).tolist()}
+    lost_states = at_inf.copy()
+    lost_states[src[live | raised]] = False
+    errors.update((i, BranchLostError(lost)) for i in np.flatnonzero(lost_states).tolist())
+    keep = inf & live & every
+    near = np.flatnonzero(np.where(inf, live, ~raised) & ~keep)
+    head = np.ones(len(near), dtype=bool)  # the first candidate of each state
+    head[1:] = src[near[1:]] != src[near[:-1]]
+    chosen = near[head]
+    if not head.all():  # some state has several candidates: the nearest goes first
+        target = np.array([x.c.coords + x.q.q for x in scratch], dtype=complex)[run[src[near]]]
+        dist = _chordal(p[near], target[:, :3])
+        dist = np.where(inf[near], np.maximum(dist, _chordal(q[near], target[:, 3:])), dist)
+        order = np.lexsort((dist, src[near]))
+        near, dist = near[order], dist[order]
+        chosen = near[head]
+        for i in src[near[1:][~head[1:] & head[:-1] & (dist[1:] - dist[:-1] <= 1e-12)]].tolist():
+            x = scratch[run[i]]
+
+            def distance(j):
+                if at_inf[i]:
+                    return phase_distance(_state(p[j].tolist(), q[j].tolist()), x)
+                return proj_distance(ProjPoint(tuple(p[j].tolist())), x.c)
+
+            chosen[np.searchsorted(src[chosen], i)] = min(np.sort(near[src[near] == i]).tolist(), key=distance)
+    keep[chosen] = True
+    q = q.copy()
+    for j in np.flatnonzero(keep & ~live).tolist():  # an isotropic pick that ended
+        try:
+            q[j] = reflect(curve, _state(p[j].tolist(), q[j].tolist())).images[0].point.q.q
+        except _FOLLOW_ERRORS as exc:
+            errors[int(src[j])], keep[j] = exc, False
+    return src[keep], p[keep], q[keep], errors
 
 
-def _kept(curve: PlaneCurve, scratch: ScratchPoint, kids, every: bool, lost: str) -> list:
-    """The followed (c, q) of a step given as its children's (c, q, reason)
-    rows, or at infinity with ``every`` all live ones.  A step that raised
-    raises its error again."""
-    if isinstance(kids[0][2], _ROW_ERRORS):
-        raise kids[0][2]
-    if scratch.kind == "infinity":
-        live = [(c, q) for c, q, why in kids if why is None]
-        if every and live:
-            return live
-        return [_nearest(live, lambda k: phase_distance(_state(*k), scratch.phase), lost)]
-    c, q, why = _nearest(kids, lambda k: proj_distance(ProjPoint(tuple(k[0])), scratch.phase.c), lost)
-    if why is not None:
-        q = list(reflect(curve, _state(c, q)).images[0].point.q.q)
-    return [(c, q)]
+def _chains(finals: np.ndarray, found: np.ndarray):
+    """The chains of each start across the eps schedule, from (S, n, W, 4)
+    stacks of the affine (x0, x1, q0, q1) of its kept second-step children
+    and of which of the W slots hold one: (S, W, n, 4) chains, which chains
+    each start has, and per start the first eps at which a chain found no
+    value (n where none did).
+
+    A start has a chain per value at its first eps, in (re, im) order of x0;
+    at each later eps each chain in turn takes the unused value nearest its
+    last one in the max norm of the difference, the first of equally near.
+    """
+    count, n, width, _ = finals.shape
+    x0 = finals[:, 0, :, 0]
+    order = np.lexsort((x0.imag, x0.real, ~found[:, 0]))
+    chains = np.zeros((count, width, n, 4), dtype=complex)
+    chains[:, :, 0] = np.take_along_axis(finals[:, 0], order[..., None], axis=1)
+    has = np.take_along_axis(found[:, 0], order, axis=1)
+    lost_at = np.full(count, n)
+    for i in range(1, n):
+        free = found[:, i].copy()
+        for m in range(width):
+            gap = finals[:, i] - chains[:, m, i - 1, None]
+            j = np.where(free, np.hypot(gap.real, gap.imag).max(axis=-1), np.inf).argmin(axis=1)
+            take = has[:, m] & free.any(axis=1)
+            lost_at[has[:, m] & ~take] = np.minimum(lost_at[has[:, m] & ~take], i)
+            chains[take, m, i] = finals[take, i, j[take]]
+            free[take, j[take]] = False
+    return chains, has, lost_at
 
 
-def _chains(curve: PlaneCurve, scratch: ScratchPoint, picks, kids) -> tuple[list, float]:
-    """One start's chains of second-step images over the eps schedule, from
-    its first-step picks and their steps' children, and its last distance
-    to the scratch."""
-    chains: list[list[tuple[complex, ...]]] = []
-    for step in kids:
-        finals = [(c[0] / c[2], c[1] / c[2], q[0] / q[2], q[1] / q[2])
-                  for c, q in _kept(curve, scratch, step, True, "all second-step branches failed to reflect")]
-        if not chains:
-            finals.sort(key=lambda v: (v[0].real, v[0].imag))
-            chains = [[v] for v in finals]
-            continue
-        # continuation: match each chain to the nearest unused new value
-        for chain in chains:
-            prev = chain[-1]
-            v = _nearest(finals, lambda w: max(abs(a - b) for a, b in zip(w, prev)),
-                         "branch continuation lost a chain")
-            finals.remove(v)
-            chain.append(v)
-    # the distance scales linearly in eps with a geometry-dependent constant,
-    # so for far-out scratch points an absolute bound misfires: accept a small
-    # final distance or a 50-fold contraction across the schedule
-    first, last = (phase_distance(_state(*y), scratch.phase) for y in (picks[0], picks[-1]))
-    if not (last < 1e-3 or last < first / 50.0):
-        raise BranchLostError(f"nearest branch stayed {last:.2e} from the scratch point")
-    return chains, last
+# ---------------------------------------------------------------------------
+# array arithmetic as CPython computes it: numpy's complex multiply, divide
+# and abs round differently for many operands, these forms on the float64
+# parts (and np.hypot for abs) do not, so the follower's bytes are a loop's
+# ---------------------------------------------------------------------------
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _mul(a, b) -> np.ndarray:
+    """a * b elementwise, as CPython multiplies complex numbers."""
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _quot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b elementwise, as CPython divides complex numbers (Smith's method)."""
+    if not np.all(b):
+        raise ZeroDivisionError("complex division by zero")
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_re = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_re, bi, br) / np.where(by_re, br, bi)
+    denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+    return _complex(np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom,
+                    np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
+def _rotated(q: np.ndarray, eps) -> np.ndarray:
+    """``rotate_direction(q, e).q`` for each row of an (S, 3) stack of conic
+    points and each e of eps, as an (S, len(eps), 3) array, with cos e and
+    sin e taken once per e; a real rotation keeps the conic to rounding.
+    Each row is normalized as ``proj_point`` does."""
+    cos = np.array([cmath.cos(e) for e in eps])
+    sin = np.array([cmath.sin(e) for e in eps])
+    q0, q1 = q[:, None, 0], q[:, None, 1]
+    v = np.stack((_mul(cos, q0) - _mul(sin, q1), _mul(sin, q0) + _mul(cos, q1),
+                  np.broadcast_to(q[:, None, 2], (len(q), len(eps)))), axis=-1)
+    pivot = np.hypot(v.real, v.imag).argmax(axis=-1)[..., None]
+    v = _quot(v, np.take_along_axis(v, pivot, axis=-1))
+    np.put_along_axis(v, pivot, 1, axis=-1)
+    return v
+
+
+def _chordal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``proj_distance`` of the rows of two (K, 3) stacks, to rounding."""
+    return np.linalg.norm(np.cross(a, b), axis=-1) / (np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1))

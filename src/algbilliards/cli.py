@@ -216,8 +216,8 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_confine(args) -> int:
-    if args.samples < 1:
-        return _error("--samples must be at least 1")
+    if not 1 <= args.samples <= MAX_TRIES:  # isotropic experiments build --samples directions up front
+        return _error(f"--samples must be in 1..{MAX_TRIES}")
     eps_list = None
     if args.eps:
         try:

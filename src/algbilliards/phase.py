@@ -351,6 +351,47 @@ def _line_roots(poly, d: int, remove: int) -> tuple[list[RootCluster], int]:
     return roots, (d - remove) - max(eff - 1, 0)
 
 
+def _line_rows(curve: PlaneCurve, bases, directions, at_e: int = 0) -> list:
+    """``line_intersections`` of each line base + t * e of two (N, 3) stacks:
+    its roots as (value, multiplicity) pairs in ``find_roots`` order and its
+    multiplicity at e, or the PhaseError or NonConvergenceError it raised.
+
+    Every line is restricted in one ``restrict_to_lines`` call.  The rows
+    whose top ``at_e`` coefficients, and no more, are at most 1e-9 of the
+    line scale are made monic by Python complex division, as ``find_roots``
+    does, and solved in one ``root_rows`` call, so every value is bitwise
+    that of ``line_intersections``; other rows are resolved by
+    ``_line_roots``, and so is each row of a stack whose eigenvalue
+    iteration failed."""
+    d = curve.degree
+    n = d - at_e
+    coeffs = curve.restrict_to_lines(bases, directions)
+    mag = np.hypot(coeffs.real, coeffs.imag)  # abs as Python computes it
+    top = mag.max(axis=1)
+    ok = (1e-12 < top) & (top < np.inf) & (mag[:, n] > 1e-9 * top) & (mag[:, n + 1:] <= 1e-9 * top[:, None]).all(axis=1)
+    rows = coeffs.tolist()
+    solved = iter(())
+    if ok.any():
+        try:
+            values, mult = root_rows(np.array([[c / row[n] for c in row[:n]] for row, good in zip(rows, ok) if good]))
+            solved = zip(values.tolist(), mult.tolist())
+        except NonConvergenceError:
+            ok[:] = False
+    out = []
+    for row, good in zip(rows, ok):
+        if good:
+            values, mult = next(solved)
+            out.append((sorted(((v, m) for v, m in zip(values, mult) if m), key=lambda r: (r[0].real, r[0].imag)), at_e))
+            continue
+        try:
+            roots, at = _line_roots(row, d, 0)
+        except _ROW_ERRORS as exc:
+            out.append(exc)
+            continue
+        out.append(([(r.value, r.multiplicity) for r in roots], at))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # secant
 # ---------------------------------------------------------------------------

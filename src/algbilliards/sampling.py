@@ -17,17 +17,12 @@ import random
 from collections.abc import Iterator
 from itertools import islice
 
-import numpy as np
-
-from .curve import CurveError, PlaneCurve, on_curve_residual, tangent_at
-from .numerics import NonConvergenceError, root_rows
+from .curve import SINGULAR_GRADIENT_TOL, PlaneCurve, normalize_pair, on_curve_residual
 from .numerics import find_roots  # noqa: F401 -- unused; bench/bench_trace.py wraps it
 from .phase import (
-    PhaseError,
     PhasePoint,
-    _line_roots,
+    _line_rows,
     direction_point,
-    line_intersections,
     line_point,
     rotate_direction,
     secant_scratch_proximity,
@@ -44,6 +39,7 @@ __all__ = [
 SCRATCH_MARGIN = 5e-2
 MAX_TRIES = 100000
 MAX_REAL_TRIES = 4000
+FIRST_BLOCK, MAX_BLOCK = 8, 256  # tries per stacked solve of the stream
 
 
 class SamplingError(ValueError):
@@ -52,47 +48,81 @@ class SamplingError(ValueError):
 
 def phase_point_stream(curve: PlaneCurve, seed: int) -> Iterator[PhasePoint]:
     """The seeded stream of accepted states, drawn lazily; it ends after
-    MAX_TRIES tries."""
+    MAX_TRIES tries.
+
+    The tries are those of a one-try loop, in order.  A try draws its line,
+    then picks one of the line's roots, so tries are drawn in blocks of 8,
+    16, 32, ... that assume the root count of the last try that had roots
+    (d at first), and each block is solved in one ``_line_rows`` call and
+    gated in one stacked form evaluation per gate.  From the first try whose
+    count differs, or that was refused, the generator is set back to that
+    try's pick and the rest of the block is drawn again, in a new block of 8.
+    """
     rng = random.Random(seed)
-    for _ in range(MAX_TRIES):
-        theta = rng.uniform(0, 2 * math.pi) + 1j * rng.uniform(-0.6, 0.6)
-        q = rotate_direction(direction_point(1, 0, 1), theta)
-        anchor = (
-            rng.uniform(-2, 2) + 1j * rng.uniform(-1, 1),
-            rng.uniform(-2, 2) + 1j * rng.uniform(-1, 1),
-            1.0,
-        )
-        direction = (
-            rng.uniform(-1, 1) + 1j * rng.uniform(-0.5, 0.5),
-            rng.uniform(-1, 1) + 1j * rng.uniform(-0.5, 0.5),
-            0.0,
-        )
-        try:
-            roots, _ = line_intersections(curve, anchor, direction)
-        except (PhaseError, NonConvergenceError):
+    count, tried, block = curve.degree, 0, FIRST_BLOCK
+    while tried < MAX_TRIES:
+        state = rng.getstate()
+        tries = [(*_draw_line(rng), rng.randrange(count)) for _ in range(min(block, MAX_TRIES - tried))]
+        solved = _line_rows(curve, [t[1] for t in tries], [t[2] for t in tries])
+        picked, block = [], min(2 * block, MAX_BLOCK)
+        for k, ((theta, anchor, direction, pick), line) in enumerate(zip(tries, solved)):
+            roots = line[0] if isinstance(line, tuple) else []
+            if roots and len(roots) == count:
+                picked.append((theta, line_point(anchor, direction, roots[pick][0])))
+                continue
+            rng.setstate(state)  # replay the tries before this one, then this try's line
+            for _ in range(k):
+                _draw_line(rng)
+                rng.randrange(count)
+            _draw_line(rng)
+            if roots:
+                count = len(roots)
+                picked.append((theta, line_point(anchor, direction, roots[rng.randrange(count)][0])))
+            tries, block = tries[:k + 1], FIRST_BLOCK
+            break
+        tried += len(tries)
+        yield from _accepted(curve, picked)
+
+
+def _draw_line(rng: random.Random) -> tuple:
+    """One try's rotation angle, anchor and direction."""
+    theta = rng.uniform(0, 2 * math.pi) + 1j * rng.uniform(-0.6, 0.6)
+    anchor = (
+        rng.uniform(-2, 2) + 1j * rng.uniform(-1, 1),
+        rng.uniform(-2, 2) + 1j * rng.uniform(-1, 1),
+        1.0,
+    )
+    direction = (
+        rng.uniform(-1, 1) + 1j * rng.uniform(-0.5, 0.5),
+        rng.uniform(-1, 1) + 1j * rng.uniform(-0.5, 0.5),
+        0.0,
+    )
+    return theta, anchor, direction
+
+
+def _accepted(curve: PlaneCurve, picked) -> Iterator[PhasePoint]:
+    """The states, built lazily, of the picked (theta, base point) pairs
+    that pass the gates, in order: |c2| is the secant's scratch proximity
+    and must reach SCRATCH_MARGIN (|q2| >= 1 / cosh 0.6 > 0.84 bounds the
+    reflection's), the residual |F(c)| must be at most 1e-9, c must pass
+    ``tangent_at``'s smoothness rules, and the form density tau x q must be
+    nondegenerate for frame-based checks.  The residuals and the gradients
+    are each one stacked form evaluation, whose rows are bitwise
+    ``form_value``'s and ``gradient``'s."""
+    picked = [(theta, c) for theta, c in picked if not abs(c.coords[2]) < SCRATCH_MARGIN]
+    values = curve.form_values([c.coords for _, c in picked]).tolist()
+    picked = [(theta, c) for (theta, c), f in zip(picked, values) if not abs(f) > 1e-9]
+    grads = curve.form_values([c.coords for _, c in picked], grad=True)[:, 1:].tolist()
+    for (theta, c), (g0, g1, g2) in zip(picked, grads):
+        if math.hypot(abs(g0), abs(g1), abs(g2)) < SINGULAR_GRADIENT_TOL or max(abs(g0), abs(g1)) < SINGULAR_GRADIENT_TOL:
             continue
-        if not roots:
-            continue
-        c = line_point(anchor, direction, roots[rng.randrange(len(roots))].value)
-        # |c2| is the secant's scratch proximity here; |q2| >= 1 / cosh 0.6 > 0.84
-        # bounds the reflection's
-        if abs(c.coords[2]) < SCRATCH_MARGIN:
-            continue
-        x = PhasePoint(c=c, q=q)
-        if on_curve_residual(curve, c) > 1e-9:
-            continue
-        # form density tau x q must be nondegenerate for frame-based checks
+        t0, t1 = normalize_pair(g1, -g0)
+        x = PhasePoint(c=c, q=rotate_direction(direction_point(1, 0, 1), theta))
         q0, q1 = x.q.affine()
-        try:
-            td = tangent_at(curve, c)
-        except CurveError:
-            continue
-        t0, t1 = td.tangent
         tn = math.sqrt(abs(t0) ** 2 + abs(t1) ** 2)
         density = abs((t0 / tn) * (-q1) + (t1 / tn) * q0)
-        if not (1e-3 < density < 1e3):
-            continue
-        yield x
+        if 1e-3 < density < 1e3:
+            yield x
 
 
 def sample_phase_points(curve: PlaneCurve, count: int, seed: int) -> list[PhasePoint]:
@@ -125,12 +155,13 @@ def sample_real_state(curve: PlaneCurve, seed: int) -> PhasePoint:
         draws = [(rng.uniform(0, 2 * math.pi), rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(block)]
         anchors = [(x0, x1, 1.0) for _, x0, x1 in draws]
         directions = [(math.cos(theta), math.sin(theta), 0.0) for theta, _, _ in draws]
-        for (theta, _, _), anchor, direction, t in zip(
-            draws, anchors, directions, _least_real_roots(curve, anchors, directions)
-        ):
-            if t is None:
+        for (theta, _, _), anchor, direction, line in zip(draws, anchors, directions,
+                                                          _line_rows(curve, anchors, directions)):
+            roots = line[0] if isinstance(line, tuple) else []
+            real = [v.real for v, _ in roots if abs(v.imag) < 1e-9 * (1 + abs(v))]
+            if not real:
                 continue
-            c = line_point(anchor, direction, t)
+            c = line_point(anchor, direction, real[0])
             x = PhasePoint(c=c, q=rotate_direction(direction_point(1, 0, 1), theta))
             if secant_scratch_proximity(curve, x) < SCRATCH_MARGIN:
                 continue
@@ -141,41 +172,3 @@ def sample_real_state(curve: PlaneCurve, seed: int) -> PhasePoint:
     raise SamplingError(
         f"could not sample a real state on the curve in {MAX_REAL_TRIES} tries"
     )
-
-
-def _least_real_roots(curve: PlaneCurve, anchors, directions) -> list:
-    """For each line anchor + t * direction, the real part of its least real
-    intersection in ``find_roots`` order, or None when it has none or
-    ``line_intersections`` refuses it.
-
-    All lines are restricted in one ``restrict_to_lines`` call and solved in
-    one ``root_rows`` call, each row made monic by Python complex division as
-    ``find_roots`` does, so every value is bitwise that of
-    ``line_intersections``.  Rows that fail a gate of ``_line_roots`` (a line
-    in the curve or a degree drop) are resolved by it."""
-    d = curve.degree
-    coeffs = curve.restrict_to_lines(anchors, directions)
-    mag = np.abs(coeffs)
-    top = mag.max(axis=1)
-    ok = (top > 1e-12) & (mag[:, -1] > 1e-9 * top)
-    rows = coeffs.tolist()
-    monic = np.array([[c / row[-1] for c in row[:-1]] for row, good in zip(rows, ok) if good], dtype=complex)
-    try:
-        values, mult = root_rows(monic.reshape(-1, d))
-    except NonConvergenceError:  # the stack failed as a whole: each row alone
-        ok[:] = False
-        values = mult = np.empty((0, d))
-    solved = iter(zip(values.tolist(), mult.tolist()))
-    out = []
-    for row, good in zip(rows, ok):
-        if good:
-            roots = [v for v, m in zip(*next(solved)) if m]
-        else:
-            try:
-                roots = [r.value for r in _line_roots(row, d, 0)[0]]
-            except (PhaseError, NonConvergenceError):
-                out.append(None)
-                continue
-        real = [(v.real, v.imag) for v in roots if abs(v.imag) < 1e-9 * (1 + abs(v))]
-        out.append(min(real)[0] if real else None)
-    return out

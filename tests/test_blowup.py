@@ -291,15 +291,19 @@ def test_richardson_limit_certifies_the_halving_error_model(diffs, scale, certif
 
 def _cubic_infinity_report(cubic, monkeypatch, edit):
     """The report of two starts at a cubic scratch point at infinity, each
-    start's chains passed through ``edit`` as the follower returns them."""
+    start's chains passed through ``edit`` as lists of value tuples, then
+    written back into the follower's (start, chain, eps, value) array."""
     import algbilliards.blowup as blowup
 
     chains_of = blowup._chains
 
     def edited(*args):
-        chains, distance = chains_of(*args)
-        edit(chains)
-        return chains, distance
+        chains, has, lost_at = chains_of(*args)
+        for start, present in zip(chains, has):
+            lists = [[tuple(v) for v in chain] for chain in start[present]]
+            edit(lists)
+            start[present] = lists
+        return chains, has, lost_at
 
     scratch = [s for s in enumerate_scratch_points(cubic) if s.kind == "infinity" and s.basic][0]
     starts = infinity_experiment_starts(scratch, sample_curve_points(cubic, 16, 7), 2)

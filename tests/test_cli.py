@@ -302,6 +302,19 @@ def test_confine_eps_validation():
                 "--eps", "bogus"]) == 1
 
 
+def test_a_too_short_schedule_is_named_in_its_error(tmp_path, capsys):
+    # a valid halving schedule of 5 halvings from 1e-2 leaves the ellipse's
+    # nearest branch 1.21e-3 from its scratch point: the error says how far
+    # the schedule ran and what a start must reach
+    out = tmp_path / "c.json"
+    assert run(["confine", "--curve", DATA / "ellipse.json", "--samples", 3, "--seed", 1,
+                "--eps", "1e-2,5e-3,2.5e-3,1.25e-3,6.25e-4,3.125e-4", "--out", out]) == 1
+    (line,) = _single_error_line(capsys.readouterr().err)
+    assert "stayed 1.21e-03 from the scratch point after 5 halvings" in line
+    assert "within 1e-3" in line and "50 times closer" in line and "about 6 halvings from 1e-2" in line
+    assert not out.exists()
+
+
 def test_form_check_small_batch(tmp_path):
     out = tmp_path / "form.csv"
     code = run(["form-check", "--curve", DATA / "ellipse.json", "--samples", 5,
@@ -462,6 +475,7 @@ def test_phase_sampling_exhaustion_is_input_error(monkeypatch, tmp_path, capsys)
     ["spectral", "--curve", DATA / "circle.json"],
     ["orbit", "--curve", DATA / "circle.json"],
     ["confine", "--curve", DATA / "ellipse.json", "--samples", 0],
+    ["confine", "--curve", DATA / "ellipse.json", "--samples", 1000000000],
     ["confine", "--curve", DATA / "ellipse.json", "--scratch-index", 99],
     ["confine", "--curve", DATA / "ellipse.json", "--samples", 1],
     ["confine", "--curve", DATA / "ellipse.json", "--eps", "bogus"],

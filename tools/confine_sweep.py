@@ -4,6 +4,7 @@ then the counts.
 
     python3 tools/confine_sweep.py quartic --seeds 1-150                  # this checkout
     python3 tools/confine_sweep.py sextic --seeds 1-15 --samples 2 --root ../parent
+    python3 tools/confine_sweep.py cubic --seeds 1-30 --time              # with wall times
 
 The curve is a fixture name of ``tests/data`` or a path to a curve file.
 Each run is ``confine --curve <curve> --samples <samples> --seed <seed>``
@@ -13,7 +14,9 @@ output: ``cauchy`` (``cauchy_ok`` false), ``final`` (``max_final_diff`` at
 least 1e-3), ``pred`` (a report with a prediction whose
 ``max_prediction_error`` is at least ``PREDICTION_TOL``) and ``sep`` (a
 report with several starts whose ``min_pairwise_limit_distance`` is at
-most ``SEPARATION_TOL``).
+most ``SEPARATION_TOL``).  With ``--time`` each line also gives the run's
+in-process wall time (the ``cli.main`` call, output written), and a last
+line their median and quartiles.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ import argparse
 import contextlib
 import io
 import json
+import statistics
 import sys
+import time
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -58,6 +63,7 @@ def main(argv=None) -> int:
     parser.add_argument("--samples", type=int, default=3)
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/ is imported (default: this one)")
+    parser.add_argument("--time", action="store_true", help="print each run's in-process wall time")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
@@ -69,13 +75,16 @@ def main(argv=None) -> int:
         curve = root / "tests" / "data" / f"{args.curve}.json"
     exits: Counter = Counter()
     failing: Counter = Counter()
+    times = []
     with tempfile.TemporaryDirectory() as work:
         out = Path(work) / "confine.json"
         for seed in args.seeds:
             out.unlink(missing_ok=True)
             with contextlib.redirect_stderr(io.StringIO()):
+                started = time.perf_counter()
                 code = cli_main(["confine", "--curve", str(curve), "--samples", str(args.samples),
                                  "--seed", str(seed), "--out", str(out)])
+                times.append(time.perf_counter() - started)
             terms: set[str] = set()
             if out.exists():
                 for report in json.loads(out.read_text())["reports"]:
@@ -83,9 +92,13 @@ def main(argv=None) -> int:
             ordered = [t for t in TERMS if t in terms]
             exits[code] += 1
             failing.update(ordered)
-            print(f"seed {seed:<4d} exit {code}  {' '.join(ordered) or '-'}", flush=True)
+            timed = f"  {times[-1] * 1e3:.1f} ms" if args.time else ""
+            print(f"seed {seed:<4d} exit {code}  {' '.join(ordered) or '-'}{timed}", flush=True)
     print(f"{len(args.seeds)} runs: " + ", ".join(f"exit {code} {n}" for code, n in sorted(exits.items()))
           + "; failing " + (", ".join(f"{term} {failing[term]}" for term in TERMS if failing[term]) or "none"))
+    if args.time:
+        low, mid, high = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+        print(f"wall time: median {mid * 1e3:.1f} ms, quartiles {low * 1e3:.1f}-{high * 1e3:.1f} ms")
     return 0
 
 
