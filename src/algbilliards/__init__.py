@@ -81,7 +81,6 @@ _EXPORTS = {
     "spectral": (
         "DivisorBasis",
         "PushforwardMatrix",
-        "cheap_matrices",
         "degree_sequence",
         "intersection_form",
         "jordan_structure_d2",

@@ -327,7 +327,7 @@ def _pencil_secants(curve: PlaneCurve, params: list[ExceptionalParam]) -> list[B
         # the pencil direction meets the curve at the scratch's infinity point,
         # so the restriction drops to degree d - 1
         lines.append(((b0, b1, 1.0), (t0, t1, 0.0)))
-    solved = _line_rows(curve, *zip(*lines), at_e=1) if lines else []
+    solved = _line_rows(curve, *zip(*lines)) if lines else []
     out = []
     for e, (base, direction), line in zip(params, lines, solved):
         if not isinstance(line, tuple):

@@ -64,7 +64,7 @@ from .spectral import (
     verify_conjugation,
     verify_factorization,
 )
-from .symplectic import SymplecticError, check_invariance
+from .symplectic import MIN_STEP, SymplecticError, check_invariance
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -254,8 +254,8 @@ def cmd_confine(args) -> int:
 
 
 def cmd_form_check(args) -> int:
-    if not (args.h > 0 and math.isfinite(args.h)):
-        return _error("--h must be a positive finite step")
+    if not MIN_STEP <= args.h < math.inf:
+        return _error(f"--h must be a finite step of at least {MIN_STEP!r}, below which the residual is rounding")
     if not 1 <= args.samples <= MAX_TRIES:  # each sampling try yields at most one state
         return _error(f"--samples must be in 1..{MAX_TRIES}")
     curve = _load_curve(args.curve)

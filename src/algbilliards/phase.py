@@ -351,45 +351,55 @@ def _line_roots(poly, d: int, remove: int) -> tuple[list[RootCluster], int]:
     return roots, (d - remove) - max(eff - 1, 0)
 
 
-def _line_rows(curve: PlaneCurve, bases, directions, at_e: int = 0) -> list:
+def _line_rows(curve: PlaneCurve, bases, directions) -> list:
     """``line_intersections`` of each line base + t * e of two (N, 3) stacks:
     its roots as (value, multiplicity) pairs in ``find_roots`` order and its
     multiplicity at e, or the PhaseError or NonConvergenceError it raised.
 
-    Every line is restricted in one ``restrict_to_lines`` call.  The rows
-    whose top ``at_e`` coefficients, and no more, are at most 1e-9 of the
-    line scale are made monic by Python complex division, as ``find_roots``
-    does, and solved in one ``root_rows`` call, so every value is bitwise
-    that of ``line_intersections``; other rows are resolved by
-    ``_line_roots``, and so is each row of a stack whose eigenvalue
-    iteration failed."""
+    Every line is restricted in one ``restrict_to_lines`` call.  The rows of
+    each degree left after the top trim of ``_line_roots`` are made monic by
+    Python complex division, as ``find_roots`` does, and solved in one
+    ``_stack_roots`` call, so every value is bitwise that of
+    ``line_intersections``; ``_line_roots`` resolves the other rows (a line
+    in the curve or meeting it only at e, a non-finite coefficient)."""
     d = curve.degree
-    n = d - at_e
     coeffs = curve.restrict_to_lines(bases, directions)
     mag = np.hypot(coeffs.real, coeffs.imag)  # abs as Python computes it
     top = mag.max(axis=1)
-    ok = (1e-12 < top) & (top < np.inf) & (mag[:, n] > 1e-9 * top) & (mag[:, n + 1:] <= 1e-9 * top[:, None]).all(axis=1)
+    kept = mag > 1e-9 * top[:, None]
+    degree = np.where((1e-12 < top) & (top < np.inf), d - kept[:, ::-1].argmax(axis=1), 0)
     rows = coeffs.tolist()
-    solved = iter(())
-    if ok.any():
+    out = [None] * len(rows)
+    for n in sorted(set(degree.tolist()) - {0}):  # not np.unique, which imports numpy.ma
+        at = np.flatnonzero(degree == n).tolist()
+        values, mult, failed = _stack_roots(np.array([[c / rows[i][n] for c in rows[i][:n]] for i in at]))
+        for k, (i, v, m) in enumerate(zip(at, values.tolist(), mult.tolist())):
+            out[i] = failed.get(k) or (sorted(((z, j) for z, j in zip(v, m) if j), key=lambda r: (r[0].real, r[0].imag)), d - n)
+    for i in np.flatnonzero(degree == 0).tolist():
         try:
-            values, mult = root_rows(np.array([[c / row[n] for c in row[:n]] for row, good in zip(rows, ok) if good]))
-            solved = zip(values.tolist(), mult.tolist())
-        except NonConvergenceError:
-            ok[:] = False
-    out = []
-    for row, good in zip(rows, ok):
-        if good:
-            values, mult = next(solved)
-            out.append((sorted(((v, m) for v, m in zip(values, mult) if m), key=lambda r: (r[0].real, r[0].imag)), at_e))
-            continue
-        try:
-            roots, at = _line_roots(row, d, 0)
+            roots, at_e = _line_roots(rows[i], d, 0)
+            out[i] = ([(r.value, r.multiplicity) for r in roots], at_e)
         except _ROW_ERRORS as exc:
-            out.append(exc)
-            continue
-        out.append(([(r.value, r.multiplicity) for r in roots], at))
+            out[i] = exc
     return out
+
+
+def _stack_roots(monic: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """``root_rows`` of a stack of monic rows, and a map from each row whose
+    eigenvalue iteration fails to its NonConvergenceError: when the stack
+    fails, its rows are solved one at a time, bitwise as in the stack (a
+    row's roots depend on that row alone), so an error is that row's own."""
+    try:
+        return (*root_rows(monic), {})
+    except NonConvergenceError:
+        pass
+    values, mult, failed = np.zeros(monic.shape, dtype=complex), np.zeros(monic.shape, dtype=int), {}
+    for k in range(len(monic)):
+        try:
+            (values[k],), (mult[k],) = root_rows(monic[k : k + 1])
+        except NonConvergenceError as exc:
+            failed[k] = exc
+    return values, mult, failed
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +455,13 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
     Every line is restricted in one ``restrict_to_lines`` call, and states
     with |X2| <= SCRATCH_SOFT_TOL get their ``_proximity_rows`` (flagged
     ill_conditioned below SCRATCH_SOFT_TOL).  A row's images and
-    multiplicities are its ``root_rows`` (base root t = 0 dropped), a
-    tangent line's double image included, unless the row is in the hard
-    band (proximity below SCRATCH_HARD_TOL), which raises
-    ScratchPointError, or fails a gate of ``_line_roots``: a line in the
-    curve, a base root that does not vanish, or a degree drop.  Those rows
-    send their coefficients to ``_line_roots``."""
+    multiplicities are its roots in one ``_stack_roots`` call (base root
+    t = 0 dropped), a tangent line's double image included, and a row whose
+    eigenvalue iteration fails raises its own NonConvergenceError, unless
+    the row is in the hard band (proximity below SCRATCH_HARD_TOL), which
+    raises ScratchPointError, or fails a gate of ``_line_roots``: a line in
+    the curve, a base root that does not vanish, or a degree drop.  Those
+    rows send their coefficients to ``_line_roots``."""
     d = curve.degree
     line = q.copy()
     line[:, 2] = 0
@@ -477,7 +488,13 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
         & (mag[:, 0] <= 1e-6 * top)
         & (mag[:, -1] > 1e-9 * top)
     )
-    t, m = root_rows(coeffs[ok, 1:-1] / coeffs[ok, -1:])
+    gated = np.flatnonzero(~ok).tolist()
+    t, m, failed = _stack_roots(coeffs[ok, 1:-1] / coeffs[ok, -1:])
+    errors = {}
+    if failed:
+        errors = dict(zip(np.flatnonzero(ok)[list(failed)].tolist(), failed.values()))
+        t, m = np.delete(t, list(failed), axis=0), np.delete(m, list(failed), axis=0)
+        ok[list(errors)] = False
     cs, ls = c[ok], line[ok]
     pts = cs[:, None, :] + t[:, :, None] * ls[:, None, :]
     pts[:, :, 2] = np.where(ls[:, None, 2] == 0, cs[:, None, 2], pts[:, :, 2])
@@ -490,11 +507,10 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
     images, mult = pts.reshape(-1, 3), m.ravel()
     if not mult.all():  # the count-0 slots of merged clusters hold no image
         src, images, mult = src[mult > 0], images[mult > 0], mult[mult > 0]
-    errors = {}
-    if ok.all():
+    if not gated:
         return src, images, mult, ill, errors
     rows = []
-    for i in np.flatnonzero(~ok).tolist():
+    for i in gated:
         try:
             if prox[i] < SCRATCH_HARD_TOL:
                 raise ScratchPointError(

@@ -14,18 +14,18 @@ their characteristic polynomial factors as
 
 with Phi_d a cubic whose largest root rho_d in (2d^2 - d - 5, 2d^2 - d - 3)
 bounds the exponential degree growth.  All claims are verified here by exact
-integer computation, never floating point; floats appear only in the
-power-iteration cross-check and the bracketed root refinement.  Every
-lattice matrix is kept in one sparse form (``Nonzeros``) from its block rules
-to every certificate, and multiplied by one int64 kernel whose exactness
-bound is checked on each product.
+integer computation, never floating point; a float appears only in the
+refinement of the bracketed root, which the factorization certificate makes
+the spectral radius (see ``rho``).  Every lattice matrix is kept in one
+sparse form (``Nonzeros``) from its block rules to every certificate, and
+multiplied by one int64 kernel whose exactness bound is checked on each
+product.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -47,8 +47,6 @@ __all__ = [
     "PushforwardMatrix",
     "divisor_basis",
     "intersection_form",
-    "cheap_matrices",
-    "cheap_eigenvalues",
     "pushforward_s_hat",
     "pushforward_r_hat",
     "pushforward_b_hat",
@@ -59,7 +57,6 @@ __all__ = [
     "rho_bracket",
     "degree_sequence",
     "jordan_structure_d2",
-    "power_iteration_radius",
     "MatrixMismatchError",
 ]
 
@@ -205,40 +202,6 @@ def intersection_form(d: int) -> BigIntMatrix:
 def _intersection(d: int) -> Nonzeros:
     exceptional = np.arange(2, 2 * d * d + 2)
     return _lattice(d, [(0, 1, 1), (1, 0, 1), (exceptional, exceptional, -1)])
-
-
-# ---------------------------------------------------------------------------
-# the small 2x2 model (no blowups)
-# ---------------------------------------------------------------------------
-
-
-def cheap_matrices(d: int) -> tuple[BigIntMatrix, BigIntMatrix, BigIntMatrix]:
-    """Pushforward matrices on the unblown product surface, basis (C0, D0)."""
-    if d < 2:
-        raise ValueError("degree must be >= 2")
-    m_s = BigIntMatrix.from_rows([[d - 1, 2], [0, d - 1]])
-    m_r = BigIntMatrix.from_rows([[1, 0], [d * (d - 1), 1]])
-    m_b = m_r @ m_s
-    expected = BigIntMatrix.from_rows(
-        [[d - 1, 2], [d * (d - 1) ** 2, (2 * d + 1) * (d - 1)]]
-    )
-    if m_b.entries != expected.entries:
-        raise MatrixMismatchError("the 2x2 billiard product disagrees with its closed form")
-    return m_s, m_r, m_b
-
-
-def cheap_eigenvalues(d: int) -> tuple[float, float]:
-    """Exact eigenvalues of the 2x2 billiard pushforward: (d^2-1) +- sqrt(d^4-3d^2+2d).
-
-    The trace of the product matrix is 2d^2 - 2 and its determinant is
-    (d-1)^2, so both eigenvalues are strictly below 2d^2.
-    """
-    disc = d**4 - 3 * d**2 + 2 * d
-    root = math.sqrt(disc)
-    lo, hi = (d * d - 1) - root, (d * d - 1) + root
-    if not hi < 2 * d * d:
-        raise ArithmeticError(f"cheap eigenvalue {hi} is not below 2d^2 = {2 * d * d}")
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +453,17 @@ def rho_bracket(d: int) -> tuple[int, int]:
 
 
 def rho(d: int) -> float:
-    """Largest root of Phi_d; equals 1 exactly when d = 2.
+    """Largest root of Phi_d: the spectral radius of b_hat, and 1 when d = 2,
+    where Phi_2 = (lambda - 1)^3.
 
-    For d >= 3 the root is isolated in (2d^2-d-5, 2d^2-d-3) and refined to
-    1e-12; a floating-point power iteration on the full pushforward matrix
-    must agree to relative 1e-8.  A bracket without a sign change of Phi_d, or
-    a disagreeing power iteration, raises ArithmeticError.
+    For d >= 3 the root is isolated in (2d^2-d-5, 2d^2-d-3) by exact signs
+    and refined to 1e-12; a bracket without a sign change raises
+    ArithmeticError.  ``verify_factorization`` certifies chi(b_hat) =
+    (lambda + 1)^(2d^2-2) (lambda - (d-1)) Phi_d, and ``spectral`` exits 2
+    without it.  By Vieta, Phi_d's other roots have r2 + r3 = (2d^2-d-3) -
+    rho in (0, 2) and r2 r3 = (d-1) / rho in (0, 1): complex ones have
+    modulus sqrt((d-1) / rho) < 1, real ones lie in (0, 2), and
+    rho > 2d^2-d-5 > d-1 >= 2, so rho dominates every other eigenvalue.
     """
     if d < 2:
         raise ValueError("degree must be >= 2")
@@ -503,41 +471,11 @@ def rho(d: int) -> float:
         return 1.0
     lo, hi = rho_bracket(d)
     try:
-        value = bracketed_largest_root(phi(d), lo, hi)
+        return bracketed_largest_root(phi(d), lo, hi)
     except NoSignChangeError as exc:
         raise ArithmeticError(
             f"Phi_{d} has no root in the bracket ({lo}, {hi}): {exc}"
         ) from exc
-    numeric = power_iteration_radius(pushforward_b_hat(d))
-    if abs(numeric - value) / value > 1e-8:
-        raise ArithmeticError(
-            f"power iteration {numeric} disagrees with exact root {value}"
-        )
-    return value
-
-
-POWER_ITERATIONS = 400
-
-
-def power_iteration_radius(m: PushforwardMatrix) -> float:
-    nz = m.nonzeros
-    a = np.zeros(nz.shape)
-    a[nz.row, nz.col] = nz.val
-    n = a.shape[0]
-    v = np.full(n, 1.0) / math.sqrt(n)
-    lam = 0.0
-    for _ in range(POWER_ITERATIONS):
-        w = a @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0
-        v = w / norm
-        new_lam = float(v @ (a @ v))
-        if abs(new_lam - lam) < 1e-13 * max(1.0, abs(new_lam)):
-            lam = new_lam
-            break
-        lam = new_lam
-    return abs(lam)
 
 
 MAX_SEQUENCE_INDEX = 200

@@ -364,7 +364,7 @@ def test_format_is_a_scratch_option_only(tmp_path):
 
 
 def test_form_check_refuses_bad_step(tmp_path):
-    for h in ("0", "-1e-4", "nan", "inf"):
+    for h in ("0", "-1e-4", "nan", "inf", "1e-12", "1e-20"):
         out = tmp_path / "form.csv"
         assert run(["form-check", "--curve", DATA / "ellipse.json", "--h", h,
                     "--samples", 2, "--out", out]) == 1
@@ -486,6 +486,8 @@ def test_phase_sampling_exhaustion_is_input_error(monkeypatch, tmp_path, capsys)
     ["orbit", "--real", "--depth", -3, "--curve", DATA / "ellipse.json"],
     ["orbit", "--depth", -1, "--curve", DATA / "circle.json"],
     ["form-check", "--curve", DATA / "ellipse.json", "--h", 0],
+    ["form-check", "--curve", DATA / "ellipse.json", "--h", "1e-20"],
+    ["form-check", "--curve", DATA / "ellipse.json", "--h", "1e-12"],
     ["form-check", "--curve", DATA / "ellipse.json", "--samples", 0],
     ["form-check", "--curve", DATA / "circle.json", "--samples", 1],
     ["scratch", "--curve", DATA / "circle.json"],
@@ -495,18 +497,19 @@ def test_every_refusal_prints_one_error_line(tmp_path, capsys, argv):
     assert run([*argv, "--out", out]) == 1
     lines = _single_error_line(capsys.readouterr().err)
     assert len(lines) == 1
-    # a refused --eps or --depth value is named in the error line
-    assert all(flag in lines[0] for flag in ("--eps", "--depth") if flag in argv)
+    # a refused --eps, --depth or --h value is named in the error line
+    assert all(flag in lines[0] for flag in ("--eps", "--depth", "--h") if flag in argv)
     assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
     ["orbit", "--depth", cli.MAX_ORBIT_NODES + 1, "--real", "--curve", DATA / "ellipse.json"],
     ["form-check", "--samples", sampling.MAX_TRIES + 1, "--curve", DATA / "quartic.json"],
-], ids=["orbit-real-depth", "form-check-samples"])
+    ["form-check", "--h", "1e-12", "--curve", DATA / "quartic.json"],
+], ids=["orbit-real-depth", "form-check-samples", "form-check-h"])
 def test_what_cannot_finish_is_refused_before_sampling(monkeypatch, tmp_path, capsys, argv):
-    # the real trajectory has one node per step, and each sampling try yields
-    # at most one state
+    # the real trajectory has one node per step, each sampling try yields at
+    # most one state, and a step below the rounding floor cannot pass
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before refusing")
 

@@ -8,7 +8,14 @@ from itertools import islice
 import pytest
 
 from algbilliards import phase, sampling
-from algbilliards.curve import CurveError, PlaneCurve, curve_from_affine, on_curve_residual, tangent_at
+from algbilliards.curve import (
+    CurveError,
+    PlaneCurve,
+    curve_from_affine,
+    on_curve_residual,
+    points_at_infinity,
+    tangent_at,
+)
 from algbilliards.numerics import NonConvergenceError
 from algbilliards.phase import (
     PhaseError,
@@ -102,9 +109,9 @@ def test_the_blocked_stream_takes_the_same_tries(request, name, seeds):
 
 @pytest.mark.parametrize("name", ["quartic", "conic_and_infinity"])
 def test_the_stream_solves_blocks_of_8_16_32(request, monkeypatch, name):
-    # 60 states: the quartic's blocks of 8, 16, 32 and 64 tries are one
-    # stacked root solve each; on the conic and infinity line the first
-    # block stops at its first try, and the next blocks assume its 2 roots
+    # 60 states: the blocks of 8, 16, 32 and 64 tries are one stacked root
+    # solve each; on the conic and infinity line the first block stops at its
+    # first try, and the next blocks assume its 2 roots
     curve = CONIC_AND_INFINITY if name == "conic_and_infinity" else request.getfixturevalue(name)
     blocks = []
     line_rows = sampling._line_rows
@@ -114,11 +121,29 @@ def test_the_stream_solves_blocks_of_8_16_32(request, monkeypatch, name):
     root_rows = phase.root_rows
     monkeypatch.setattr(phase, "root_rows", lambda monic: solves.append(len(monic)) or root_rows(monic))
     sample_phase_points(curve, 60, 1)
-    if name == "quartic":
-        assert blocks == [8, 16, 32, 64] and solves == blocks
-    else:
-        # each line drops a degree at its direction point, so no row is stacked
-        assert blocks == [8, 8, 16, 32, 64] and solves == []
+    # on the conic and infinity line every row drops a degree at its direction
+    # point, and the rows of one degree are one stack
+    assert blocks == ([8, 16, 32, 64] if name == "quartic" else [8, 8, 16, 32, 64])
+    assert solves == blocks
+
+
+def test_line_rows_solve_each_degree_in_one_stack(cubic, monkeypatch):
+    # a line aimed at one of the cubic's points at infinity meets it there, so
+    # its restriction drops a degree: a stack of both kinds of line makes one
+    # root solve per degree, and every row is line_intersections's
+    rng = random.Random(3)
+    at_infinity = points_at_infinity(cubic)[0][0].coords
+    bases = [(rng.uniform(-2, 2), rng.uniform(-2, 2), 1.0) for _ in range(7)]
+    directions = [at_infinity if k % 2 else (rng.uniform(-1, 1), rng.uniform(-1, 1), 0.0) for k in range(7)]
+    solves = []
+    root_rows = phase.root_rows
+    monkeypatch.setattr(phase, "root_rows", lambda monic: solves.append(monic.shape) or root_rows(monic))
+    rows = phase._line_rows(cubic, bases, directions)
+    assert sorted(solves) == [(3, 2), (4, 3)]
+    for base, e, row in zip(bases, directions, rows):
+        roots, at_e = line_intersections(cubic, base, e)
+        assert repr(row) == repr(([(r.value, r.multiplicity) for r in roots], at_e))
+    assert [row[1] for row in rows] == [0, 1] * 3 + [0]
 
 
 def _real_state_one_try_at_a_time(curve, seed):

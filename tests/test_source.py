@@ -115,13 +115,13 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-# the package's public names: 58 re-exports and the six layers they come from
+# the package's public names: 57 re-exports and the six layers they come from
 PACKAGE_ALL = [
     "BigIntMatrix", "BranchSet", "ComplexPoly", "DirectionPoint", "DivisorBasis",
     "ExceptionalParam", "GenericityReport", "IntPoly", "OrbitLevel", "OrbitTree",
     "PhasePoint", "PlaneCurve", "ProjPoint", "PushforwardMatrix", "RootCluster",
     "ScratchPoint", "TangentData", "billiard_step", "blowup", "bracketed_largest_root",
-    "char_poly", "cheap_matrices", "check_invariance", "confinement_experiment_infinity_multi",
+    "char_poly", "check_invariance", "confinement_experiment_infinity_multi",
     "confinement_experiment_isotropic", "curve", "curve_from_affine", "curve_from_json",
     "curve_to_json", "degree_sequence", "direction_from_slope", "direction_point",
     "enumerate_scratch_points", "evaluate", "find_roots", "form_density", "genericity_report",

@@ -1,23 +1,22 @@
 """Tests for the exact spectral module (pushforward matrices, Phi_d, rho_d)."""
 
+import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from algbilliards import numerics, spectral
 from algbilliards.cli import main
-from algbilliards.numerics import BigIntMatrix, char_poly
+from algbilliards.numerics import BigIntMatrix, IntPoly, char_poly
 from algbilliards.spectral import (
-    cheap_eigenvalues,
-    cheap_matrices,
     claimed_factorization,
     degree_sequence,
     divisor_basis,
     intersection_form,
     jordan_structure_d2,
     phi,
-    power_iteration_radius,
     pushforward_b_hat,
     pushforward_r_hat,
     pushforward_s_hat,
@@ -64,35 +63,46 @@ def test_intersection_form_involution(d):
 
 
 # ---------------------------------------------------------------------------
-# cheap 2x2 matrices
+# the unblown 2x2 model: the (C0, D0) block of each pushforward
 # ---------------------------------------------------------------------------
 
 
+def fiber_block(pushforward):
+    m = pushforward.matrix
+    return BigIntMatrix.from_rows([[m[0, 0], m[0, 1]], [m[1, 0], m[1, 1]]])
+
+
 def test_cheap_matrices_d2():
-    m_s, m_r, m_b = cheap_matrices(2)
+    m_s, m_r, m_b = (fiber_block(f(2)) for f in (pushforward_s_hat, pushforward_r_hat, pushforward_b_hat))
     assert m_s.to_lists() == [[1, 2], [0, 1]]
     assert m_r.to_lists() == [[1, 0], [2, 1]]
     assert m_b.to_lists() == [[1, 2], [2, 5]]
+    assert (m_r @ m_s).entries == m_b.entries  # no exceptional class feeds the block
 
 
 @pytest.mark.parametrize("d", range(2, 10))
 def test_cheap_trace_det(d):
-    _, _, m_b = cheap_matrices(d)
+    m_b = fiber_block(pushforward_b_hat(d))
     assert m_b[0, 0] + m_b[1, 1] == 2 * d * d - 2
     assert m_b[0, 0] * m_b[1, 1] - m_b[0, 1] * m_b[1, 0] == (d - 1) ** 2
 
 
 def test_cheap_spectral_radius_d2():
     # eigenvalues of [[1,2],[2,5]] are 3 +- 2 sqrt2
-    lo, hi = cheap_eigenvalues(2)
+    lo, hi = np.sort(np.linalg.eigvalsh(np.array(fiber_block(pushforward_b_hat(2)).to_lists(), dtype=float)))
     assert abs(hi - (3 + 2 * math.sqrt(2))) < 1e-12
     assert abs(lo - (3 - 2 * math.sqrt(2))) < 1e-12
 
 
 @pytest.mark.parametrize("d", range(2, 13))
 def test_cheap_radius_below_2d2(d):
-    _, hi = cheap_eigenvalues(d)
-    assert hi < 2 * d * d
+    # the block's eigenvalues are (d^2 - 1) +- sqrt(d^4 - 3d^2 + 2d), both
+    # below 2d^2 exactly when the discriminant is below (d^2 + 1)^2
+    m_b = fiber_block(pushforward_b_hat(d))
+    half_trace = (m_b[0, 0] + m_b[1, 1]) // 2
+    disc = half_trace**2 - (m_b[0, 0] * m_b[1, 1] - m_b[0, 1] * m_b[1, 0])
+    assert half_trace == d * d - 1 and disc == d**4 - 3 * d**2 + 2 * d
+    assert disc < (2 * d * d - half_trace) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +288,75 @@ def test_rho_in_bracket_and_below_bound(d):
     assert r < 2 * d * d - d - 3
 
 
-@pytest.mark.parametrize("d", range(3, 13))
+def _power_iteration_radius(m):
+    """The float reference: power iteration on the dense float copy of a
+    pushforward, until its Rayleigh quotient settles to 1e-13 (at most 400
+    steps)."""
+    nz = m.nonzeros
+    a = np.zeros(nz.shape)
+    a[nz.row, nz.col] = nz.val
+    v = np.full(a.shape[0], 1 / math.sqrt(a.shape[0]))
+    lam = 0.0
+    for _ in range(400):
+        w = a @ v
+        v = w / np.linalg.norm(w)
+        new_lam = float(v @ (a @ v))
+        if abs(new_lam - lam) < 1e-13 * max(1.0, abs(new_lam)):
+            return abs(new_lam)
+        lam = new_lam
+    return abs(lam)
+
+
+@pytest.mark.parametrize("d", range(3, 23))
 def test_rho_power_iteration_agreement(d):
     r = rho(d)
-    numeric = power_iteration_radius(pushforward_b_hat(d))
+    numeric = _power_iteration_radius(pushforward_b_hat(d))
     assert abs(numeric - r) / r < 1e-8
+
+
+@pytest.mark.parametrize("d", range(2, 23))
+def test_the_certificate_makes_rho_the_spectral_radius(d):
+    # rho's dominance argument, in exact integers: chi(b_hat) is certified to
+    # be (lambda + 1)^(2d^2 - 2) (lambda - (d - 1)) Phi_d, and Phi_d's other
+    # roots are smaller than rho by Vieta.  At d = 2 every eigenvalue is 1 or
+    # -1, where power iteration cannot converge: the two moduli tie
+    ok, cert = verify_factorization(d)
+    assert ok
+    p = phi(d)
+    if d == 2:
+        assert p == IntPoly([-1, 1]) ** 3 and rho(2) == 1.0
+        assert cert["char_poly"] == convolve(poly_power([-1, 1], 4), poly_power([1, 1], 6))
+        return
+    lo, hi = rho_bracket(d)
+    assert p.sign_at(Fraction(lo)) < 0 < p.sign_at(Fraction(hi))  # rho in (lo, hi)
+    assert -p.coeffs[2] == hi  # r2 + r3 = hi - rho, in (0, 2)
+    assert 0 < -p.coeffs[0] < lo  # r2 r3 = (d - 1) / rho, in (0, 1)
+    assert max(2, d - 1) < lo  # so |r2|, |r3| < 2 < rho, and d - 1 < rho
+    assert lo < rho(d) < hi
+
+
+class _NoLinalg:
+    """numpy, less np.linalg."""
+
+    def __getattr__(self, name):
+        if name == "linalg":
+            raise AssertionError("spectral reached np.linalg")
+        return getattr(np, name)
+
+
+# sha256 of the repr of (verify_factorization, verify_conjugation,
+# degree_sequence to m = 60, rho) at d = 2..22, as the float-checked rho gave them
+SPECTRAL_VALUES_SHA256 = "18b8b3be3253a1ee7de8cc2c08a5c7b4c4d39879468dfdd5a0f6e153a4256ec5"
+
+
+def test_spectral_runs_no_float_linear_algebra(monkeypatch):
+    # everything `spectral --d` computes, with np.linalg out of reach
+    pushforward_b_hat.cache_clear()
+    monkeypatch.setattr(spectral, "np", _NoLinalg())
+    values = [(verify_factorization(d), verify_conjugation(d), degree_sequence(d, 60), rho(d))
+              for d in range(2, 23)]
+    pushforward_b_hat.cache_clear()
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == SPECTRAL_VALUES_SHA256
 
 
 def test_exact_divide_char_poly_d2_by_lambda_plus_1_pow6():

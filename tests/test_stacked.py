@@ -326,6 +326,52 @@ def test_a_failing_row_is_that_states_error(monkeypatch):
         assert orbit_tree(curve, x, 1).levels[1].reason == (name,)
 
 
+def _fail_the_stack_of(monkeypatch, curve, c, q):
+    """Patch the root rule to raise for every stack that holds the secant's
+    monic row of the state (c, q); return the row count of each call."""
+    root_rows, monic_rows = phase.root_rows, []
+    monkeypatch.setattr(phase, "root_rows", lambda monic: monic_rows.append(monic) or root_rows(monic))
+    phase._secant_rows(curve, c, q)
+    (target,) = monic_rows[-1]
+    stacks = []
+
+    def failing(monic):
+        stacks.append(len(monic))
+        if (monic == target).all(axis=1).any():
+            raise NonConvergenceError("injected")
+        return root_rows(monic)
+
+    monkeypatch.setattr(phase, "root_rows", failing)
+    return stacks
+
+
+def test_a_failed_secant_stack_fails_only_its_own_row(monkeypatch):
+    """A stacked root solve that does not converge is solved again one row at
+    a time: the row that still fails is that state's NonConvergenceError, and
+    every other state keeps bitwise its one-state step, in a stack of
+    billiard steps and in a level of an orbit tree."""
+    curve = PlaneCurve.from_coeffs(*TERMINATING_CUBIC)
+    xs = sample_phase_points(curve, 6, seed=5)
+    expected = [repr(billiard_step(curve, x)) for x in xs]
+    plain = orbit_tree(curve, xs[0], 2)
+    stacks = _fail_the_stack_of(monkeypatch, curve, *phase._stack(xs[3:4]))
+    steps = billiard_steps(curve, xs)
+    assert stacks == [6, 1, 1, 1, 1, 1, 1]
+    assert isinstance(steps[3], NonConvergenceError)
+    assert [repr(step) for k, step in enumerate(steps) if k != 3] == expected[:3] + expected[4:]
+    monkeypatch.undo()
+
+    level = plain.levels[1]
+    _fail_the_stack_of(monkeypatch, curve, level.c[:1], level.q[:1])
+    tree = orbit_tree(curve, xs[0], 2)
+    for old, new in zip(plain.levels[:2], tree.levels[:2]):
+        assert list(map(repr, old)) == list(map(repr, new))
+    last = tree.levels[2]
+    assert [r for r, p in zip(last.reason, last.parent.tolist()) if p == 0] == ["NonConvergenceError"]
+    kept = [repr(node) for node in plain.levels[2] if node.parent_index != 0]
+    assert [repr(node) for node in tree.levels[2] if node.parent_index != 0] == kept
+
+
 def test_rows_off_the_stacked_roots_restrict_their_line_once(monkeypatch):
     """A stack with tangent, degree-drop and hard-band rows restricts every
     line in one ``restrict_to_lines`` call and never per state.  The
