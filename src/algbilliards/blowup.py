@@ -338,7 +338,8 @@ def _pencil_secants(curve: PlaneCurve, params: list[ExceptionalParam]) -> list[B
                 f"line at offset {e.value} has unexpected intersection degree "
                 f"{curve.degree - at_direction}"
             )
-        branches = [Branch(PhasePoint(c=line_point(base, direction, t), q=e.scratch.phase.q), m) for t, m in roots]
+        branches = [Branch(PhasePoint(c=line_point(base, direction, r.value), q=e.scratch.phase.q), r.multiplicity)
+                    for r in roots]
         branches.sort(key=lambda b: point_order_key(b.point.c.coords))
         out.append(BranchSet(source=e.scratch.phase, op_tag="secant", images=tuple(branches)))
     return out

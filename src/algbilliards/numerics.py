@@ -3,12 +3,13 @@
 Two independent toolkits live here.  The floating-point side supports the
 geometry modules, which intersect lines with plane curves and need root
 multisets with multiplicities: one root rule over stacked monic rows
-(root_rows: companion roots, then one certified merge of close pairs), of
-which find_roots is the one-row call on a ComplexPoly.  The
-exact side (IntPoly, bracketed_largest_root by integer signs, and the dense
-BigIntMatrix with char_poly and exact_rank for small blocks and the tests'
-oracles) supports the spectral module, where every statement is an integer
-identity and floating point is never allowed to leak in.
+(root_rows: companion roots, then one certified merge of close pairs), read
+as RootClusters by root_clusters, with find_roots the one-row call on a
+ComplexPoly.  The exact side (IntPoly, bracketed_largest_root by integer
+signs, and the dense BigIntMatrix with char_poly and exact_rank for small
+blocks and the tests' oracles) supports the spectral module, where every
+statement is an integer identity and floating point is never allowed to
+leak in.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "NoSignChangeError",
     "find_roots",
     "root_rows",
+    "root_clusters",
     "close_pairs",
     "monic_roots",
     "char_poly",
@@ -97,25 +99,26 @@ class RootCluster:
 
 
 def find_roots(p: ComplexPoly) -> list[RootCluster]:
-    """All roots of ``p`` with multiplicity: ``root_rows`` on its one monic
-    row, in (real, imag) order.  Degree 1 is the closed form.
+    """All roots of ``p`` with multiplicity: ``root_clusters`` of its one
+    monic row, made by Python complex division.
 
     Raises NonConvergenceError if the eigenvalue iteration fails.
     """
-    n = p.degree
-    if n < 1:
+    if p.degree < 1:
         raise ValueError("find_roots requires degree >= 1")
-    for c in p.coeffs:
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ValueError("coefficients must be finite")
-    lead = p.coeffs[-1]
-    monic = [c / lead for c in p.coeffs[:-1]]
-    if n == 1:
-        return [RootCluster(-monic[0], 1, 0.0)]  # exact on the monic row
-    low = np.array([monic])
-    values, mult = root_rows(low)
-    rows = zip(values[0].tolist(), mult[0].tolist(), _backward_error(low, values)[0].tolist())
-    return sorted((RootCluster(*row) for row in rows if row[1]), key=lambda rc: (rc.value.real, rc.value.imag))
+    if not np.isfinite(p.coeffs).all():
+        raise ValueError("coefficients must be finite")
+    monic = np.array([[c / p.coeffs[-1] for c in p.coeffs[:-1]]])
+    return root_clusters(monic, *root_rows(monic))[0]
+
+
+def root_clusters(monic: np.ndarray, values: np.ndarray, mult: np.ndarray) -> list[list[RootCluster]]:
+    """``root_rows``' values and counts on the monic rows as each row's
+    RootClusters with their backward errors, in (real, imag) order; a
+    degree-1 root is exact on its monic row, with residual 0."""
+    residual = np.zeros(values.shape) if monic.shape[1] == 1 else _backward_error(monic, values)
+    return [sorted((RootCluster(*root) for root in zip(*row) if root[1]), key=lambda rc: (rc.value.real, rc.value.imag))
+            for row in zip(values.tolist(), mult.tolist(), residual.tolist())]
 
 
 def monic_roots(monic: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ order.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -35,7 +36,8 @@ from .curve import (
     proj_points,
     tangent_at,
 )
-from .numerics import ComplexPoly, NonConvergenceError, RootCluster, find_roots, root_rows
+from .numerics import NonConvergenceError, RootCluster, root_clusters, root_rows
+from .numerics import find_roots  # noqa: F401 -- unused; bench/bench_trace.py wraps it
 
 __all__ = [
     "DirectionPoint",
@@ -314,73 +316,59 @@ def line_point(base, e, t) -> ProjPoint:
     return proj_point(base[0] + t * e[0], base[1] + t * e[1], third)
 
 
-def line_intersections(
-    curve: PlaneCurve, base, e, *, remove: int = 0
-) -> tuple[list[RootCluster], int]:
-    """Intersections of the curve with the line base + t * e.
-
-    The restriction of the curve form is a degree-d polynomial in t, which
-    ``_line_roots`` resolves.  Returns the remaining parameter clusters in
-    ``find_roots`` order (map them to points with ``line_point``) and the
-    multiplicity at e.
-    """
-    return _line_roots(curve.restrict_to_line(base, e).coeffs, curve.degree, remove)
+def line_intersections(curve: PlaneCurve, base, e, *, remove: int = 0) -> tuple[list[RootCluster], int]:
+    """Intersections of the curve with the line base + t * e: the one-row
+    call of ``_line_rows``, raising the row's error.  Returns the remaining
+    parameter clusters in ``find_roots`` order (map them to points with
+    ``line_point``) and the multiplicity at e."""
+    (line,) = _line_rows(curve, [base], [e], remove)
+    if isinstance(line, _ROW_ERRORS):
+        raise line
+    return line
 
 
-def _line_roots(poly, d: int, remove: int) -> tuple[list[RootCluster], int]:
-    """The roots of a line's restriction, given by its ascending coefficients
-    poly (at most d + 1), from ``find_roots``, the one-row root rule.  A line
-    inside the curve is refused; ``remove`` (0, 1 or 2) copies of a known
-    root at t = 0 are divided out by dropping the low coefficients, which
-    must sit at the residual level of the base point; top coefficients below
-    1e-9 of the line scale count as intersections at e itself (t = infinity,
-    the direction point [D0 : D1 : 0] when e = (D0, D1, 0)).  The stacked
-    secant sends here only its rows that fail one of these gates."""
-    line_scale = max(abs(c) for c in poly)
-    if line_scale <= 1e-12:
-        raise LineInCurveError("the line lies in the curve")
-    coeffs = list(poly) + [0j] * (d + 1 - len(poly))
-    gates = (1e-6, 1e-5)[:remove]
-    if any(abs(c) > g * line_scale for c, g in zip(coeffs, gates)):
-        raise PhaseError(f"the line does not meet the curve {remove} times at the base point")
-    body = coeffs[remove:]
-    eff = len(body)
-    while eff > 0 and abs(body[eff - 1]) <= 1e-9 * line_scale:
-        eff -= 1
-    roots = find_roots(ComplexPoly(body[:eff])) if eff >= 2 else []
-    return roots, (d - remove) - max(eff - 1, 0)
+def _line_rows(curve: PlaneCurve, bases, directions, remove: int = 0) -> list:
+    """The line rule ``_line_rule`` on each line base + t * e of two (N, 3)
+    stacks, every line restricted in one ``restrict_to_lines`` call."""
+    return _line_rule(curve.restrict_to_lines(bases, directions), remove)
 
 
-def _line_rows(curve: PlaneCurve, bases, directions) -> list:
-    """``line_intersections`` of each line base + t * e of two (N, 3) stacks:
-    its roots as (value, multiplicity) pairs in ``find_roots`` order and its
+def _line_rule(coeffs: np.ndarray, remove: int) -> list:
+    """The one line rule on the (N, d + 1) ascending coefficients of lines'
+    restrictions: per row its RootClusters in ``find_roots`` order and its
     multiplicity at e, or the PhaseError or NonConvergenceError it raised.
 
-    Every line is restricted in one ``restrict_to_lines`` call.  The rows of
-    each degree left after the top trim of ``_line_roots`` are made monic by
+    A row with a non-finite coefficient is refused, and so is a line inside
+    the curve (line scale, the largest |coefficient|, at most 1e-12);
+    ``remove`` (0, 1 or 2) copies of a known root at t = 0 are divided out
+    by dropping the low coefficients, which must sit below 1e-6 and 1e-5 of
+    the line scale; top coefficients at most 1e-9 of it are intersections at
+    e itself (t = infinity).  The rows of each degree left are made monic by
     Python complex division, as ``find_roots`` does, and solved in one
-    ``_stack_roots`` call, so every value is bitwise that of
-    ``line_intersections``; ``_line_roots`` resolves the other rows (a line
-    in the curve or meeting it only at e, a non-finite coefficient)."""
-    d = curve.degree
-    coeffs = curve.restrict_to_lines(bases, directions)
-    mag = np.hypot(coeffs.real, coeffs.imag)  # abs as Python computes it
-    top = mag.max(axis=1)
-    kept = mag > 1e-9 * top[:, None]
-    degree = np.where((1e-12 < top) & (top < np.inf), d - kept[:, ::-1].argmax(axis=1), 0)
-    rows = coeffs.tolist()
-    out = [None] * len(rows)
-    for n in sorted(set(degree.tolist()) - {0}):  # not np.unique, which imports numpy.ma
-        at = np.flatnonzero(degree == n).tolist()
-        values, mult, failed = _stack_roots(np.array([[c / rows[i][n] for c in rows[i][:n]] for i in at]))
-        for k, (i, v, m) in enumerate(zip(at, values.tolist(), mult.tolist())):
-            out[i] = failed.get(k) or (sorted(((z, j) for z, j in zip(v, m) if j), key=lambda r: (r[0].real, r[0].imag)), d - n)
-    for i in np.flatnonzero(degree == 0).tolist():
-        try:
-            roots, at_e = _line_roots(rows[i], d, 0)
-            out[i] = ([(r.value, r.multiplicity) for r in roots], at_e)
-        except _ROW_ERRORS as exc:
-            out[i] = exc
+    ``_stack_roots`` call, so a row's roots are bitwise those it has alone."""
+    d, rows = coeffs.shape[1] - 1, coeffs.tolist()
+    out, stacks = [], {}
+    for i, row in enumerate(rows):
+        mags = list(map(abs, row))
+        scale = max(mags)
+        if not all(map(math.isfinite, mags)):
+            out.append(PhaseError("the line's restriction is not finite"))
+        elif scale <= 1e-12:
+            out.append(LineInCurveError("the line lies in the curve"))
+        elif any(m > g * scale for m, g in zip(mags, (1e-6, 1e-5)[:remove])):
+            out.append(PhaseError(f"the line does not meet the curve {remove} times at the base point"))
+        else:
+            n = d - remove  # the degree left; the gates keep a coefficient of the body
+            while mags[remove + n] <= 1e-9 * scale:
+                n -= 1
+            out.append(([], d - remove - n))
+            if n:
+                stacks.setdefault(n, []).append(i)
+    for n, at in sorted(stacks.items()):
+        monic = np.array([[c / rows[i][remove + n] for c in rows[i][remove : remove + n]] for i in at])
+        values, mult, failed = _stack_roots(monic)
+        for k, (i, roots) in enumerate(zip(at, root_clusters(monic, values, mult))):
+            out[i] = failed.get(k) or (roots, d - remove - n)
     return out
 
 
@@ -459,9 +447,10 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
     t = 0 dropped), a tangent line's double image included, and a row whose
     eigenvalue iteration fails raises its own NonConvergenceError, unless
     the row is in the hard band (proximity below SCRATCH_HARD_TOL), which
-    raises ScratchPointError, or fails a gate of ``_line_roots``: a line in
-    the curve, a base root that does not vanish, or a degree drop.  Those
-    rows send their coefficients to ``_line_roots``."""
+    raises ScratchPointError, or fails a gate of ``_line_rule``: a line in
+    the curve, a base root that does not vanish, a degree drop or a
+    non-finite coefficient.  Those rows send their coefficients to
+    ``_line_rule`` in one call."""
     d = curve.degree
     line = q.copy()
     line[:, 2] = 0
@@ -509,17 +498,16 @@ def _secant_rows(curve: PlaneCurve, c: np.ndarray, q: np.ndarray):
         src, images, mult = src[mult > 0], images[mult > 0], mult[mult > 0]
     if not gated:
         return src, images, mult, ill, errors
+    ruled = [i for i in gated if not prox[i] < SCRATCH_HARD_TOL]
+    ruling = dict(zip(ruled, _line_rule(coeffs[ruled], 1)))
     rows = []
     for i in gated:
-        try:
-            if prox[i] < SCRATCH_HARD_TOL:
-                raise ScratchPointError(
-                    f"secant source is a scratch point at infinity (proximity {prox[i]:.2e})"
-                )
-            roots, at_e = _line_roots(coeffs[i].tolist(), d, 1)
-        except _ROW_ERRORS as exc:
-            errors[i] = exc
+        result = ruling.get(i) or ScratchPointError(
+            f"secant source is a scratch point at infinity (proximity {prox[i]:.2e})")
+        if isinstance(result, _ROW_ERRORS):
+            errors[i] = result
             continue
+        roots, at_e = result
         base, e = c[i].tolist(), line[i].tolist()
         found = [(proj_point(*e).coords, at_e)] if at_e else []
         found += [(line_point(base, e, r.value).coords, r.multiplicity) for r in roots]

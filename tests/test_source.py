@@ -1,8 +1,9 @@
 """Whole-package checks: no assert-based invariants, no catch-all handlers,
-every error maps to an exit code, the package namespace is lazy, and every
-demo runs."""
+every error maps to an exit code, the package namespace is lazy, every
+demo runs, and the digest tool keeps its work dir to one run."""
 
 import ast
+import fcntl
 import importlib
 import importlib.util
 import json
@@ -183,3 +184,19 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_output_digests_refuses_a_work_dir_in_use(tmp_path, monkeypatch, capsys):
+    # two runs sharing a work dir would overwrite each other's curve file and
+    # outputs, so a second run exits 1 before its first command
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import output_digests
+
+    runs = []
+    monkeypatch.setattr(output_digests, "digest", lambda *a, **k: runs.append(a) or "")
+    with open(tmp_path / ".lock", "w") as held:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert output_digests.main(["--work", str(tmp_path), "--seeds"]) == 1
+    assert runs == []
+    (line,) = capsys.readouterr().err.splitlines()
+    assert str(tmp_path) in line and "--work" in line

@@ -1,6 +1,7 @@
 """The stacked geometry kernel: normalization, the chordal distance, properties
 over random generic curves, and orbit trees against single billiard steps."""
 
+import functools
 import math
 import random
 from collections import Counter
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from algbilliards import phase
 from algbilliards.blowup import GenericityFailureError, enumerate_scratch_points
 from algbilliards.curve import (
+    ContainsInfinityLineError,
     CurveError,
     PlaneCurve,
     direction_distance,
@@ -25,7 +27,8 @@ from algbilliards.curve import (
     tangent_at,
 )
 from algbilliards.numerics import NonConvergenceError, RootCluster, find_roots
-from conftest import load_curve
+from conftest import CONIC_AND_INFINITY, load_curve
+from line_reference import reference_line_intersections
 from algbilliards.phase import (
     OffCurveError,
     PhaseError,
@@ -215,29 +218,37 @@ def _children(step):
 
 
 def log_line_rule(monkeypatch, inject=None):
-    """Patch the secant's one line rule ``_line_roots`` to log the line
-    (base point, second point) of every row that calls it, found through the
-    coefficient rows of the last ``restrict_to_lines`` call;
-    ``inject(line, rule)``, if given, returns the row's result in place of
-    ``rule()``.  Returns the log."""
-    restrict, line_roots = PlaneCurve.restrict_to_lines, phase._line_roots
+    """Patch the one line rule ``_line_rule`` to log the line (base point,
+    second point) of every row it resolves, found through the coefficient
+    rows of the last ``restrict_to_lines`` call; ``inject(line, rule)``, if
+    given, returns the row's result in place of ``rule()``, which returns the
+    row's result or raises its error.  Returns the log."""
+    restrict, line_rule = PlaneCurve.restrict_to_lines, phase._line_rule
     restricted, lines = [], []
 
     def restrict_to_lines(self, b, v):
         restricted.append((np.asarray(b), np.asarray(v), restrict(self, b, v)))
         return restricted[-1][2]
 
-    def logged(poly, d, remove):
-        b, v, coeffs = restricted[-1]
-        r = [row == list(poly) for row in coeffs.tolist()].index(True)
-        lines.append((tuple(b[r].tolist()), tuple(v[r].tolist())))
+    def logged(coeffs, remove):
+        b, v, stack = restricted[-1]
+        out = []
+        for row, result in zip(coeffs.tolist(), line_rule(coeffs, remove)):
+            r = [row == other for other in stack.tolist()].index(True)
+            lines.append((tuple(b[r].tolist()), tuple(v[r].tolist())))
 
-        def rule():
-            return line_roots(poly, d, remove)
-        return inject(lines[-1], rule) if inject else rule()
+            def rule(result=result):
+                if isinstance(result, phase._ROW_ERRORS):
+                    raise result
+                return result
+            try:
+                out.append(inject(lines[-1], rule) if inject else rule())
+            except phase._ROW_ERRORS as exc:
+                out.append(exc)
+        return out
 
     monkeypatch.setattr(PlaneCurve, "restrict_to_lines", restrict_to_lines)
-    monkeypatch.setattr(phase, "_line_roots", logged)
+    monkeypatch.setattr(phase, "_line_rule", logged)
     return lines
 
 
@@ -414,6 +425,112 @@ def test_rows_off_the_stacked_roots_restrict_their_line_once(monkeypatch):
         else:
             assert [m for _, m in got] == [m for _, m in want] == ([2] if x is tangent[0] else [1, 1])
             assert all(proj_distance(proj_point(*p), proj_point(*q)) < 1e-12 for (p, _), (q, _) in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
+# the line rule on a stack
+# ---------------------------------------------------------------------------
+
+
+def one_row(curve, base, e, remove):
+    """``line_intersections`` of one line, or the error it raised."""
+    try:
+        return line_intersections(curve, base, e, remove=remove)
+    except (PhaseError, NonConvergenceError) as exc:
+        return exc
+
+
+def same_row(got, want):
+    """A stacked row against a one-row result: repr-equal clusters and
+    multiplicity at e, or an error of the same type and text."""
+    if isinstance(want, Exception):
+        return (type(got), str(got)) == (type(want), str(want))
+    return repr(got) == repr(want)
+
+
+def test_a_row_error_stays_in_its_row(cubic):
+    # the first line's restriction overflows: that row is refused, and the
+    # second keeps its roots
+    bases, directions = [(1e120, 1e120, 1), (0.1, 0.2, 1)], [(1, 0.5, 0), (1, 0.3, 0)]
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the input
+        rows = phase._line_rows(cubic, bases, directions)
+        assert isinstance(one_row(cubic, bases[0], directions[0], 0), PhaseError)
+    assert isinstance(rows[0], PhaseError) and str(rows[0]) == "the line's restriction is not finite"
+    assert repr(rows[1]) == repr(line_intersections(cubic, bases[1], directions[1]))
+    assert repr(rows[1]) == repr(reference_line_intersections(cubic, bases[1], directions[1]))
+
+
+def test_each_refusal_of_the_line_rule_is_its_rows_own():
+    # on X2 (X0^2 + 2 X1^2 - X2^2), with one base root divided out: a clean
+    # line through (1, 0, 1), the line at infinity (in the curve), a base off
+    # the curve (its base root does not vanish), a line aimed at infinity (a
+    # degree drop) and an overflowing line, in one stack and in three orders
+    curve = CONIC_AND_INFINITY
+    lines = [((1, 0, 1), (0.3, 0.7, 1)), ((1, 0, 0), (0, 1, 0)), ((0.5, 0.5, 1), (1, 0.3, 0)),
+             ((1, 0, 1), (0.2, 0.9, 0)), ((1e120, 1e120, 1), (1, 0.5, 0))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = [one_row(curve, base, e, 1) for base, e in lines]
+        assert [type(row).__name__ for row in alone] == ["tuple", "LineInCurveError", "PhaseError", "tuple",
+                                                         "PhaseError"]
+        assert [row[1] for row in alone if isinstance(row, tuple)] == [0, 1]
+        for order in (lines, lines[::-1], lines[1:] + lines[:1]):
+            rows = phase._line_rows(curve, *zip(*order), 1)
+            want = [alone[lines.index(line)] for line in order]
+            assert all(same_row(g, w) for g, w in zip(rows, want))
+    for (base, e), row in zip(lines[:4], alone):
+        assert same_row(row, reference_line_intersections(curve, base, e, 1))
+
+
+REFERENCE_CURVES = {name: load_curve(name) for name in ("ellipse", "cubic", "quartic", "sextic")}
+REFERENCE_CURVES.update(terminating=PlaneCurve.from_coeffs(*TERMINATING_CUBIC), conic_and_infinity=CONIC_AND_INFINITY)
+
+
+@functools.cache
+def line_material(name):
+    """Points of the curve, their tangent slopes and its points at infinity
+    (two of them where the curve holds the line at infinity)."""
+    curve = REFERENCE_CURVES[name]
+    points = [x.c.coords for x in sample_phase_points(curve, 4, seed=3)]
+    tangents = [tangent_at(curve, proj_point(*p)).tangent for p in points]
+    try:
+        infinity = [p.coords for p, _ in points_at_infinity(curve)]
+    except ContainsInfinityLineError:
+        infinity = [(1, 0, 0), (0.6, 0.8, 0)]
+    return points, tangents, infinity
+
+
+complexes = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(REFERENCE_CURVES)), st.integers(0, 2),
+       st.lists(st.tuples(st.sampled_from(("free", "through", "tangent", "aimed", "at infinity")),
+                          st.integers(0, 2**16), complexes, complexes), min_size=1, max_size=8))
+@example("conic_and_infinity", 0, [("at infinity", 1, 0.3j, 1.0), ("tangent", 0, 0j, 0j), ("aimed", 2, 1.0, 0.5)])
+@example("cubic", 0, [("tangent", k, 0j, 0j) for k in range(4)] + [("through", 1, 0.5, 1j)])
+@example("terminating", 1, [("aimed", 0, 0j, 0j), ("through", 0, 1.0, 0.5), ("free", 3, 0.2, 1.1)])
+def test_the_line_rule_is_the_scalar_reference(name, remove, specs):
+    """Stacked lines of every kind: a random line, one through a point of
+    the curve, its tangent line there, a line aimed at a point at infinity
+    and one through a point at infinity.  Every row of ``_line_rows`` is
+    repr-equal to the scalar reference, or raises its error type and text."""
+    curve = REFERENCE_CURVES[name]
+    points, tangents, infinity = line_material(name)
+    bases, directions = [], []
+    for kind, k, u, v in specs:
+        p, tangent, far = points[k % len(points)], tangents[k % len(points)], infinity[k % len(infinity)]
+        base, e = {
+            "free": ((u, v, 1), (v, u, 0)),
+            "through": (p, (u, v, 0)),
+            "tangent": (p, (tangent[0], tangent[1], 0)),
+            "aimed": ((u, v, 1) if k % 2 else p, far),
+            "at infinity": (far, (u, v, k % 3 - 1)),
+        }[kind]
+        bases.append(base)
+        directions.append(e)
+    rows = phase._line_rows(curve, bases, directions, remove)
+    for base, e, row in zip(bases, directions, rows):
+        assert same_row(row, reference_line_intersections(curve, base, e, remove))
 
 
 # ---------------------------------------------------------------------------

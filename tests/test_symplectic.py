@@ -1,9 +1,11 @@
 """Tests for the invariant-form machinery."""
 
+import csv
 import math
 
 import pytest
 
+from algbilliards import cli, symplectic
 from algbilliards.curve import proj_point
 from algbilliards.phase import direction_point, phase_point
 from algbilliards.sampling import sample_phase_points
@@ -16,6 +18,8 @@ from algbilliards.symplectic import (
     form_density,
     local_frame,
 )
+
+from conftest import DATA
 
 S2 = math.sqrt(2)
 
@@ -98,3 +102,27 @@ def test_invariance_random_batch_orders(cubic):
                 measured += 1
                 assert 1.8 < r.order_estimate < 2.2, (op, r)
     assert measured >= 3
+
+
+@pytest.mark.parametrize("name, seed", [("ellipse", 13), ("cubic", 0), ("quartic", 3)])
+def test_form_check_gates_on_the_extrapolated_jacobian(request, tmp_path, name, seed):
+    # at these seeds the plain residual of one J reaches 5.1e-4, 8.6e-3 and
+    # 1.2e-4, its O(h^2) truncation term; the gated J* residual stays far below
+    out = tmp_path / "form.csv"
+    argv = ["form-check", "--curve", str(DATA / f"{name}.json"), "--samples", "40", "--seed", str(seed)]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert max(float(r["residual_h"]) for r in rows) > 1e-4
+    assert max(float(r["residual_extrapolated"]) for r in rows) < 1e-6
+
+
+def test_the_extrapolated_gate_still_catches_a_gross_error(monkeypatch, tmp_path, ellipse):
+    # a conic frame coordinate scaled by 1.001 is a Jacobian 1e-3 off at every
+    # step, which extrapolation cannot remove: the residual reads 1e-3
+    frame_coordinates = symplectic._frame_coordinates
+    monkeypatch.setattr(symplectic, "_frame_coordinates",
+                        lambda *a: (frame_coordinates(*a)[0], frame_coordinates(*a)[1] * 1.001))
+    x = sample_phase_points(ellipse, 1, seed=1)[0]
+    assert abs(check_invariance(ellipse, x, "reflect").residual_extrapolated - 1e-3) < 1e-5
+    argv = ["form-check", "--curve", str(DATA / "ellipse.json"), "--samples", "2", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2

@@ -23,7 +23,8 @@ the library imported from ``<root>/src``:
 
 Every run writes its ``--out`` to the same path under ``--work`` and every
 fixture curve is written to the same path there, so the outputs' ``meta``
-blocks agree across checkouts and scales.  A missing output digests as
+blocks agree across checkouts and scales.  So one run holds ``--work`` at a
+time: a second run on a work dir in use exits 1 before running anything.  A missing output digests as
 ``-``; a run that raised prints the exception's type as its exit; a run
 that issued a RuntimeWarning gets a fourth field, ``RuntimeWarning``.
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import fcntl
 import hashlib
 import io
 import json
@@ -204,15 +206,21 @@ def main(argv=None) -> int:
     root, work = args.root.resolve(), args.work.resolve()
     keep, kept = (p.resolve() if p else None for p in (args.keep, args.compare))
     work.mkdir(parents=True, exist_ok=True)
-    sys.dont_write_bytecode = True  # leave the checkout as it is
-    sys.path.insert(0, str(root / "src"))
-    from algbilliards.cli import main as cli_main
+    with open(work / ".lock", "w") as lock:
+        try:  # two runs sharing a work dir overwrite each other's curve and outputs
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            print(f"error: another run is using {work}; give this one its own --work", file=sys.stderr)
+            return 1
+        sys.dont_write_bytecode = True  # leave the checkout as it is
+        sys.path.insert(0, str(root / "src"))
+        from algbilliards.cli import main as cli_main
 
-    os.chdir(root)  # the benchmark's jobs name curves relative to the checkout
-    # lazily: each fixture run writes its curve file just before it runs
-    runs = chain(fixture_runs(root, args.scale, work), spectral_runs(work), bench_runs(root, args.seeds, work))
-    for name, run_argv, out in runs:
-        print(digest(cli_main, name, run_argv, out, keep, kept), flush=True)
+        os.chdir(root)  # the benchmark's jobs name curves relative to the checkout
+        # lazily: each fixture run writes its curve file just before it runs
+        runs = chain(fixture_runs(root, args.scale, work), spectral_runs(work), bench_runs(root, args.seeds, work))
+        for name, run_argv, out in runs:
+            print(digest(cli_main, name, run_argv, out, keep, kept), flush=True)
     return 0
 
 
