@@ -17,8 +17,7 @@ cubic = PlaneCurve.from_coeffs(
 states = sample_phase_points(cubic, 5, seed=21)
 print("op          branch   residual(h)   residual(h/2)   observed order")
 for x in states:
-    for op, branches in (("secant", 2), ("reflect", 1), ("billiard", 2)):
-        for b in range(branches):
-            r = check_invariance(cubic, x, op, h=1e-4, branch_index=b)
-            order = f"{r.order_estimate:5.2f}" if r.residual_h2 > 1e-8 else " (below noise)"
-            print(f"{op:10s}  {b}       {r.residual_h:10.3e}   {r.residual_h2:10.3e}   {order}")
+    # every branch of every operation at x: reflect, then secant and billiard
+    for (op, b), r in check_invariance(cubic, x, h=1e-4).items():
+        order = f"{r.order_estimate:5.2f}" if r.residual_h2 > 1e-8 else " (below noise)"
+        print(f"{op:10s}  {b}       {r.residual_h:10.3e}   {r.residual_h2:10.3e}   {order}")

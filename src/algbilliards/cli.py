@@ -261,22 +261,18 @@ def cmd_form_check(args) -> int:
     curve = _load_curve(args.curve)
     require_generic(curve)
     states = sample_phase_points(curve, args.samples, args.seed)
-    branch_count = curve.degree - 1
     rows = [["sample_id", "op", "h", "residual_h", "residual_h2", "order_estimate", "residual_extrapolated"]]
     worst = 0.0
     skipped = 0
     for i, x in enumerate(states):
-        jobs = [("reflect", 0)]
-        jobs += [("secant", b) for b in range(branch_count)]
-        jobs += [("billiard", b) for b in range(branch_count)]
-        for op, branch in jobs:
+        for (op, branch), r in check_invariance(curve, x, args.h).items():
             tag = op if op == "reflect" else f"{op}:{branch}"
-            try:
-                r = check_invariance(curve, x, op, h=args.h, branch_index=branch)
-            except (SymplecticError, PhaseError) as exc:
+            if isinstance(r, (SymplecticError, PhaseError)):
                 skipped += 1
-                _log(f"sample {i} {tag} skipped: {exc}")
+                _log(f"sample {i} {tag} skipped: {r}")
                 continue
+            if isinstance(r, Exception):
+                raise r
             worst = max(worst, r.residual_extrapolated)
             rows.append([i, tag, *map(repr, (args.h, r.residual_h, r.residual_h2, r.order_estimate,
                                              r.residual_extrapolated))])

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .curve import DegenerateNewtonError, PlaneCurve, curve_point_near, tangent_frame
+from .numerics import NonConvergenceError
 from .phase import (
     PhasePoint,
     billiard_step,
@@ -33,7 +34,6 @@ from .phase import (
 
 __all__ = [
     "LocalFrame",
-    "FormDensity",
     "InvarianceResult",
     "SymplecticError",
     "IsotropicFrameError",
@@ -50,6 +50,8 @@ DEFAULT_STEP = 1e-4
 # so no smaller step can pass
 MIN_STEP = 1e-11
 BRANCH_JUMP_TOL = 0.1
+# the errors the CLI maps to an exit code; check_invariance stores one as a job's value
+_JOB_ERRORS = (ValueError, ArithmeticError, NonConvergenceError)
 
 
 class SymplecticError(ValueError):
@@ -71,13 +73,8 @@ class LocalFrame:
     newton_dir: tuple[complex, complex]  # transversal used to stay on the curve
 
 
-@dataclass(frozen=True)
-class FormDensity:
-    value: complex
-
-
 def local_frame(curve: PlaneCurve, x: PhasePoint) -> LocalFrame:
-    if abs(x.c.coords[2]) < 1e-8:
+    if x.c.is_at_infinity:
         raise SymplecticError("frame requires an affine base point")
     if x.q.is_isotropic:
         raise IsotropicFrameError("frame requires a non-isotropic direction")
@@ -85,7 +82,7 @@ def local_frame(curve: PlaneCurve, x: PhasePoint) -> LocalFrame:
     return LocalFrame(base=x, curve_dir=tau, newton_dir=nu)
 
 
-def form_density(curve: PlaneCurve, frame: LocalFrame) -> FormDensity:
+def form_density(curve: PlaneCurve, frame: LocalFrame) -> complex:
     """a = x0' q0' + x1' q1' for the frame directions.
 
     The curve parametrization c(s) = c + s tau + mu(s) nu has c'(0) = tau
@@ -95,8 +92,7 @@ def form_density(curve: PlaneCurve, frame: LocalFrame) -> FormDensity:
     """
     tau = frame.curve_dir
     q0, q1 = frame.base.q.affine()
-    value = tau[0] * (-q1) + tau[1] * q0
-    return FormDensity(value=value)
+    return tau[0] * (-q1) + tau[1] * q0
 
 
 def _perturbed_state(curve: PlaneCurve, frame: LocalFrame, s: complex, t: complex) -> PhasePoint:
@@ -126,17 +122,13 @@ def _frame_coordinates(curve: PlaneCurve, frame: LocalFrame, y: PhasePoint) -> t
     return sigma, theta
 
 
-def _branch_map(curve: PlaneCurve, x: PhasePoint, op: str, branch_index: int,
-                anchor: PhasePoint | None = None) -> PhasePoint:
-    if op == "reflect":
-        return reflect(curve, x).images[0].point
-    if op == "secant":
-        bs = secant(curve, x)
-    elif op == "billiard":
-        bs = billiard_step(curve, x)
-    else:
-        raise ValueError(f"unknown operation {op!r}")
-    pts = [b.point for b in bs.images]
+def _pick(outcome, branch_index: int, anchor: PhasePoint | None = None) -> PhasePoint:
+    """One image of a stored step outcome, raising the error stored instead:
+    without an anchor the image at ``branch_index``, else the image nearest
+    the anchor, under the jump guard."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    pts = [b.point for b in outcome.images]
     if not pts:
         raise SymplecticError("branch set is empty")
     if anchor is None:
@@ -146,9 +138,7 @@ def _branch_map(curve: PlaneCurve, x: PhasePoint, op: str, branch_index: int,
     dists = [phase_distance(p, anchor) for p in pts]
     best = min(range(len(pts)), key=lambda i: dists[i])
     if dists[best] > BRANCH_JUMP_TOL:
-        raise BranchJumpError(
-            f"nearest branch moved {dists[best]:.3g}; decrease the step"
-        )
+        raise BranchJumpError(f"nearest branch moved {dists[best]:.3g}; decrease the step")
     return pts[best]
 
 
@@ -165,14 +155,25 @@ class InvarianceResult:
     residual_extrapolated: float
 
 
-def check_invariance(
-    curve: PlaneCurve,
-    x: PhasePoint,
-    op: str,
-    h: float = DEFAULT_STEP,
-    branch_index: int = 0,
-) -> InvarianceResult:
-    """Residual of form invariance along one branch at steps h and h/2.
+def _attempt(fn, *args):
+    """fn(*args), or the error it raised, stored for the jobs that meet it."""
+    try:
+        return fn(*args)
+    except _JOB_ERRORS as exc:
+        return exc
+
+
+def check_invariance(curve: PlaneCurve, x: PhasePoint, h: float = DEFAULT_STEP) -> dict:
+    """Residuals of form invariance at x along every branch, at steps h and h/2.
+
+    The jobs are keyed (op, branch_index): ("reflect", 0), then ("secant", b)
+    and ("billiard", b) for b = 0..d-2.  Each value is the job's
+    InvarianceResult, or the first _JOB_ERRORS error the job meets: in order
+    x's frame, its branch image y, y's frame, a vanishing density at x, then
+    per Jacobian column both images (a failed perturbed state included) and
+    their frame coordinates.  x and its eight perturbed states are stepped
+    once by each operation; secant and billiard jobs follow their branch to
+    the image nearest y under the jump guard, reflect has one branch.
 
     The residual is |a(y) det J - a(x)| / |a(x)| with J the central
     finite-difference Jacobian of the branch map expressed in the local
@@ -181,47 +182,46 @@ def check_invariance(
     Richardson extrapolant J* = (4 J(h/2) - J(h)) / 3, whose truncation
     error is O(h^4), so it measures invariance rather than the step.
     """
-    frame_x = local_frame(curve, x)
-    y0 = _branch_map(curve, x, op, branch_index)
-    frame_y = local_frame(curve, y0)
-    a_x = form_density(curve, frame_x).value
-    a_y = form_density(curve, frame_y).value
-    if abs(a_x) < 1e-12:
-        raise SymplecticError("form density vanishes at the source point")
+    jobs = [("reflect", 0)] + [(op, b) for op in ("secant", "billiard") for b in range(curve.degree - 1)]
+    frame_x = _attempt(local_frame, curve, x)
+    if isinstance(frame_x, Exception):
+        return dict.fromkeys(jobs, frame_x)
+    # the Jacobian columns, s then t at h and at h/2, each stepping a + and a - state
+    columns = [(step, ds, dt) for step in (h, h / 2) for ds, dt in ((step, 0), (0, step))]
+    states = [x] + [_attempt(_perturbed_state, curve, frame_x, sign * ds, sign * dt)
+                    for _, ds, dt in columns for sign in (1, -1)]
+    outcomes = {
+        op: [s if isinstance(s, Exception) else _attempt(step_fn, curve, s) for s in states]
+        for op, step_fn in (("reflect", reflect), ("secant", secant), ("billiard", billiard_step))
+    }
 
-    def jacobian(step: float) -> list:
+    def job(op: str, branch_index: int) -> InvarianceResult:
+        stepped = iter(outcomes[op])
+        y0 = _pick(next(stepped), branch_index)
+        frame_y = local_frame(curve, y0)
+        a_x = form_density(curve, frame_x)
+        a_y = form_density(curve, frame_y)
+        if abs(a_x) < 1e-12:
+            raise SymplecticError("form density vanishes at the source point")
+        anchor = None if op == "reflect" else y0
         cols = []
-        for ds, dt in ((step, 0), (0, step)):
-            plus = _branch_map(
-                curve, _perturbed_state(curve, frame_x, ds, dt), op, branch_index, anchor=y0
-            )
-            minus = _branch_map(
-                curve, _perturbed_state(curve, frame_x, -ds, -dt), op, branch_index, anchor=y0
-            )
+        for step, _, _ in columns:
+            plus = _pick(next(stepped), branch_index, anchor)
+            minus = _pick(next(stepped), branch_index, anchor)
             sp, tp = _frame_coordinates(curve, frame_y, plus)
             sm, tm = _frame_coordinates(curve, frame_y, minus)
             cols.append(((sp - sm) / (2 * step), (tp - tm) / (2 * step)))
-        return cols
+        j_h, j_h2 = cols[:2], cols[2:]
 
-    def residual(cols) -> float:
-        det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
-        return abs(a_y * det - a_x) / abs(a_x)
+        def residual(cols) -> float:
+            det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
+            return abs(a_y * det - a_x) / abs(a_x)
 
-    j_h, j_h2 = jacobian(h), jacobian(h / 2)
-    res_h, res_h2 = residual(j_h), residual(j_h2)
-    res_x = residual([[(4 * b - a) / 3 for a, b in zip(col_h, col_h2)] for col_h, col_h2 in zip(j_h, j_h2)])
-    if res_h2 > 0 and res_h > 0:
-        order = math.log2(res_h / res_h2)
-    else:
-        order = float("nan")
-    return InvarianceResult(
-        op=op,
-        branch_index=branch_index,
-        h=h,
-        residual_h=res_h,
-        residual_h2=res_h2,
-        order_estimate=order,
-        density_source=a_x,
-        density_image=a_y,
-        residual_extrapolated=res_x,
-    )
+        res_h, res_h2 = residual(j_h), residual(j_h2)
+        res_x = residual([[(4 * b - a) / 3 for a, b in zip(col_h, col_h2)] for col_h, col_h2 in zip(j_h, j_h2)])
+        order = math.log2(res_h / res_h2) if res_h2 > 0 and res_h > 0 else float("nan")
+        return InvarianceResult(op=op, branch_index=branch_index, h=h, residual_h=res_h, residual_h2=res_h2,
+                                order_estimate=order, density_source=a_x, density_image=a_y,
+                                residual_extrapolated=res_x)
+
+    return {key: _attempt(job, *key) for key in jobs}

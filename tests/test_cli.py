@@ -775,8 +775,8 @@ def _failing_report(*args, **kwargs):
 
 @pytest.mark.parametrize("patches,argv", [
     ({}, ["genericity", "--curve", DATA / "circle.json"]),
-    ({"check_invariance": lambda *a, **k: SimpleNamespace(
-        residual_h=1.0, residual_h2=1.0, order_estimate=0.0, residual_extrapolated=1.0)},
+    ({"check_invariance": lambda *a, **k: {("reflect", 0): SimpleNamespace(
+        residual_h=1.0, residual_h2=1.0, order_estimate=0.0, residual_extrapolated=1.0)}},
      ["form-check", "--curve", DATA / "ellipse.json", "--samples", 1]),
     ({"confinement_reports": lambda *a, **k: [_failing_report()]},
      ["confine", "--curve", DATA / "ellipse.json", "--samples", 1, "--scratch-index", 0]),

@@ -14,7 +14,7 @@ the library imported from ``<root>/src``:
 * ``bench/<seed>/<job>``: the benchmark's job lists at every ``--seeds``
   value (none with a bare ``--seeds``), built by ``bench/bench_jobs.py``
   (imported read-only);
-* ``fixture/<curve>/<command>``: eight commands on each curve of
+* ``fixture/<curve>/<command>``: nine commands on each curve of
   ``tests/data``, and ``confine --samples 3`` at seeds 1..30 on the
   ellipse, cubic, quartic and sextic.  With ``--scale c`` every coefficient of the
   curve is first multiplied exactly by the rational c;
@@ -66,6 +66,7 @@ FIXTURE_COMMANDS = {
     "orbit-real": ("orbit", "--real", "--depth", "20"),
     "confine": ("confine", "--samples", "2"),
     "form-check": ("form-check", "--samples", "3"),
+    "form-check-h0.05": ("form-check", "--samples", "15", "--h", "0.05"),  # the skip paths
     "spectral": ("spectral",),
 }
 CONFINE_CURVES = ("ellipse", "cubic", "quartic", "sextic")
